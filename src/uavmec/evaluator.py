@@ -13,18 +13,28 @@ has finished and shipped its dependency payload.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import channel
 from .channel import BandwidthAllocation
 from .scenario import Scenario, topological_order
-from .timing import EnergyLedger, check_energy_feasible, hover_power_w
+from .timing import EnergyLedger, hover_power_w
 
 # Sentinel fitness for decisions rejected outright in hard mode; larger
 # than any realizable objective.
 HARD_REJECT = 1e18
+
+# Populations with fewer rows than this are scored by looping the scalar
+# kernel. The array pass has a fixed cost whatever the row count: at
+# V=4, M=30 (2-vCPU Xeon VM, numpy 2.4) it costs ~120-140 us for four
+# rows, against ~25 us per scalar call, so the loop is cheaper up to
+# about five rows; eight leaves a margin for that measurement.
+BATCH_MIN_ROWS = 8
 
 UPLOAD_MODELS = ("cumulative", "independent")
 
@@ -124,10 +134,66 @@ def decision_to_vector(scenario: Scenario, decision: OffloadDecision) -> Tuple[i
     return tuple(uav_slot[decision.x[u][j - 1]] for u, j in decision_order(scenario))
 
 
+@dataclass(frozen=True)
+class _BatchTables:
+    """The scenario compiled for the population kernel. Node arrays run
+    over the M sub-tasks in visiting order: users ascending, then each
+    task's topological order (the order the scalar kernel accumulates
+    energy and spans in); slots index the decision column of each node.
+
+    Ready times live in an (N, M + U) finish-time table: the nodes
+    grouped by level, then one column per user holding the release time
+    of its dummy root. A node's level is one more than its deepest
+    non-dummy parent's, so the ready times of one level need only the
+    finish times of earlier levels.
+    """
+
+    fmax: np.ndarray         # (V,) per slot: max compute
+    budget: np.ndarray       # (V,) energy budget
+    report_e: np.ndarray     # (V,) status report energy
+    hover_p: np.ndarray      # (V,) hover power
+    inv_uu: np.ndarray       # (V*V,) inverse inter-UAV rate, row = sender
+    kappa: float
+    h: np.ndarray            # (M,) input bits, decision-column order
+    cols: np.ndarray         # (M,) decision column of each visited node
+    h_visit: np.ndarray      # (M,) input bits
+    cycles: np.ndarray       # (M,) cycles per bit
+    h_fmax: np.ndarray       # (M*V,) h times each slot's max compute
+    fwd: np.ndarray          # (M*V,) forwarding time per (node, slot)
+    fwd_row: np.ndarray      # (M,) node * V: row start in h_fmax / fwd
+    user: np.ndarray         # (M,) user index of each node
+    assoc: np.ndarray        # (M,) associated slot of the node's user
+    p_fwd: np.ndarray        # (M,) forwarding power of that slot
+    level_order: np.ndarray  # (M,) visit position of each finish-table node
+    arrival: np.ndarray      # (M,) arrival before the forwarding hop,
+                             # finish-table order
+    pay_src: np.ndarray      # (E,) per payload edge: parent visit position
+    pay_dst: np.ndarray      # (E,) child visit position
+    pay_bits: np.ndarray     # (E,) dependency payload
+    # per level (lo, hi, gather, k, at, e0, e1): its nodes are finish-table
+    # columns lo:hi; gather is a (k, hi - lo) block of columns, flattened;
+    # at lists the gathered slots of its payload edges e0:e1
+    levels: Tuple[tuple, ...]
+    user_cols: np.ndarray    # finish-table columns per user: dummy, nodes
+    user_starts: np.ndarray  # (U,) first entry of each user in user_cols
+    release: np.ndarray      # (U,) release time per user
+    task_upload: np.ndarray  # (U,) task upload time per user
+    span_base: np.ndarray    # (U,) task upload plus the status report
+    assoc_mask: np.ndarray   # (U, V) user u is served by slot v
+
+
 class Evaluator:
     """Precomputes every decision-independent quantity for one
     (scenario, bandwidth allocation) pair, then maps decision vectors to
-    objectives at a few tens of microseconds per call.
+    objectives.
+
+    Two paths give bit-identical numbers. fitness, objective_and_feasible
+    and result score one vector with the scalar kernel. fitness_many and
+    objective_and_feasible_many score an (N, M) matrix of 1-based slots,
+    one decision per row, in one array pass whose numpy call count grows
+    with DAG depth, not with N or M; the scenario is compiled into arrays
+    on the first such call. Below BATCH_MIN_ROWS rows they loop the
+    scalar kernel instead.
 
     Not thread-safe (scratch buffers are reused); build one per thread.
     """
@@ -141,6 +207,8 @@ class Evaluator:
     ):
         if upload_model not in UPLOAD_MODELS:
             raise ValueError(f"unknown upload model {upload_model!r}")
+        if not scenario.tasks:
+            raise ValueError("scenario has no active users")
         self.scenario = scenario
         self.beta = beta
         self.penalty = penalty
@@ -186,10 +254,12 @@ class Evaluator:
                 raise ValueError(f"user {user.id}: zero uplink rate on a required link")
             up_t = [0.0] * (n + 1)
             h_bits = [0.0] * (n + 1)
+            cycles = [0.0] * (n + 1)
             preds: List[Tuple[Tuple[int, float], ...]] = [()] * (n + 1)
             for j in range(1, n + 1):
                 s = subs[j]
                 h_bits[j] = s.input_size_bits
+                cycles[j] = s.cycles_per_bit
                 up_t[j] = s.input_size_bits / rate_up
                 preds[j] = tuple(s.predecessors)
             topo = [j for j in topological_order(t) if j != 0]
@@ -207,7 +277,7 @@ class Evaluator:
                     trel=t.release_time_s,
                     n=n,
                     offset=offset,
-                    cycles_per_bit=t.sub_tasks[1].cycles_per_bit if n else 0.0,
+                    cycles_per_bit=cycles,
                     h_bits=h_bits,
                     up_t=up_t,
                     task_upload=math.fsum(up_t),
@@ -219,6 +289,8 @@ class Evaluator:
             )
             offset += n
         self._m = offset
+
+        self._tables: Optional[_BatchTables] = None
 
         # scratch buffers
         self._tot = [0.0] * V
@@ -276,7 +348,7 @@ class Evaluator:
             preds = u["preds"]
             fwd = u["fwd"]
             ft = u["ft"]
-            cu = u["cycles_per_bit"]
+            cpb = u["cycles_per_bit"]
             ft[0] = trel
             cum = trel
             f_last = trel
@@ -301,6 +373,7 @@ class Evaluator:
                             tp += bits * inv_uu[vp - 1][v0]
                     if tp > rt:
                         rt = tp
+                cu = cpb[j]
                 exec_t = cu * exec_unit[v0]
                 fin = rt + exec_t
                 ft[j] = fin
@@ -374,6 +447,216 @@ class Evaluator:
         budgets = self._ebudget
         feasible = all(totals[i] <= budgets[i] for i in range(self._V))
         return objective, feasible
+
+    def fitness_many(self, population) -> np.ndarray:
+        """fitness of each row of an (N, M) matrix of 1-based slots, as
+        an (N,) array equal bit for bit to calling fitness row by row."""
+        if len(population) < BATCH_MIN_ROWS:
+            rows = np.asarray(population).tolist()
+            return np.array([self.fitness(row) for row in rows], dtype=float)
+        objective, totals = self._score_many(population)
+        pen = self.penalty
+        if pen is None:
+            return objective
+        budget = self._tables.budget
+        if pen.mode == "hard":
+            return np.where((totals > budget).any(axis=1), HARD_REJECT, objective)
+        over = totals - budget
+        surcharge = np.where(over > 0.0, pen.lambda_ * over * over, 0.0)
+        for i in range(self._V):  # slot order, as fitness adds them
+            objective = objective + surcharge[:, i]
+        return objective
+
+    def objective_and_feasible_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
+        """objective_and_feasible of each row of an (N, M) slot matrix:
+        (N,) objectives and (N,) feasibility flags."""
+        if len(population) < BATCH_MIN_ROWS:
+            rows = np.asarray(population).tolist()
+            pairs = [self.objective_and_feasible(row) for row in rows]
+            return (
+                np.array([obj for obj, _ in pairs], dtype=float),
+                np.array([ok for _, ok in pairs], dtype=bool),
+            )
+        objective, totals = self._score_many(population)
+        return objective, (totals <= self._tables.budget).all(axis=1)
+
+    def _score_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
+        """Population kernel: (N,) objectives and (N, V) energy totals.
+
+        Every float is produced by the same operations, in the same
+        order, as in _core. Per-cell sums use np.bincount, which adds
+        its weights one by one in array order, over flat indices laid
+        out in the scalar visiting order; adding the 0.0 weights of
+        nodes that do not belong to a cell leaves a sum unchanged. Ready
+        times take a max, which does not depend on order.
+        """
+        t = self._tables if self._tables is not None else self._compile()
+        slots = np.asarray(population, dtype=np.intp) - 1
+        Sv = slots[:, t.cols]  # 0-based slots in visiting order
+        exec_t, fwd_t, totals = self._energy_many(t, slots, Sv)
+        return self._objective_many(t, Sv, exec_t, fwd_t), totals
+
+    def _energy_many(self, t: _BatchTables, slots, Sv):
+        """Per-node execution and forwarding times (visiting order) and
+        (N, V) per-UAV energy totals."""
+        N = len(slots)
+        V = self._V
+        U = len(self._users)
+        cell = np.arange(N)[:, None] * V
+        cells = slots + cell  # flat (row, slot) cell of each decision column
+        tot = np.bincount(
+            cells.ravel(), np.broadcast_to(t.h, cells.shape).ravel(), N * V
+        ).reshape(N, V)
+
+        cellv = Sv + cell
+        exec_t = (tot / t.fmax).ravel()[cellv]
+        exec_t *= t.cycles
+        node_slot = Sv + t.fwd_row
+        fwd_t = t.fwd[node_slot]
+        f_share = t.h_fmax[node_slot]
+        f_share /= tot.ravel()[cellv]
+        energy = t.kappa * f_share
+        energy *= f_share
+        energy *= t.cycles
+        energy *= t.h_visit
+        exec_e = np.bincount(cellv.ravel(), energy.ravel(), N * V).reshape(N, V)
+        fwd_e = np.bincount(
+            (cell + t.assoc).ravel(), (t.p_fwd * fwd_t).ravel(), N * V
+        ).reshape(N, V)
+
+        remote = Sv != t.assoc
+        ucell = (np.arange(N)[:, None] * U + t.user).ravel()
+        loc_span = np.bincount(ucell, np.where(remote, 0.0, exec_t).ravel(), N * U)
+        rem_span = fwd_t + exec_t
+        rem_span[~remote] = 0.0
+        rem_span = np.bincount(ucell, rem_span.ravel(), N * U)
+        span = t.span_base + np.maximum(loc_span, rem_span).reshape(N, U)
+        hover_t = np.where(t.assoc_mask, span[:, :, None], 0.0).max(axis=1)
+        return exec_t, fwd_t, exec_e + fwd_e + t.report_e + t.hover_p * hover_t
+
+    def _objective_many(self, t: _BatchTables, Sv, exec_t, fwd_t) -> np.ndarray:
+        """Ready and finish times level by level, then the (N,) mean of
+        makespan plus upload time over users."""
+        N, M = Sv.shape
+        U = len(self._users)
+        ft = np.empty((N, M + U))
+        np.add(t.arrival, fwd_t[:, t.level_order], out=ft[:, :M])
+        ft[:, M:] = t.release
+        exec_l = exec_t[:, t.level_order]
+        edge_t = t.pay_bits * t.inv_uu[Sv[:, t.pay_src] * self._V + Sv[:, t.pay_dst]]
+        for lo, hi, gather, k, pay_at, e0, e1 in t.levels:
+            tp = ft[:, gather]
+            tp[:, pay_at] += edge_t[:, e0:e1]
+            np.add(tp.reshape(N, k, hi - lo).max(axis=1), exec_l[:, lo:hi], out=ft[:, lo:hi])
+        f_last = np.maximum.reduceat(ft[:, t.user_cols], t.user_starts, axis=1)
+        terms = (f_last - t.release) + t.task_upload
+        return np.bincount(np.repeat(np.arange(N), U), terms.ravel(), N) / U
+
+    def _compile(self) -> _BatchTables:
+        """Lays the scenario out as the arrays of _BatchTables, once."""
+        V = self._V
+        M = self._m
+        cumulative = self.upload_model == "cumulative"
+        cols, h_visit, cycles, h_fmax, fwd, user, assoc = [], [], [], [], [], [], []
+        arrival, depth, parents = [], [], []
+        release, task_upload, span_base = [], [], []
+        assoc_mask = np.zeros((len(self._users), V), dtype=bool)
+        for ui, u in enumerate(self._users):
+            a = u["assoc"]
+            trel = u["trel"]
+            release.append(trel)
+            task_upload.append(u["task_upload"])
+            span_base.append(u["task_upload"] + self._report_t[a])
+            assoc_mask[ui, a] = True
+            visit = {}
+            cum = trel
+            for j in u["topo"]:
+                visit[j] = len(cols)
+                cols.append(u["offset"] + j - 1)
+                h = u["h_bits"][j]
+                h_visit.append(h)
+                cycles.append(u["cycles_per_bit"][j])
+                h_fmax.extend(h * f for f in self._fmax)
+                fwd.extend(u["fwd"][j - 1])
+                user.append(ui)
+                assoc.append(a)
+                if cumulative:
+                    cum += u["up_t"][j]
+                    arrival.append(cum)
+                else:
+                    arrival.append(trel + u["up_t"][j])
+                # parent visit position, or None for the dummy root
+                ins = [(visit[p] if p != 0 else None, bits) for p, bits in u["preds"][j]]
+                depth.append(max((depth[q] + 1 for q, _ in ins if q is not None), default=0))
+                parents.append(ins)
+
+        # finish table: nodes by (level, visit position), then the dummies
+        order = sorted(range(M), key=lambda i: (depth[i], i))
+        ft_col = {i: c for c, i in enumerate(order)}
+        levels = []
+        pay_src, pay_dst, pay_bits = [], [], []
+        lo = e0 = 0
+        for _, level in itertools.groupby(order, key=depth.__getitem__):
+            level = list(level)
+            n = len(level)
+            hi = lo + n
+            k = 1 + max(len(parents[i]) for i in level)
+            # row 0 is each node's own column, holding its arrival; then
+            # its parents' finish times, padded with its own column
+            gather = np.tile(np.arange(lo, hi, dtype=np.intp), (k, 1))
+            at = []  # gathered slots of this level's payload edges
+            for r, i in enumerate(level):
+                for e, (q, bits) in enumerate(parents[i], start=1):
+                    gather[e, r] = M + user[i] if q is None else ft_col[q]
+                    if q is not None and bits > 0.0:
+                        at.append(e * n + r)
+                        pay_src.append(q)
+                        pay_dst.append(i)
+                        pay_bits.append(bits)
+            e1 = len(pay_bits)
+            levels.append((lo, hi, gather.ravel(), k, np.array(at, dtype=np.intp), e0, e1))
+            lo = hi
+            e0 = e1
+        # a user's nodes hold visit positions offset .. offset + n - 1
+        user_cols, user_starts = [], []
+        for ui, u in enumerate(self._users):
+            user_starts.append(len(user_cols))
+            user_cols.append(M + ui)
+            user_cols.extend(ft_col[i] for i in range(u["offset"], u["offset"] + u["n"]))
+
+        h = np.empty(M)
+        h[cols] = h_visit
+        self._tables = _BatchTables(
+            fmax=np.array(self._fmax, dtype=float),
+            budget=np.array(self._ebudget, dtype=float),
+            report_e=np.array(self._report_e, dtype=float),
+            hover_p=np.array(self._hover_p, dtype=float),
+            inv_uu=np.array(self._inv_uu, dtype=float).ravel(),
+            kappa=self.scenario.physics.effective_switched_capacitance,
+            h=h,
+            cols=np.array(cols, dtype=np.intp),
+            h_visit=np.array(h_visit, dtype=float),
+            cycles=np.array(cycles, dtype=float),
+            h_fmax=np.array(h_fmax, dtype=float),
+            fwd=np.array(fwd, dtype=float),
+            fwd_row=np.arange(M, dtype=np.intp) * V,
+            user=np.array(user, dtype=np.intp),
+            assoc=np.array(assoc, dtype=np.intp),
+            p_fwd=np.array([self._p_fwd_w[a] for a in assoc], dtype=float),
+            level_order=np.array(order, dtype=np.intp),
+            arrival=np.array([arrival[i] for i in order], dtype=float),
+            pay_src=np.array(pay_src, dtype=np.intp),
+            pay_dst=np.array(pay_dst, dtype=np.intp),
+            pay_bits=np.array(pay_bits, dtype=float),
+            levels=tuple(levels),
+            user_cols=np.array(user_cols, dtype=np.intp),
+            user_starts=np.array(user_starts, dtype=np.intp),
+            release=np.array(release, dtype=float),
+            task_upload=np.array(task_upload, dtype=float),
+            span_base=np.array(span_base, dtype=float),
+            assoc_mask=assoc_mask,
+        )
+        return self._tables
 
     def result(self, decision: OffloadDecision) -> ScheduleResult:
         problems = decision.validate(self.scenario)

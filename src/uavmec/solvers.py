@@ -8,7 +8,6 @@ re-optimizes offloading and bandwidth in turns.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -27,6 +26,12 @@ from .evaluator import (
     decision_to_vector,
 )
 from .scenario import Scenario
+
+
+# Decisions scored per array pass by exhaustive_solve. It bounds the
+# pass's temporaries: at V=3, M=8, 4096 rows raised peak memory by
+# ~4.7 MB and ran slower than 1024 rows (~0.7 MB).
+EXHAUSTIVE_CHUNK = 1024
 
 
 class NoFeasibleDecisionError(Exception):
@@ -125,11 +130,10 @@ def discretize(position: Sequence[float], scenario: Scenario) -> OffloadDecision
     )
 
 
-def _discretize_into(row: np.ndarray, v_count: int, out: List[int]) -> List[int]:
-    for i in range(len(out)):
-        k = math.ceil(row[i] - 0.5)
-        out[i] = 1 if k < 1 else (v_count if k > v_count else k)
-    return out
+def discretize_population(positions: np.ndarray, v_count: int) -> np.ndarray:
+    """discretize_slot over a whole (N, M) position matrix, as an (N, M)
+    integer slot matrix."""
+    return np.clip(np.ceil(positions - 0.5), 1, v_count).astype(np.intp)
 
 
 @dataclass
@@ -150,10 +154,19 @@ class WoaState:
     v_count: int
     spiral_b: float = 1.0
     rngs: List[np.random.Generator] = field(default_factory=list, repr=False)
-    scratch: List[int] = field(default_factory=list, repr=False)
 
 
-FitnessFn = Callable[[Sequence[int]], float]
+# Scores a whole population: (N, M) slot matrix -> (N,) fitness values.
+FitnessFn = Callable[[np.ndarray], np.ndarray]
+
+
+def _first_min(values: np.ndarray) -> int:
+    """Index of the first strict minimum, NaN never winning (-1 when
+    every value is NaN or +inf); the same agent a left-to-right scan
+    with `<` would keep."""
+    values = np.where(np.isnan(values), math.inf, values)
+    i = int(np.argmin(values))
+    return i if values[i] < math.inf else -1
 
 
 def woa_init(
@@ -172,27 +185,64 @@ def woa_init(
         for ss in np.random.SeedSequence(seed).spawn(agents)
     ]
     pos = np.empty((agents, m))
-    scratch = [0] * m
-    best_value = math.inf
-    best_i = 0
     for i, rng in enumerate(rngs):
         pos[i] = rng.uniform(1.0, v_count, m)
-        f = fitness(_discretize_into(pos[i], v_count, scratch))
-        if f < best_value:
-            best_value = f
-            best_i = i
+    values = fitness(discretize_population(pos, v_count))
+    best_i = _first_min(values)
     return WoaState(
         positions=pos,
-        best_position=pos[best_i].copy(),
-        best_value=best_value,
+        best_position=pos[max(best_i, 0)].copy(),
+        best_value=float(values[best_i]) if best_i >= 0 else math.inf,
         iteration=0,
         max_iterations=max_iterations,
         a=2.0,
         v_count=v_count,
         spiral_b=spiral_b,
         rngs=rngs,
-        scratch=scratch,
     )
+
+
+def _moved_positions(state: WoaState) -> np.ndarray:
+    """Every agent's next position, clipped to the box. Each agent draws
+    its coefficients from its own stream, agent by agent; the moves then
+    run as whole-matrix operations on the snapshot of the population
+    and the incumbent."""
+    a = state.a
+    b = state.spiral_b
+    old = state.positions
+    best_pos = state.best_position
+    n = len(state.rngs)
+    # encircle and random search both move to T - A * |C * T - X|, with
+    # T the incumbent or a random agent's snapshot position
+    coef_a = np.empty(n)
+    coef_c = np.empty(n)
+    target = np.empty(n, dtype=np.intp)  # agent index, or n for the incumbent
+    spiral = np.zeros(n, dtype=bool)
+    spiral_e = np.empty(n)
+    spiral_c = np.empty(n)
+    for i, rng in enumerate(state.rngs):
+        r = rng.random()
+        p = rng.random()
+        l = rng.uniform(-1.0, 1.0)
+        A = 2.0 * a * r - a
+        coef_a[i] = A
+        coef_c[i] = 2.0 * r
+        target[i] = n
+        if p < 0.5:
+            if abs(A) >= 1.0:
+                target[i] = int(rng.integers(n))
+        else:
+            spiral[i] = True
+            spiral_e[i] = math.exp(b * l)
+            spiral_c[i] = math.cos(2.0 * math.pi * l)
+
+    move = ~spiral
+    T = np.vstack((old, best_pos))[target[move]]
+    pos = np.empty_like(old)
+    pos[move] = T - coef_a[move, None] * np.abs(coef_c[move, None] * T - old[move])
+    d = np.abs(best_pos - old[spiral])
+    pos[spiral] = d * spiral_e[spiral, None] * spiral_c[spiral, None] + best_pos
+    return np.clip(pos, 1.0, state.v_count, out=pos)
 
 
 def woa_step(state: WoaState, fitness: FitnessFn) -> WoaState:
@@ -202,44 +252,14 @@ def woa_step(state: WoaState, fitness: FitnessFn) -> WoaState:
 
     All agents move relative to a snapshot of the population and the
     incumbent taken at iteration entry, and each draws from its own
-    stream, so the result does not depend on evaluation order (fitness
-    calls could run in parallel). Mutates and returns state.
+    stream, so the result does not depend on evaluation order; the whole
+    population is scored in one fitness call. Mutates and returns state.
     """
-    a = state.a
-    b = state.spiral_b
-    v_count = state.v_count
-    pos = state.positions
-    old = pos.copy()
-    best_pos = state.best_position
-    scratch = state.scratch
-    n = len(state.rngs)
-    cand_val = math.inf
-    cand_i = -1
-    for i, rng in enumerate(state.rngs):
-        r = rng.random()
-        p = rng.random()
-        l = rng.uniform(-1.0, 1.0)
-        A = 2.0 * a * r - a
-        C = 2.0 * r
-        xi = pos[i]
-        if p < 0.5:
-            if abs(A) < 1.0:
-                d = np.abs(C * best_pos - old[i])
-                xi[:] = best_pos - A * d
-            else:
-                j = int(rng.integers(n))
-                d = np.abs(C * old[j] - old[i])
-                xi[:] = old[j] - A * d
-        else:
-            d = np.abs(best_pos - old[i])
-            xi[:] = d * math.exp(b * l) * math.cos(2.0 * math.pi * l) + best_pos
-        np.clip(xi, 1.0, v_count, out=xi)
-        f = fitness(_discretize_into(xi, v_count, scratch))
-        if f < cand_val:
-            cand_val = f
-            cand_i = i
-    if cand_val < state.best_value:
-        state.best_value = cand_val
+    state.positions = pos = _moved_positions(state)
+    values = fitness(discretize_population(pos, state.v_count))
+    cand_i = _first_min(values)
+    if cand_i >= 0 and values[cand_i] < state.best_value:
+        state.best_value = float(values[cand_i])
         state.best_position = pos[cand_i].copy()
     state.iteration += 1
     if state.max_iterations > 0:
@@ -264,7 +284,7 @@ def dwoa_solve(
     t0 = time.perf_counter()
     ev = Evaluator(scenario, beta, cfg.penalty, cfg.upload_model)
     state = woa_init(
-        ev.fitness,
+        ev.fitness_many,
         ev.vector_length,
         len(scenario.uavs),
         cfg.agents,
@@ -274,7 +294,7 @@ def dwoa_solve(
     )
     trace = []
     for _ in range(cfg.max_iterations):
-        woa_step(state, ev.fitness)
+        woa_step(state, ev.fitness_many)
         trace.append(state.best_value)
 
     vec = discretize_vector(state.best_position, state.v_count)
@@ -315,16 +335,23 @@ def exhaustive_solve(
     ev = Evaluator(scenario, beta, None, upload_model)
     m = ev.vector_length
     v_count = len(scenario.uavs)
-    if v_count**m > cap:
+    total = v_count**m
+    if total > cap:
         raise StateSpaceCapError(f"{v_count}**{m} decisions exceed cap {cap}")
 
+    # decision number k, written in base V with the last sub-task as the
+    # lowest digit, is the k-th decision of itertools.product order
+    place = np.array([v_count**e for e in range(m - 1, -1, -1)], dtype=np.int64)
     best_obj = math.inf
     best_vec: Optional[Tuple[int, ...]] = None
-    for vec in itertools.product(range(1, v_count + 1), repeat=m):
-        obj, feasible = ev.objective_and_feasible(vec)
-        if feasible and obj < best_obj:
-            best_obj = obj
-            best_vec = vec
+    for lo in range(0, total, EXHAUSTIVE_CHUNK):
+        k = np.arange(lo, min(lo + EXHAUSTIVE_CHUNK, total), dtype=np.int64)
+        slots = k[:, None] // place % v_count + 1
+        obj, feasible = ev.objective_and_feasible_many(slots)
+        i = _first_min(np.where(feasible, obj, math.inf))
+        if i >= 0 and obj[i] < best_obj:
+            best_obj = float(obj[i])
+            best_vec = tuple(slots[i].tolist())
     if best_vec is None:
         raise NoFeasibleDecisionError("no decision satisfies all energy budgets")
     return SolverRun(

@@ -3,19 +3,30 @@ import math
 import numpy as np
 import pytest
 
+import dataclasses
+
 from uavmec import (
     HARD_REJECT,
     BandwidthAllocation,
     Evaluator,
     OffloadDecision,
     PenaltyConfig,
+    SubTask,
+    TaskGraph,
     alloc_equal,
+    alloc_optimal,
     decision_latency_breakdown,
     evaluate,
     penalized_objective,
     schedule_to_csv,
+    with_unlimited_energy,
 )
-from uavmec.evaluator import decision_from_vector, decision_order, decision_to_vector
+from uavmec.evaluator import (
+    BATCH_MIN_ROWS,
+    decision_from_vector,
+    decision_order,
+    decision_to_vector,
+)
 
 import oracles
 from conftest import desk_scenario, hand_scenario, random_decision
@@ -230,3 +241,104 @@ def test_zero_rate_link_rejected():
     s = hand_scenario()
     with pytest.raises(ValueError, match="zero uplink rate"):
         evaluate(OffloadDecision({1: (1, 1, 1)}), BandwidthAllocation({}), s)
+
+
+def test_no_active_users_rejected():
+    s = dataclasses.replace(hand_scenario(), tasks=())
+    with pytest.raises(ValueError, match="scenario has no active users"):
+        Evaluator(s, alloc_equal(s))
+
+
+def test_per_subtask_cycles_per_bit_matches_event_oracle():
+    # sub-task 3 of the first task runs at 5000 cycles/bit, the rest at 1000
+    s = desk_scenario(3, uav_count=3, subtasks=6, active=2)
+    first = s.tasks[0]
+    slow = dataclasses.replace(first, sub_tasks=tuple(
+        dataclasses.replace(st, cycles_per_bit=5000.0) if st.index == 3 else st
+        for st in first.sub_tasks
+    ))
+    s = dataclasses.replace(s, tasks=(slow,) + s.tasks[1:])
+    beta = alloc_equal(s)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        dec = random_decision(s, rng)
+        res = evaluate(dec, beta, s)
+        at, rt, st, ft, obj = oracles.event_schedule(s, dec, beta)
+        for key in ft:
+            assert res.finish_s[key] == pytest.approx(ft[key], abs=ABS)
+        assert res.objective_s == pytest.approx(obj, abs=ABS)
+
+
+# ------------------------------------------------------- population kernel
+
+def _odd_dag_scenario():
+    """hand_scenario grown to five sub-tasks: sub-task 2 has no parent at
+    all (not even the dummy root), edges 1->3 and 1->4 carry no payload,
+    and sub-task 4 runs at its own cycles-per-bit rate."""
+    s = hand_scenario()
+    task = TaskGraph(
+        owner_user=1,
+        sub_tasks=(
+            SubTask(index=0, input_size_bits=0.0, cycles_per_bit=0.0, is_dummy=True),
+            SubTask(index=1, input_size_bits=1e6, cycles_per_bit=1000.0,
+                    predecessors=((0, 0.0),)),
+            SubTask(index=2, input_size_bits=2e6, cycles_per_bit=1000.0),
+            SubTask(index=3, input_size_bits=1e6, cycles_per_bit=1000.0,
+                    predecessors=((1, 0.0), (2, 2e5))),
+            SubTask(index=4, input_size_bits=5e5, cycles_per_bit=5000.0,
+                    predecessors=((3, 1e5), (1, 0.0), (0, 0.0))),
+        ),
+    )
+    return dataclasses.replace(s, tasks=(task,))
+
+
+def _kernel_cases():
+    shared = dict(users_per_uav=(2, 3))
+    yield "odd-dag", _odd_dag_scenario()
+    yield "binding", desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
+    yield "shared-uav", desk_scenario(8, uav_count=2, subtasks=7, active=3,
+                                      budget_j=2500.0, **shared)
+    yield "unlimited", with_unlimited_energy(
+        desk_scenario(8, uav_count=2, subtasks=7, active=3, budget_j=2500.0, **shared)
+    )
+
+
+PENALTIES = [None, PenaltyConfig(lambda_=0.1), PenaltyConfig(lambda_=1e-3),
+             PenaltyConfig(mode="hard")]
+
+
+@pytest.mark.parametrize("upload_model", ["cumulative", "independent"])
+@pytest.mark.parametrize("allocator", [alloc_equal, alloc_optimal])
+@pytest.mark.parametrize("penalty", PENALTIES, ids=["off", "lam0.1", "lam1e-3", "hard"])
+def test_population_kernel_equals_scalar_kernel(upload_model, allocator, penalty):
+    rng = np.random.default_rng(11)
+    for _name, s in _kernel_cases():
+        ev = Evaluator(s, allocator(s), penalty, upload_model)
+        for n in (1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, 100):
+            P = rng.integers(1, len(s.uavs) + 1, size=(n, ev.vector_length))
+            fit = ev.fitness_many(P)
+            obj, feas = ev.objective_and_feasible_many(P)
+            assert fit.shape == obj.shape == feas.shape == (n,)
+            # the per-UAV energy totals too: budgets rarely sit within
+            # an ulp of them, so fitness alone would hide a reordered sum
+            _obj, totals = ev._score_many(P)
+            for i, row in enumerate(P.tolist()):
+                assert fit[i] == ev.fitness(row)
+                assert (obj[i], feas[i]) == ev.objective_and_feasible(row)
+                assert totals[i].tolist() == ev._core(row)[1]
+
+
+def test_population_kernel_sees_binding_budgets():
+    # the differential test above must compare both feasibility outcomes
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
+    ev = Evaluator(s, alloc_equal(s), PenaltyConfig(mode="hard"))
+    P = np.random.default_rng(11).integers(1, 4, size=(100, ev.vector_length))
+    _obj, feas = ev.objective_and_feasible_many(P)
+    assert 0 < feas.sum() < len(feas)
+    assert (ev.fitness_many(P) == HARD_REJECT).sum() == len(feas) - feas.sum()
+
+
+def test_parentless_subtask_is_ready_at_arrival():
+    s = _odd_dag_scenario()
+    res = evaluate(OffloadDecision({1: (1, 2, 1, 1)}), alloc_equal(s), s)
+    assert res.ready_s[(1, 2)] == res.arrival_s[(1, 2)]

@@ -40,7 +40,7 @@ from uavmec.scenario import (
     UserNode,
 )
 from uavmec.evaluator import decision_to_vector
-from uavmec.solvers import discretize, discretize_slot
+from uavmec.solvers import discretize, discretize_population, discretize_slot
 
 import oracles
 from conftest import desk_scenario, hand_scenario, random_decision
@@ -57,6 +57,16 @@ def test_discretize_slot_goldens():
     assert discretize_slot(3.5001, 4) == 4
     assert discretize_slot(1.0, 4) == 1
     assert discretize_slot(4.0, 4) == 4
+
+
+def test_discretize_population_matches_slot_goldens():
+    xs = np.array([[2.4, 0.3, 4.9, 1.5], [2.5, 3.5001, 1.0, 4.0]])
+    assert discretize_population(xs, 4).tolist() == [[2, 1, 4, 1], [2, 4, 1, 4]]
+    grid = np.linspace(0.0, 8.0, 4001).reshape(1, -1)
+    for v in (2, 3, 7):
+        assert discretize_population(grid, v)[0].tolist() == [
+            discretize_slot(float(x), v) for x in grid[0]
+        ]
 
 
 def test_discretize_vector_and_decision():
@@ -107,14 +117,13 @@ def _state(positions, best, v_count, rngs, best_value=5.0):
         a=2.0,
         v_count=v_count,
         rngs=rngs,
-        scratch=[0] * pos.shape[1],
     )
 
 
 def test_step_encircle_with_zero_coefficient_lands_on_best():
     # r = 0.5 makes A = 0, so the encircling move collapses onto X*
     st = _state([[3.0, 1.0, 2.0]], [2.0, 4.0, 1.5], 4, [ScriptedRng(0.5, 0.4)])
-    woa_step(st, lambda v: 100.0)
+    woa_step(st, lambda P: np.full(len(P), 100.0))
     assert np.allclose(st.positions[0], [2.0, 4.0, 1.5])
     assert st.best_value == 5.0  # worse fitness must not replace the incumbent
     assert st.iteration == 1
@@ -123,14 +132,14 @@ def test_step_encircle_with_zero_coefficient_lands_on_best():
 
 def test_step_spiral_from_best_stays_at_best():
     st = _state([[2.0, 3.0]], [2.0, 3.0], 4, [ScriptedRng(0.3, 0.9, l=0.37)])
-    woa_step(st, lambda v: 100.0)
+    woa_step(st, lambda P: np.full(len(P), 100.0))
     assert np.allclose(st.positions[0], [2.0, 3.0])
 
 
 def test_step_spiral_zero_angle_adds_distance():
     # l = 0 gives X* + |X* - X| elementwise, then the clamp bites
     st = _state([[1.0, 1.0]], [3.0, 2.5], 4, [ScriptedRng(0.3, 0.9, l=0.0)])
-    woa_step(st, lambda v: 100.0)
+    woa_step(st, lambda P: np.full(len(P), 100.0))
     assert np.allclose(st.positions[0], [4.0, 4.0])  # 5.0 clamped to V, 4.0 kept
 
 
@@ -141,7 +150,7 @@ def test_step_search_branch_uses_snapshot_of_neighbor():
     rng0 = ScriptedRng(0.5, 0.4)            # A=0 encircle -> moves to best
     rng1 = ScriptedRng(1.0, 0.4, j=0)       # A=2, C=2 -> random search vs agent 0
     st = _state([old0, [1.5, 2.0]], best, 4, [rng0, rng1])
-    woa_step(st, lambda v: 100.0)
+    woa_step(st, lambda P: np.full(len(P), 100.0))
     d = np.abs(2.0 * np.array(old0) - np.array([1.5, 2.0]))
     expected = np.clip(np.array(old0) - 2.0 * d, 1.0, 4.0)
     assert np.allclose(st.positions[1], expected)
@@ -150,17 +159,17 @@ def test_step_search_branch_uses_snapshot_of_neighbor():
 
 def test_step_incumbent_updates_only_on_strict_improvement():
     st = _state([[3.0, 3.0]], [2.0, 2.0], 4, [ScriptedRng(0.5, 0.4)], best_value=7.0)
-    woa_step(st, lambda v: 7.0)  # tie: keep the old best position
+    woa_step(st, lambda P: np.full(len(P), 7.0))  # tie: keep the old best position
     assert st.best_value == 7.0
     assert np.allclose(st.best_position, [2.0, 2.0])
 
     st2 = _state([[3.0, 3.0]], [2.0, 2.0], 4, [ScriptedRng(0.5, 0.4)], best_value=7.0)
-    woa_step(st2, lambda v: 6.5)
+    woa_step(st2, lambda P: np.full(len(P), 6.5))
     assert st2.best_value == 6.5
 
 
 def test_step_positions_stay_in_box():
-    fit = lambda v: float(sum(v))
+    fit = lambda P: P.sum(axis=1).astype(float)
     state = woa_init(fit, m=6, v_count=4, agents=12, max_iterations=8, seed=3)
     for _ in range(8):
         woa_step(state, fit)
@@ -169,7 +178,7 @@ def test_step_positions_stay_in_box():
 
 
 def test_woa_population_prefix_is_seed_stable():
-    fit = lambda v: float(sum(v))
+    fit = lambda P: P.sum(axis=1).astype(float)
     small = woa_init(fit, m=5, v_count=4, agents=10, max_iterations=5, seed=42)
     large = woa_init(fit, m=5, v_count=4, agents=40, max_iterations=5, seed=42)
     assert np.array_equal(small.positions, large.positions[:10])
@@ -213,7 +222,7 @@ def test_dwoa_zero_iterations_is_best_of_initial_pool():
     assert run.trace == []
 
     ev = Evaluator(s, beta, cfg.penalty)
-    state = woa_init(ev.fitness, ev.vector_length, len(s.uavs), 25, 0, 13)
+    state = woa_init(ev.fitness_many, ev.vector_length, len(s.uavs), 25, 0, 13)
     vec = decision_to_vector(s, run.decision)
     assert ev.fitness(vec) == pytest.approx(state.best_value, rel=1e-12)
 
@@ -223,7 +232,7 @@ def test_dwoa_beats_or_matches_initial_pool():
     beta = alloc_equal(s)
     short = dwoa_solve(s, beta, _dwoa_cfg(max_iterations=0, seed=21))
     ev = Evaluator(s, beta, PenaltyConfig())
-    state = woa_init(ev.fitness, ev.vector_length, len(s.uavs), 30, 0, 21)
+    state = woa_init(ev.fitness_many, ev.vector_length, len(s.uavs), 30, 0, 21)
     long = dwoa_solve(s, beta, _dwoa_cfg(max_iterations=30, seed=21))
     assert long.trace[-1] <= state.best_value + 1e-12
     assert long.objective_s <= short.objective_s + 1e-12
@@ -445,3 +454,42 @@ def test_solver_run_json_round_trip():
     assert back.trace == run.trace
     assert back.beta.fractions == run.beta.fractions
     assert back.seed == run.seed
+
+
+# ------------------------------------------------------------------ goldens
+# repr of (trace, decision vector, objective, feasible), captured with the
+# per-agent scalar swarm loop and the one-decision-at-a-time exhaustive
+# loop that the population kernel replaced; fixed seeds must keep them.
+
+DWOA_GOLDENS = {
+    (5, 5, "penalty"): "([20215.79039000688, 20215.79039000688, 20215.79039000688, 12882.403926745023, 12882.403926745023], (1, 1, 2, 2, 2, 1, 1, 2, 2, 1, 1, 2), 22.74634905002732, False)",
+    (5, 5, "hard"): "([1e+18, 1e+18, 1e+18, 1e+18, 1e+18], (2, 2, 3, 2, 1, 2, 2, 2, 2, 3, 3, 1), 18.529211944282032, False)",
+    (30, 20, "penalty"): "([16906.773440391808, 16906.773440391808, 17.262507390476987, 17.262507390476987, 17.262507390476987, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545, 16.532126206781545], (2, 1, 2, 1, 1, 2, 3, 2, 1, 3, 2, 3), 16.532126206781545, True)",
+    (30, 20, "hard"): "([1e+18, 1e+18, 1e+18, 1e+18, 1e+18, 1e+18, 17.290435159662767, 17.290435159662767, 17.290435159662767, 17.290435159662767, 17.290435159662767, 17.290435159662767, 17.290435159662767, 17.290435159662767, 17.290435159662767, 17.290435159662767, 17.290435159662767, 17.290435159662767, 17.290435159662767, 17.290435159662767], (2, 1, 3, 2, 1, 1, 1, 2, 2, 2, 3, 1), 17.290435159662767, True)",
+}
+
+EXHAUSTIVE_GOLDENS = {
+    1e9: "([18.449176571644532], (3, 3, 1, 1, 3, 2, 2, 2), 18.449176571644532, True)",
+    2300.0: "([19.867905795098075], (3, 3, 3, 1, 2, 1, 2, 2), 19.867905795098075, True)",
+}
+
+
+def _golden_repr(run, s):
+    return repr((run.trace, decision_to_vector(s, run.decision), run.objective_s, run.feasible))
+
+
+@pytest.mark.parametrize("agents,iters,mode", sorted(DWOA_GOLDENS))
+def test_dwoa_fixed_seed_goldens(agents, iters, mode):
+    # a 3000 J budget binds: the penalty is active and hard mode rejects
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
+    cfg = DwoaConfig(agents=agents, max_iterations=iters, seed=3,
+                     penalty=PenaltyConfig(mode=mode))
+    run = dwoa_solve(s, alloc_equal(s), cfg)
+    assert _golden_repr(run, s) == DWOA_GOLDENS[(agents, iters, mode)]
+
+
+@pytest.mark.parametrize("budget", sorted(EXHAUSTIVE_GOLDENS))
+def test_exhaustive_goldens_over_3_pow_8(budget):
+    s = desk_scenario(5, uav_count=3, subtasks=8, budget_j=budget)
+    run = exhaustive_solve(s, alloc_equal(s))
+    assert _golden_repr(run, s) == EXHAUSTIVE_GOLDENS[budget]
