@@ -16,6 +16,19 @@ solver. Every sweep writes four things into its output directory:
 Scenario and solver randomness are split from the row seed s as
 SeedSequence([s, 0]) and SeedSequence([s, 1]) respectively, so the two
 never share a stream.
+
+Each input a cell reads is built once and shared by every cell that
+reads the same input: one scenario per generator input (the seed, plus
+the axis value on the users and subtasks axes; the unlimited energy mode
+is that scenario with infinite budgets), one allocation per (scenario,
+energy mode, allocator) and one Evaluator per (scenario, energy mode,
+allocator, penalty), which the dwoa, exhaustive and associated cells
+search and score with. alternating picks its own allocation and so
+builds its own. Cells run grouped by these keys, holding one input of
+each kind at a time. results.csv stays byte-identical to building every
+input per cell: each input is a pure function of its key, and an
+Evaluator's scoring buffers are reset on every call, so no cell sees
+another's state. Rows are sorted into the fixed output order at the end.
 """
 from __future__ import annotations
 
@@ -31,6 +44,7 @@ import numpy as np
 
 from . import __version__
 from . import channel
+from .channel import BandwidthAllocation
 from .evaluator import Evaluator, PenaltyConfig, decision_latency_breakdown, evaluate
 from .scenario import (
     MB_BITS,
@@ -48,8 +62,10 @@ from .solvers import (
     NoFeasibleDecisionError,
     alternating_solve,
     associated_decision,
-    dwoa_solve,
-    exhaustive_solve,
+    dwoa_search,
+    dwoa_solve,  # noqa: F401 - kept importable from this module
+    exhaustive_search,
+    exhaustive_solve,  # noqa: F401
 )
 
 AXES = (
@@ -364,20 +380,15 @@ def _solver_seed(row_seed: int) -> int:
     return int(np.random.SeedSequence([int(row_seed), 1]).generate_state(1)[0])
 
 
-def _build_scenario(spec: ExperimentSpec, seed: int, value, emode: str) -> Scenario:
+def _build_scenario(spec: ExperimentSpec, seed: int, value) -> Scenario:
     if spec.scenario_file:
-        scen = load_scenario(spec.scenario_file)
-    elif spec.axis == "users":
-        fam = {k: v for k, v in spec.generator.items()}
-        scen = generate_user_sweep_family(seed, int(value), **fam)
-    else:
-        params = dict(spec.generator)
-        if spec.axis == "subtasks":
-            params["subtasks_per_task"] = int(value)
-        scen = generate_scenario(np.random.SeedSequence([int(seed), 0]), **params)
-    if emode == "unlimited":
-        scen = with_unlimited_energy(scen)
-    return scen
+        return load_scenario(spec.scenario_file)
+    if spec.axis == "users":
+        return generate_user_sweep_family(seed, int(value), **spec.generator)
+    params = dict(spec.generator)
+    if spec.axis == "subtasks":
+        params["subtasks_per_task"] = int(value)
+    return generate_scenario(np.random.SeedSequence([int(seed), 0]), **params)
 
 
 def _penalty_for(spec: ExperimentSpec, value) -> PenaltyConfig:
@@ -390,14 +401,90 @@ def _penalty_for(spec: ExperimentSpec, value) -> PenaltyConfig:
     return PenaltyConfig(lambda_=spec.penalty_lambda)
 
 
+def _input_key(spec: ExperimentSpec, value, seed: int, alloc: str, emode: str) -> Tuple:
+    """(generator input, energy mode, allocator, penalty input) of a cell.
+
+    Its prefixes key the inputs the cell reads: the generated scenario,
+    the scenario in its energy mode, the allocation and the Evaluator.
+    The generator reads the axis value only on the users and subtasks
+    axes, and the penalty only on the penalty_lambda axis.
+    """
+    gen = (seed, str(value)) if spec.axis in ("users", "subtasks") else (seed,)
+    pen = str(value) if spec.axis == "penalty_lambda" else ""
+    return (gen, emode, alloc, pen)
+
+
+def _cells(spec: ExperimentSpec) -> List[Tuple[Tuple, object, int, str, str, str]]:
+    """Every cell of the sweep as (input key, value, seed, solver,
+    allocator, energy mode), sorted by input key."""
+    solvers = spec.values if spec.axis == "solver" else spec.solvers
+    allocators = spec.values if spec.axis == "allocator" else spec.allocators
+    emodes = spec.values if spec.axis == "energy_mode" else spec.energy_modes
+    cells = []
+    for value in spec.values:
+        for seed in spec.seeds:
+            for solver in [value] if spec.axis == "solver" else solvers:
+                for alloc in [value] if spec.axis == "allocator" else allocators:
+                    for emode in [value] if spec.axis == "energy_mode" else emodes:
+                        key = _input_key(spec, value, seed, str(alloc), str(emode))
+                        cells.append((key, value, seed, str(solver), str(alloc), str(emode)))
+    return sorted(cells, key=lambda c: c[0])
+
+
+class _SharedInputs:
+    """The scenario, allocation and Evaluator of the current cell.
+
+    Each is built on first use and held until a cell asks for it under
+    another key. Cells run sorted by _input_key, so each is built once
+    per sweep and only one of each is held at a time. A build error is
+    held too and re-raised for every cell that reads the input, so each
+    of those cells records the error it would have met building it.
+    """
+
+    def __init__(self, spec: ExperimentSpec):
+        self.spec = spec
+        self._held: Dict[str, Tuple] = {}
+
+    def _get(self, kind: str, key: Tuple, build):
+        held = self._held.get(kind)
+        if held is None or held[0] != key:
+            try:
+                held = (key, build(), None)
+            except Exception as exc:  # noqa: BLE001 - re-raised per reading cell
+                held = (key, None, exc)
+            self._held[kind] = held
+        if held[2] is not None:
+            raise held[2]
+        return held[1]
+
+    def scenario(self, key: Tuple, seed: int, value) -> Scenario:
+        scen = self._get("scenario", key[:1], lambda: _build_scenario(self.spec, seed, value))
+        if key[1] != "unlimited":
+            return scen
+        return self._get("unlimited", key[:2], lambda: with_unlimited_energy(scen))
+
+    def allocation(self, key: Tuple, scenario: Scenario) -> BandwidthAllocation:
+        return self._get("allocation", key[:3], lambda: ALLOCATORS[key[2]](scenario))
+
+    def evaluator(
+        self, key: Tuple, scenario: Scenario, beta: BandwidthAllocation, penalty: PenaltyConfig
+    ) -> Evaluator:
+        return self._get(
+            "evaluator",
+            key,
+            lambda: Evaluator(scenario, beta, penalty, self.spec.upload_model),
+        )
+
+
 def _run_cell(
     spec: ExperimentSpec,
-    scenario: Scenario,
+    inputs: _SharedInputs,
+    key: Tuple,
     seed: int,
     value,
     solver: str,
-    allocator: str,
 ) -> Tuple[Dict[str, object], Optional[List[float]]]:
+    scenario = inputs.scenario(key, seed, value)
     penalty = _penalty_for(spec, value)
     agents = int(value) if spec.axis == "agents" else spec.agents
     cfg = DwoaConfig(
@@ -407,23 +494,26 @@ def _run_cell(
         seed=_solver_seed(seed),
         upload_model=spec.upload_model,
     )
-    beta = ALLOCATORS[allocator](scenario)
+    beta = inputs.allocation(key, scenario)
     trace = None
-    if solver == "dwoa":
-        run = dwoa_solve(scenario, beta, cfg)
-        decision, beta_final, trace = run.decision, run.beta, run.trace
-    elif solver == "exhaustive":
-        run = exhaustive_solve(scenario, beta, upload_model=spec.upload_model)
-        decision, beta_final = run.decision, run.beta
-    elif solver == "alternating":
+    if solver == "alternating":
+        # picks its own allocation, so it scores against its own Evaluator
         run = alternating_solve(scenario, cfg)
-        decision, beta_final, trace = run.decision, run.beta, run.trace
-    elif solver == "associated":
-        decision, beta_final = associated_decision(scenario), beta
+        beta, trace = run.beta, run.trace
+        result = evaluate(run.decision, beta, scenario, penalty, spec.upload_model)
     else:
-        raise ValueError(f"unknown solver {solver!r}")
+        if solver == "associated":
+            decision = associated_decision(scenario)
+        ev = inputs.evaluator(key, scenario, beta, penalty)
+        if solver == "dwoa":
+            run = dwoa_search(ev, cfg)
+            decision, trace = run.decision, run.trace
+        elif solver == "exhaustive":
+            decision = exhaustive_search(ev).decision
+        elif solver != "associated":
+            raise ValueError(f"unknown solver {solver!r}")
+        result = ev.result(decision)
 
-    result = evaluate(decision, beta_final, scenario, penalty, spec.upload_model)
     br = decision_latency_breakdown(result)
     comm = math.fsum(result.task_upload_s.values()) / len(result.task_upload_s)
     return (
@@ -432,12 +522,31 @@ def _run_cell(
             computation_s=br["computation"],
             distributed_s=br["distributed"],
             comm_s=comm,
-            mean_rate_bps=mean_uplink_rate(scenario, beta_final),
+            mean_rate_bps=mean_uplink_rate(scenario, beta),
             energy_j=dict(sorted(result.energy.total_j.items())),
             feasible=result.feasible,
         ),
         trace,
     )
+
+
+def _write_trace(traces_dir: str, value, seed: int, solver: str, alloc: str, emode: str, trace) -> None:
+    name = f"{_slug(value)}_{seed}_{solver}_{alloc}_{emode}.json"
+    with open(os.path.join(traces_dir, name), "w", encoding="utf-8", newline="\n") as f:
+        json.dump(
+            {
+                "value": str(value),
+                "seed": seed,
+                "solver": solver,
+                "allocator": alloc,
+                "energy_mode": emode,
+                "trace": trace,
+            },
+            f,
+            indent=2,
+            sort_keys=True,
+        )
+        f.write("\n")
 
 
 def run_experiment(spec: ExperimentSpec) -> Tuple[List[ResultRow], Dict[str, str]]:
@@ -453,64 +562,29 @@ def run_experiment(spec: ExperimentSpec) -> Tuple[List[ResultRow], Dict[str, str
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
 
-    solvers = spec.values if spec.axis == "solver" else spec.solvers
-    allocators = spec.values if spec.axis == "allocator" else spec.allocators
-    emodes = spec.values if spec.axis == "energy_mode" else spec.energy_modes
-
     rows: List[ResultRow] = []
-    scen_cache: Dict[Tuple, Scenario] = {}
-    for vi, value in enumerate(spec.values):
-        for seed in spec.seeds:
-            for solver in ([value] if spec.axis == "solver" else solvers):
-                for alloc in ([value] if spec.axis == "allocator" else allocators):
-                    for emode in ([value] if spec.axis == "energy_mode" else emodes):
-                        row = ResultRow(
-                            experiment=spec.experiment_id,
-                            seed=seed,
-                            axis=spec.axis,
-                            value=str(value),
-                            solver=str(solver),
-                            allocator=str(alloc),
-                            energy_mode=str(emode),
-                        )
-                        t0 = time.perf_counter()
-                        try:
-                            key = (seed, str(value), emode)
-                            if key not in scen_cache:
-                                scen_cache[key] = _build_scenario(
-                                    spec, seed, value, emode
-                                )
-                            metrics, trace = _run_cell(
-                                spec, scen_cache[key], seed, value, solver, alloc
-                            )
-                            for k, v in metrics.items():
-                                setattr(row, k, v)
-                            if trace is not None:
-                                name = f"{_slug(value)}_{seed}_{solver}_{alloc}_{emode}.json"
-                                with open(
-                                    os.path.join(traces_dir, name),
-                                    "w",
-                                    encoding="utf-8",
-                                    newline="\n",
-                                ) as f:
-                                    json.dump(
-                                        {
-                                            "value": str(value),
-                                            "seed": seed,
-                                            "solver": solver,
-                                            "allocator": alloc,
-                                            "energy_mode": emode,
-                                            "trace": trace,
-                                        },
-                                        f,
-                                        indent=2,
-                                        sort_keys=True,
-                                    )
-                                    f.write("\n")
-                        except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                            row.error = f"{type(exc).__name__}: {exc}"
-                        row.wall_time_s = time.perf_counter() - t0
-                        rows.append(row)
+    inputs = _SharedInputs(spec)
+    for key, value, seed, solver, alloc, emode in _cells(spec):
+        row = ResultRow(
+            experiment=spec.experiment_id,
+            seed=seed,
+            axis=spec.axis,
+            value=str(value),
+            solver=solver,
+            allocator=alloc,
+            energy_mode=emode,
+        )
+        t0 = time.perf_counter()
+        try:
+            metrics, trace = _run_cell(spec, inputs, key, seed, value, solver)
+            for k, v in metrics.items():
+                setattr(row, k, v)
+            if trace is not None:
+                _write_trace(traces_dir, value, seed, solver, alloc, emode, trace)
+        except Exception as exc:  # noqa: BLE001 - per-cell isolation
+            row.error = f"{type(exc).__name__}: {exc}"
+        row.wall_time_s = time.perf_counter() - t0
+        rows.append(row)
 
     value_pos = {str(v): i for i, v in enumerate(spec.values)}
     rows.sort(

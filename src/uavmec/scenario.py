@@ -351,6 +351,10 @@ def generate_scenario(
     )
 
 
+def _all_finite(values: Sequence[float]) -> bool:
+    return all(math.isfinite(x) for x in values)
+
+
 def validate_scenario(scenario: Scenario) -> List[str]:
     """Collect invariant violations; an empty list means well-formed.
 
@@ -381,19 +385,29 @@ def validate_scenario(scenario: Scenario) -> List[str]:
         out.append("uavs: duplicate ids")
     for v in scenario.uavs:
         tag = f"uav[{v.id}]"
-        if v.position_m[2] <= 0:
+        if not _all_finite(v.position_m):
+            out.append(f"{tag}: position_m must be finite")
+        elif v.position_m[2] <= 0:
             out.append(f"{tag}: altitude must be positive")
-        if v.max_compute_hz <= 0:
-            out.append(f"{tag}: max_compute_hz must be positive")
-        if v.energy_budget_j <= 0:
+        for name in ("max_compute_hz", "bandwidth_users_hz", "bandwidth_u2u_hz",
+                     "bandwidth_to_bs_hz"):
+            x = getattr(v, name)
+            if not math.isfinite(x):
+                out.append(f"{tag}: {name} must be finite")
+            elif x <= 0:
+                out.append(f"{tag}: {name} must be positive")
+        for name in ("tx_power_u2u_dbm", "tx_power_to_bs_dbm"):
+            if not math.isfinite(getattr(v, name)):
+                out.append(f"{tag}: {name} must be finite")
+        # +inf is a valid budget: unlimited energy
+        if math.isnan(v.energy_budget_j):
+            out.append(f"{tag}: energy_budget_j must not be NaN")
+        elif v.energy_budget_j <= 0:
             out.append(f"{tag}: energy_budget_j must be positive")
         if not (0 < v.hover.power_efficiency <= 1):
             out.append(f"{tag}: hover power_efficiency must be in (0, 1]")
         if v.hover.rotor_count < 1 or v.hover.rotor_diameter_m <= 0 or v.hover.thrust_n <= 0:
             out.append(f"{tag}: hover params must be positive")
-        for bname in ("bandwidth_users_hz", "bandwidth_u2u_hz", "bandwidth_to_bs_hz"):
-            if getattr(v, bname) <= 0:
-                out.append(f"{tag}: {bname} must be positive")
 
     known_uavs = set(uav_ids)
     user_ids = [u.id for u in scenario.users]
@@ -402,6 +416,10 @@ def validate_scenario(scenario: Scenario) -> List[str]:
     for u in scenario.users:
         if u.associated_uav not in known_uavs:
             out.append(f"user[{u.id}]: association dangling (uav {u.associated_uav})")
+        if not _all_finite(u.position_m):
+            out.append(f"user[{u.id}]: position_m must be finite")
+        if not math.isfinite(u.tx_power_dbm):
+            out.append(f"user[{u.id}]: tx_power_dbm must be finite")
 
     known_users = set(user_ids)
     active = {u.id for u in scenario.users if u.active}
@@ -414,6 +432,8 @@ def validate_scenario(scenario: Scenario) -> List[str]:
             out.append(f"{tag}: owner does not resolve")
         elif t.owner_user not in active:
             out.append(f"{tag}: owner is not an active user")
+        if not math.isfinite(t.release_time_s):
+            out.append(f"{tag}: release_time_s must be finite")
         dummies = [s for s in t.sub_tasks if s.is_dummy]
         if len(dummies) != 1 or not t.sub_tasks or not t.sub_tasks[0].is_dummy:
             out.append(f"{tag}: exactly one dummy root at the front required")
@@ -426,14 +446,20 @@ def validate_scenario(scenario: Scenario) -> List[str]:
             out.append(f"{tag}: duplicate sub-task indices")
         known_idx = set(idxs)
         for s in t.sub_tasks:
-            if not s.is_dummy and s.input_size_bits <= 0:
+            if not math.isfinite(s.input_size_bits):
+                out.append(f"{tag}.sub[{s.index}]: input_size_bits must be finite")
+            elif not s.is_dummy and s.input_size_bits <= 0:
                 out.append(f"{tag}.sub[{s.index}]: input size must be positive")
+            if not math.isfinite(s.cycles_per_bit):
+                out.append(f"{tag}.sub[{s.index}]: cycles_per_bit must be finite")
             for p, bits in s.predecessors:
                 if p == s.index:
                     out.append(f"{tag}.sub[{s.index}]: self-predecessor (DAG)")
                 if p not in known_idx:
                     out.append(f"{tag}.sub[{s.index}]: predecessor {p} does not resolve")
-                if bits < 0:
+                if not math.isfinite(bits):
+                    out.append(f"{tag}.sub[{s.index}]: dependency payload must be finite")
+                elif bits < 0:
                     out.append(f"{tag}.sub[{s.index}]: negative dependency payload")
         try:
             topological_order(t)
@@ -448,9 +474,20 @@ def validate_scenario(scenario: Scenario) -> List[str]:
 # ---------------------------------------------------------------------------
 # serialization
 
+# JSON has no infinity. An unlimited energy budget (+inf) is written as
+# this string; files holding the non-standard token Infinity, which
+# Python's json module reads as +inf, still load.
+UNLIMITED_BUDGET = "inf"
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
+    """Plain-data form of a scenario, ready for strict JSON: an infinite
+    energy budget becomes the string UNLIMITED_BUDGET."""
     d = asdict(scenario)
     d["schema_version"] = SCHEMA_VERSION
+    for v in d["uavs"]:
+        if v["energy_budget_j"] == math.inf:
+            v["energy_budget_j"] = UNLIMITED_BUDGET
     return d
 
 
@@ -471,7 +508,16 @@ def scenario_from_dict(d: dict) -> Scenario:
     physics = PhysicsConstants(**d["physics"])
     uavs = tuple(
         UavNode(
-            **{**v, "position_m": tuple(v["position_m"]), "hover": HoverParams(**v["hover"])}
+            **{
+                **v,
+                "position_m": tuple(v["position_m"]),
+                "hover": HoverParams(**v["hover"]),
+                "energy_budget_j": (
+                    math.inf
+                    if v["energy_budget_j"] == UNLIMITED_BUDGET
+                    else v["energy_budget_j"]
+                ),
+            }
         )
         for v in d["uavs"]
     )
@@ -494,9 +540,12 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
+    """Writes strict JSON (no NaN or Infinity tokens). Raises ValueError
+    on a non-finite number other than an unlimited energy budget; such
+    a scenario fails validate_scenario too."""
+    text = json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_scenario(path) -> Scenario:

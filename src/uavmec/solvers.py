@@ -282,11 +282,23 @@ def dwoa_solve(
     """
     cfg = config or DwoaConfig()
     t0 = time.perf_counter()
-    ev = Evaluator(scenario, beta, cfg.penalty, cfg.upload_model)
+    run = dwoa_search(Evaluator(scenario, beta, cfg.penalty, cfg.upload_model), cfg)
+    run.wall_time_s = time.perf_counter() - t0
+    return run
+
+
+def dwoa_search(ev: Evaluator, cfg: DwoaConfig) -> SolverRun:
+    """dwoa_solve over an already-built Evaluator, which carries the
+    scenario, allocation, penalty and upload model. cfg supplies the
+    swarm parameters; its penalty and upload model must be the
+    Evaluator's."""
+    if cfg.penalty != ev.penalty or cfg.upload_model != ev.upload_model:
+        raise ValueError("config penalty and upload model must match the Evaluator's")
+    t0 = time.perf_counter()
     state = woa_init(
         ev.fitness_many,
         ev.vector_length,
-        len(scenario.uavs),
+        len(ev.scenario.uavs),
         cfg.agents,
         cfg.max_iterations,
         cfg.seed,
@@ -298,13 +310,13 @@ def dwoa_solve(
         trace.append(state.best_value)
 
     vec = discretize_vector(state.best_position, state.v_count)
-    decision = decision_from_vector(scenario, vec)
+    decision = decision_from_vector(ev.scenario, vec)
     obj, feasible = ev.objective_and_feasible(vec)
     return SolverRun(
         solver="dwoa",
         seed=cfg.seed,
         decision=decision,
-        beta=beta,
+        beta=ev.beta,
         objective_s=obj,
         feasible=feasible,
         trace=trace,
@@ -332,9 +344,18 @@ def exhaustive_solve(
     every decision blows an energy budget.
     """
     t0 = time.perf_counter()
-    ev = Evaluator(scenario, beta, None, upload_model)
+    run = exhaustive_search(Evaluator(scenario, beta, None, upload_model), cap)
+    run.wall_time_s = time.perf_counter() - t0
+    return run
+
+
+def exhaustive_search(ev: Evaluator, cap: int = 10**7) -> SolverRun:
+    """exhaustive_solve over an already-built Evaluator. Only raw
+    objectives and feasibility are compared, so the Evaluator's penalty
+    does not change the result."""
+    t0 = time.perf_counter()
     m = ev.vector_length
-    v_count = len(scenario.uavs)
+    v_count = len(ev.scenario.uavs)
     total = v_count**m
     if total > cap:
         raise StateSpaceCapError(f"{v_count}**{m} decisions exceed cap {cap}")
@@ -357,13 +378,13 @@ def exhaustive_solve(
     return SolverRun(
         solver="exhaustive",
         seed=None,
-        decision=decision_from_vector(scenario, best_vec),
-        beta=beta,
+        decision=decision_from_vector(ev.scenario, best_vec),
+        beta=ev.beta,
         objective_s=best_obj,
         feasible=True,
         trace=[best_obj],
         wall_time_s=time.perf_counter() - t0,
-        config={"cap": cap, "upload_model": upload_model},
+        config={"cap": cap, "upload_model": ev.upload_model},
     )
 
 

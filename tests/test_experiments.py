@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,8 @@ from uavmec import (
     summarize,
     with_unlimited_energy,
 )
+from uavmec import experiments, solvers
+from uavmec.evaluator import Evaluator
 from uavmec.experiments import FIGURES, ResultRow, summary_to_csv
 
 from conftest import DESK_TASK
@@ -143,6 +146,187 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
     _rows2, paths2 = rerun_from_manifest(paths["manifest"], str(tmp_path / "again"))
     second = open(paths2["results"], encoding="utf-8").read()
     assert first == second
+
+
+# --------------------------------------------------------- shared inputs
+
+# 2 active users x 3 sub-tasks on 3 UAVs (3**6 exhaustive decisions) with
+# a 1800 J budget that binds on some decisions and seeds, not on all
+BIND_GEN = dict(
+    uav_count=3,
+    users_per_uav=(1, 2),
+    active_users=2,
+    subtasks_per_task=3,
+    energy_per_subtask_j=600.0,
+    task_params=dict(DESK_TASK),
+)
+
+
+def _shared_spec(tmp_path, **kw):
+    base = dict(
+        experiment_id="golden",
+        seeds=(0, 1),
+        output_dir=str(tmp_path / "out"),
+        generator=dict(BIND_GEN),
+        agents=10,
+        max_iterations=5,
+    )
+    base.update(kw)
+    return ExperimentSpec(**base)
+
+
+def _output_digests(paths):
+    """SHA-256 of results.csv, and of the trace files' names and bytes."""
+    with open(paths["results"], "rb") as f:
+        results = hashlib.sha256(f.read()).hexdigest()
+    traces = hashlib.sha256()
+    for name in sorted(os.listdir(paths["traces"])):
+        with open(os.path.join(paths["traces"], name), "rb") as f:
+            traces.update(name.encode() + b"\0" + f.read() + b"\0")
+    return results, traces.hexdigest()
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Counts generate_scenario calls made by the sweep and Evaluator
+    constructions anywhere."""
+    counts = {"scenarios": 0, "evaluators": 0}
+    generate = experiments.generate_scenario
+    init = Evaluator.__init__
+
+    def counting_generate(*args, **kwargs):
+        counts["scenarios"] += 1
+        return generate(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        counts["evaluators"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "generate_scenario", counting_generate)
+    monkeypatch.setattr(Evaluator, "__init__", counting_init)
+    return counts
+
+
+def test_sweep_builds_each_input_once(tmp_path, build_counts):
+    spec = _shared_spec(
+        tmp_path,
+        axis="allocator",
+        values=("equal", "proportional", "optimal"),
+        solvers=("associated", "dwoa"),
+        energy_modes=("limited", "unlimited"),
+    )
+    rows, _paths = run_experiment(spec)
+    assert len(rows) == 24 and not any(r.error for r in rows)
+    # one scenario per seed; one Evaluator per (seed, mode, allocator),
+    # shared by the associated and the dwoa cell and their result()
+    assert build_counts == {"scenarios": 2, "evaluators": 12}
+
+
+def test_subtasks_axis_generates_per_seed_and_value(tmp_path, build_counts):
+    spec = _shared_spec(
+        tmp_path,
+        axis="subtasks",
+        values=(2, 3),
+        solvers=("associated", "dwoa"),
+        energy_modes=("limited", "unlimited"),
+    )
+    rows, _paths = run_experiment(spec)
+    assert len(rows) == 16 and not any(r.error for r in rows)
+    assert build_counts == {"scenarios": 4, "evaluators": 8}
+
+
+# results.csv and trace digests captured before the sweep shared its
+# inputs across cells, when every cell built its own scenario, allocation
+# and Evaluators
+SHARED_INPUT_GOLDENS = {
+    "allocator": (
+        dict(
+            axis="allocator",
+            values=("equal", "proportional", "optimal"),
+            solvers=("associated", "dwoa", "exhaustive"),
+            energy_modes=("limited", "unlimited"),
+        ),
+        (
+            "32f36c7228cdc6818dabd1bbf3dd57c7bab962ba22ff27130e5871f28e856c36",
+            "5a4b3cc69e957b91b970e944fa6dfe960170a1176783f1222e94eafcbc7a140d",
+        ),
+    ),
+    "penalty_lambda": (
+        dict(
+            axis="penalty_lambda",
+            values=(0.01, 1.0, "hard"),
+            solvers=("associated", "dwoa"),
+            allocators=("equal", "optimal"),
+        ),
+        (
+            "aef02f8223870d8f2731f18cf3597821380efb68bdea3ddad64d3decab6e68bb",
+            "b663ec2f517b238975c1d5989fa34216aba2065a01f5b4cb362d32b79832db5a",
+        ),
+    ),
+    "solver": (
+        dict(
+            axis="solver",
+            values=("dwoa", "exhaustive", "associated", "alternating"),
+            allocators=("equal", "optimal"),
+            energy_modes=("limited", "unlimited"),
+        ),
+        (
+            "505e731515454f1e3acc956fc61cec3d8e4fa1b0b501cee97b6597b5f6a850f0",
+            "2ccc33f05dad7da42ffcd3bfd14afaf1612f476c885cc69f4f76f94326eb52b1",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_INPUT_GOLDENS))
+def test_shared_inputs_keep_output_bytes(tmp_path, name):
+    kw, want = SHARED_INPUT_GOLDENS[name]
+    _rows, paths = run_experiment(_shared_spec(tmp_path, **kw))
+    assert _output_digests(paths) == want
+
+
+def test_allocator_error_gives_one_row_per_cell(tmp_path, monkeypatch):
+    calls = []
+
+    def failing(scenario, decision=None):
+        calls.append(scenario)
+        raise RuntimeError("allocator failed")
+
+    monkeypatch.setitem(solvers.ALLOCATORS, "optimal", failing)
+    spec = _shared_spec(
+        tmp_path,
+        axis="solver",
+        values=("dwoa", "exhaustive", "associated", "alternating"),
+        seeds=(0,),
+        allocators=("equal", "optimal"),
+    )
+    rows, _paths = run_experiment(spec)
+    assert len(rows) == 8
+    for r in rows:
+        if r.allocator == "optimal":
+            assert r.error == "RuntimeError: allocator failed"
+            assert r.objective_s is None and r.feasible is None
+        else:
+            assert r.error == "" and r.objective_s > 0
+    assert len(calls) == 1  # the failed build is kept for its whole group
+
+
+def test_evaluator_error_gives_one_row_per_cell(tmp_path, build_counts):
+    spec = _shared_spec(
+        tmp_path,
+        axis="solver",
+        values=("dwoa", "exhaustive", "associated", "alternating"),
+        seeds=(0,),
+        generator=dict(BIND_GEN, active_users=0),
+        energy_modes=("limited", "unlimited"),
+    )
+    rows, paths = run_experiment(spec)
+    assert len(rows) == 8
+    assert {r.error for r in rows} == {"ValueError: scenario has no active users"}
+    assert os.listdir(paths["traces"]) == []
+    # one failed Evaluator build per energy mode, plus one per alternating
+    # cell, which builds its own
+    assert build_counts["evaluators"] == 4
 
 
 # ---------------------------------------------------------- sweep families

@@ -17,6 +17,7 @@ from uavmec import (
     save_scenario,
     topological_order,
     validate_scenario,
+    with_unlimited_energy,
 )
 from uavmec.scenario import MB_BITS, scenario_from_dict, scenario_to_dict
 
@@ -145,6 +146,99 @@ def test_validate_flags_active_user_without_task():
     )
     bad = dataclasses.replace(s, users=users)
     assert any("task" in p for p in validate_scenario(bad))
+
+
+def _with_uav(s, **changes):
+    return dataclasses.replace(
+        s, uavs=(dataclasses.replace(s.uavs[0], **changes),) + s.uavs[1:]
+    )
+
+
+def _with_user(s, **changes):
+    return dataclasses.replace(
+        s, users=(dataclasses.replace(s.users[0], **changes),) + s.users[1:]
+    )
+
+
+def _with_task(s, **changes):
+    return dataclasses.replace(s, tasks=(dataclasses.replace(s.tasks[0], **changes),))
+
+
+def _with_subtask(s, index, **changes):
+    subs = tuple(
+        dataclasses.replace(st, **changes) if st.index == index else st
+        for st in s.tasks[0].sub_tasks
+    )
+    return _with_task(s, sub_tasks=subs)
+
+
+# field -> how to put the value x into the hand scenario
+NON_FINITE_FIELDS = {
+    "uav position_m": lambda s, x: _with_uav(s, position_m=(0.0, x, 50.0)),
+    "uav altitude": lambda s, x: _with_uav(s, position_m=(0.0, 0.0, x)),
+    "max_compute_hz": lambda s, x: _with_uav(s, max_compute_hz=x),
+    "bandwidth_users_hz": lambda s, x: _with_uav(s, bandwidth_users_hz=x),
+    "bandwidth_u2u_hz": lambda s, x: _with_uav(s, bandwidth_u2u_hz=x),
+    "bandwidth_to_bs_hz": lambda s, x: _with_uav(s, bandwidth_to_bs_hz=x),
+    "tx_power_u2u_dbm": lambda s, x: _with_uav(s, tx_power_u2u_dbm=x),
+    "tx_power_to_bs_dbm": lambda s, x: _with_uav(s, tx_power_to_bs_dbm=x),
+    "user position_m": lambda s, x: _with_user(s, position_m=(x, 0.0)),
+    "user tx_power_dbm": lambda s, x: _with_user(s, tx_power_dbm=x),
+    "input_size_bits": lambda s, x: _with_subtask(s, 2, input_size_bits=x),
+    "cycles_per_bit": lambda s, x: _with_subtask(s, 2, cycles_per_bit=x),
+    "dependency payload": lambda s, x: _with_subtask(
+        s, 3, predecessors=((1, 2e5), (2, x))
+    ),
+    "release_time_s": lambda s, x: _with_task(s, release_time_s=x),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+def test_validate_rejects_non_finite(field):
+    s = hand_scenario()
+    assert validate_scenario(s) == []
+    for bad in (math.nan, math.inf, -math.inf):
+        problems = validate_scenario(NON_FINITE_FIELDS[field](s, bad))
+        assert any("finite" in p for p in problems), (field, bad, problems)
+
+
+def test_validate_energy_budget_nan_rejected_inf_allowed():
+    s = hand_scenario()
+    problems = validate_scenario(_with_uav(s, energy_budget_j=math.nan))
+    assert problems == ["uav[1]: energy_budget_j must not be NaN"]
+    assert validate_scenario(_with_uav(s, energy_budget_j=-math.inf))
+    assert validate_scenario(_with_uav(s, energy_budget_j=math.inf)) == []
+    assert validate_scenario(with_unlimited_energy(s)) == []
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_unlimited_budget_saves_as_strict_json(tmp_path):
+    s = with_unlimited_energy(generate_scenario(21))
+    path = tmp_path / "unlimited.json"
+    save_scenario(s, path)
+    text = path.read_text(encoding="utf-8")
+    d = json.loads(text, parse_constant=_reject_constant)
+    assert {v["energy_budget_j"] for v in d["uavs"]} == {"inf"}
+    assert load_scenario(path) == s
+
+
+def test_legacy_infinity_token_still_loads(tmp_path):
+    s = with_unlimited_energy(generate_scenario(21))
+    d = dataclasses.asdict(s)
+    d["schema_version"] = 1
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(d, indent=2, sort_keys=True), encoding="utf-8")
+    assert "Infinity" in path.read_text(encoding="utf-8")
+    assert load_scenario(path) == s
+
+
+def test_save_refuses_other_non_finite_numbers(tmp_path):
+    bad = _with_uav(hand_scenario(), max_compute_hz=math.nan)
+    with pytest.raises(ValueError):
+        save_scenario(bad, tmp_path / "bad.json")
 
 
 def test_save_load_round_trip(tmp_path):

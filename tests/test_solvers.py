@@ -31,6 +31,7 @@ from uavmec import (
     woa_init,
     woa_step,
 )
+from uavmec.solvers import dwoa_search, exhaustive_search
 from uavmec.scenario import (
     PhysicsConstants,
     Scenario,
@@ -493,3 +494,30 @@ def test_exhaustive_goldens_over_3_pow_8(budget):
     s = desk_scenario(5, uav_count=3, subtasks=8, budget_j=budget)
     run = exhaustive_solve(s, alloc_equal(s))
     assert _golden_repr(run, s) == EXHAUSTIVE_GOLDENS[budget]
+
+
+def test_searches_over_a_shared_evaluator_match_the_solvers():
+    # one penalized Evaluator serves DWOA, the exhaustive search and the
+    # result() of either, as a sweep cell group uses it
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
+    beta = alloc_equal(s)
+    cfg = DwoaConfig(agents=10, max_iterations=5, seed=3)
+    ev = Evaluator(s, beta, cfg.penalty, cfg.upload_model)
+    for _ in range(2):
+        run = dwoa_search(ev, cfg)
+        assert _golden_repr(run, s) == _golden_repr(dwoa_solve(s, beta, cfg), s)
+        assert run.config == dwoa_solve(s, beta, cfg).config
+        opt = exhaustive_search(ev)
+        ref = exhaustive_solve(s, beta)
+        assert _golden_repr(opt, s) == _golden_repr(ref, s)
+        assert opt.config == ref.config
+    assert ev.result(run.decision) == evaluate(run.decision, beta, s, cfg.penalty)
+
+
+def test_dwoa_search_rejects_a_config_the_evaluator_does_not_carry():
+    s = desk_scenario(2, uav_count=3, subtasks=4)
+    beta = alloc_equal(s)
+    with pytest.raises(ValueError, match="match"):
+        dwoa_search(Evaluator(s, beta, PenaltyConfig(mode="hard")), DwoaConfig())
+    with pytest.raises(ValueError, match="match"):
+        dwoa_search(Evaluator(s, beta, PenaltyConfig(), "independent"), DwoaConfig())
