@@ -43,10 +43,7 @@ from .timing import (
     EnergyLedger,
     check_energy_feasible,
     compute_shares,
-    energy_ledger,
-    exec_latency,
     hover_power_w,
-    transfer_latencies,
 )
 from .evaluator import (
     HARD_REJECT,

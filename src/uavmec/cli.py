@@ -23,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .evaluator import PenaltyConfig, evaluate
+from .evaluator import Evaluator, PenaltyConfig
 from .experiments import (
     FIGURES,
     ExperimentSpec,
@@ -34,15 +34,7 @@ from .experiments import (
     summary_to_csv,
 )
 from .scenario import generate_scenario, load_scenario, save_scenario, validate_scenario
-from .solvers import (
-    ALLOCATORS,
-    DwoaConfig,
-    NoFeasibleDecisionError,
-    alternating_solve,
-    associated_decision,
-    dwoa_solve,
-    exhaustive_solve,
-)
+from .solvers import ALLOCATORS, SOLVERS, DwoaConfig, NoFeasibleDecisionError, solver_seed
 
 
 def _out_dir() -> str:
@@ -69,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve one instance")
     s.add_argument("--scenario", default=None, help="scenario file; generated from --seed if omitted")
-    s.add_argument("--solver", choices=("dwoa", "exhaustive", "associated", "alternating"), default="dwoa")
+    s.add_argument("--solver", choices=tuple(SOLVERS), default="dwoa")
     s.add_argument("--alloc", choices=tuple(ALLOCATORS), default="equal")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--agents", type=int, default=100)
@@ -131,41 +123,21 @@ def _cmd_solve(args) -> int:
         if args.penalty_mode == "hard"
         else PenaltyConfig(lambda_=args.lambda_)
     )
-    solver_seed = int(np.random.SeedSequence([args.seed, 1]).generate_state(1)[0])
     cfg = DwoaConfig(
         agents=args.agents,
         max_iterations=args.iters,
         penalty=penalty,
-        seed=solver_seed,
+        seed=solver_seed(args.seed),
         upload_model=args.upload_model,
     )
-    beta = ALLOCATORS[args.alloc](scenario)
+    ev = Evaluator(scenario, ALLOCATORS[args.alloc](scenario), penalty, args.upload_model)
     try:
-        if args.solver == "dwoa":
-            run = dwoa_solve(scenario, beta, cfg)
-        elif args.solver == "exhaustive":
-            run = exhaustive_solve(scenario, beta, upload_model=args.upload_model)
-        elif args.solver == "alternating":
-            run = alternating_solve(scenario, cfg)
-        else:
-            decision = associated_decision(scenario)
-            result = evaluate(decision, beta, scenario, penalty, args.upload_model)
-            from .solvers import SolverRun
-
-            run = SolverRun(
-                solver="associated",
-                seed=None,
-                decision=decision,
-                beta=beta,
-                objective_s=result.objective_s,
-                feasible=result.feasible,
-                trace=[result.objective_s],
-                wall_time_s=0.0,
-                config={"allocator": args.alloc},
-            )
+        run = SOLVERS[args.solver](ev, cfg)
     except NoFeasibleDecisionError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    if not run.config:  # a parameterless run records the split it was scored under
+        run.config = {"allocator": args.alloc}
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:

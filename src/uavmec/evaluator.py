@@ -427,20 +427,9 @@ class Evaluator:
     def fitness(self, vec) -> float:
         """Penalized objective of an integer decision vector (1-based slots)."""
         objective, totals, _ = self._core(vec)
-        pen = self.penalty
-        if pen is None:
+        if self.penalty is None:
             return objective
-        budgets = self._ebudget
-        if pen.mode == "hard":
-            for i, tot in enumerate(totals):
-                if tot > budgets[i]:
-                    return HARD_REJECT
-            return objective
-        for i, tot in enumerate(totals):
-            over = tot - budgets[i]
-            if over > 0.0:
-                objective += pen.lambda_ * over * over
-        return objective
+        return _penalize(objective, totals, self._ebudget, self.penalty)
 
     def objective_and_feasible(self, vec) -> Tuple[float, bool]:
         objective, totals, _ = self._core(vec)
@@ -703,14 +692,19 @@ class Evaluator:
 
 
 def _penalize(objective: float, totals, budgets, pen: PenaltyConfig) -> float:
+    """Hard rejection when a total exceeds its budget, else the objective
+    plus lambda * excess^2 added UAV by UAV in slot order (the order
+    fitness_many adds them)."""
     if pen.mode == "hard":
-        return objective if all(t <= b for t, b in zip(totals, budgets)) else HARD_REJECT
-    out = objective
+        for t, b in zip(totals, budgets):
+            if t > b:
+                return HARD_REJECT
+        return objective
     for t, b in zip(totals, budgets):
         over = t - b
         if over > 0.0:
-            out += pen.lambda_ * over * over
-    return out
+            objective += pen.lambda_ * over * over
+    return objective
 
 
 def evaluate(

@@ -22,13 +22,15 @@ reads the same input: one scenario per generator input (the seed, plus
 the axis value on the users and subtasks axes; the unlimited energy mode
 is that scenario with infinite budgets), one allocation per (scenario,
 energy mode, allocator) and one Evaluator per (scenario, energy mode,
-allocator, penalty), which the dwoa, exhaustive and associated cells
-search and score with. alternating picks its own allocation and so
-builds its own. Cells run grouped by these keys, holding one input of
-each kind at a time. results.csv stays byte-identical to building every
-input per cell: each input is a pure function of its key, and an
-Evaluator's scoring buffers are reset on every call, so no cell sees
-another's state. Rows are sorted into the fixed output order at the end.
+allocator, penalty), which every cell runs its solver on (through
+solvers.SOLVERS) and scores with; alternating reads only its scenario,
+penalty and upload model, and builds its equal-split and closed-form
+split Evaluators itself. Cells run grouped by these keys, holding one
+input of each kind at a time. results.csv stays byte-identical to
+building every input per cell: each input is a pure function of its
+key, and an Evaluator's scoring buffers are reset on every call, so no
+cell sees another's state. Rows are sorted into the fixed output order
+at the end.
 """
 from __future__ import annotations
 
@@ -58,14 +60,11 @@ from .scenario import (
 )
 from .solvers import (
     ALLOCATORS,
+    SOLVERS as SOLVER_FNS,
     DwoaConfig,
-    NoFeasibleDecisionError,
-    alternating_solve,
-    associated_decision,
-    dwoa_search,
     dwoa_solve,  # noqa: F401 - kept importable from this module
-    exhaustive_search,
     exhaustive_solve,  # noqa: F401
+    solver_seed,
 )
 
 AXES = (
@@ -77,7 +76,9 @@ AXES = (
     "allocator",
     "solver",
 )
-SOLVERS = ("dwoa", "exhaustive", "associated", "alternating")
+SOLVERS = tuple(SOLVER_FNS)
+# solvers whose runs write a convergence trace; the agents axis needs one
+SEARCHING_SOLVERS = ("dwoa", "alternating")
 ENERGY_MODES = ("limited", "unlimited")
 
 RESULT_COLUMNS = (
@@ -144,7 +145,7 @@ class ExperimentSpec:
         if self.axis in ("users", "subtasks") and self.scenario_file:
             out.append(f"axis {self.axis} regenerates scenarios; scenario_file unsupported")
         if self.axis == "agents":
-            bad = [s for s in solvers if s not in ("dwoa", "alternating")]
+            bad = [s for s in solvers if s not in SEARCHING_SOLVERS]
             if bad:
                 out.append(f"agents axis needs a searching solver, got {bad}")
         if self.axis == "penalty_lambda":
@@ -376,10 +377,6 @@ def mean_uplink_rate(scenario: Scenario, beta) -> float:
     return math.fsum(rates) / len(rates)
 
 
-def _solver_seed(row_seed: int) -> int:
-    return int(np.random.SeedSequence([int(row_seed), 1]).generate_state(1)[0])
-
-
 def _build_scenario(spec: ExperimentSpec, seed: int, value) -> Scenario:
     if spec.scenario_file:
         return load_scenario(spec.scenario_file)
@@ -491,28 +488,15 @@ def _run_cell(
         agents=agents,
         max_iterations=spec.max_iterations,
         penalty=penalty,
-        seed=_solver_seed(seed),
+        seed=solver_seed(seed),
         upload_model=spec.upload_model,
     )
-    beta = inputs.allocation(key, scenario)
-    trace = None
-    if solver == "alternating":
-        # picks its own allocation, so it scores against its own Evaluator
-        run = alternating_solve(scenario, cfg)
-        beta, trace = run.beta, run.trace
-        result = evaluate(run.decision, beta, scenario, penalty, spec.upload_model)
-    else:
-        if solver == "associated":
-            decision = associated_decision(scenario)
-        ev = inputs.evaluator(key, scenario, beta, penalty)
-        if solver == "dwoa":
-            run = dwoa_search(ev, cfg)
-            decision, trace = run.decision, run.trace
-        elif solver == "exhaustive":
-            decision = exhaustive_search(ev).decision
-        elif solver != "associated":
-            raise ValueError(f"unknown solver {solver!r}")
-        result = ev.result(decision)
+    ev = inputs.evaluator(key, scenario, inputs.allocation(key, scenario), penalty)
+    run = SOLVER_FNS[solver](ev, cfg)
+    if run.beta is ev.beta:
+        result = ev.result(run.decision)
+    else:  # alternating returns the split it picked
+        result = evaluate(run.decision, run.beta, scenario, penalty, spec.upload_model)
 
     br = decision_latency_breakdown(result)
     comm = math.fsum(result.task_upload_s.values()) / len(result.task_upload_s)
@@ -522,11 +506,11 @@ def _run_cell(
             computation_s=br["computation"],
             distributed_s=br["distributed"],
             comm_s=comm,
-            mean_rate_bps=mean_uplink_rate(scenario, beta),
+            mean_rate_bps=mean_uplink_rate(scenario, run.beta),
             energy_j=dict(sorted(result.energy.total_j.items())),
             feasible=result.feasible,
         ),
-        trace,
+        run.trace if solver in SEARCHING_SOLVERS else None,
     )
 
 

@@ -549,5 +549,11 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
+    """Reads a scenario file; raises ValueError listing every
+    validate_scenario violation when the file's scenario is invalid."""
     with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+        scenario = scenario_from_dict(json.load(fh))
+    problems = validate_scenario(scenario)
+    if problems:
+        raise ValueError("invalid scenario: " + "; ".join(problems))
+    return scenario

@@ -3,11 +3,14 @@
 The main solver is a whale-style metaheuristic run in a continuous
 box [1, V]^M and discretized only at fitness evaluation. Alongside it:
 an exhaustive oracle for small instances, the everything-local
-baseline, three bandwidth allocators, and an alternating loop that
-re-optimizes offloading and bandwidth in turns.
+baseline, three bandwidth allocators, and the alternating loop (a
+search under the equal split, then restarts under the closed-form
+split). SOLVERS maps each solver name to its run over a built
+Evaluator.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -414,14 +417,9 @@ def alloc_equal(scenario: Scenario) -> BandwidthAllocation:
     return BandwidthAllocation(fractions)
 
 
-def alloc_proportional(
-    scenario: Scenario, decision: Optional[OffloadDecision] = None
-) -> BandwidthAllocation:
+def alloc_proportional(scenario: Scenario) -> BandwidthAllocation:
     """Splits each UAV's uplink over its active users proportional to
-    their total task input size. The decision does not change the bits
-    on the uplink (every input crosses it once), so it is accepted only
-    for interface symmetry with alloc_optimal.
-    """
+    their total task input size."""
     bits = _active_bits(scenario)
     fractions = {}
     for v in scenario.uavs:
@@ -434,16 +432,16 @@ def alloc_proportional(
     return BandwidthAllocation(fractions)
 
 
-def alloc_optimal(
-    scenario: Scenario, decision: Optional[OffloadDecision] = None
-) -> BandwidthAllocation:
+def alloc_optimal(scenario: Scenario) -> BandwidthAllocation:
     """Latency-optimal uplink split per UAV.
 
     Total upload time sum_u H_u / (beta_u B Gamma_u) subject to
     sum beta_u = 1 is minimized at beta_u proportional to
     sqrt(H_u / Gamma_u), with Gamma_u the user's spectral efficiency
     log2(1 + SNR). Closed form from the KKT stationarity condition;
-    users with no bits to send get beta = 0.
+    users with no bits to send get beta = 0. Every input crosses the
+    uplink once wherever it executes, so the split does not depend on
+    the offloading decision.
     """
     bits = _active_bits(scenario)
     ph = scenario.physics
@@ -478,79 +476,103 @@ def alternating_solve(
     max_outer: int = 10,
     tol: float = 1e-6,
 ) -> SolverRun:
-    """Block-coordinate loop: whale search under the current allocation,
-    then the closed-form allocation for the found decision, until the
-    best penalized fitness moves by less than tol (relative) between
-    rounds. Keeps the best (decision, allocation) pair across rounds, so
-    the reported objective never regresses even if a round wanders.
+    """Whale search under the equal split, then seeded restarts under
+    the closed-form split.
+
+    Round 0 searches under alloc_equal and scores its decision under
+    both splits; every later round restarts the search under
+    alloc_optimal with the next seed spawned from config.seed. Both
+    allocations are decision-independent, so each Evaluator is built
+    once. Stops after max_outer rounds, or once the best penalized
+    fitness moves by at most tol (relative) between rounds, and returns
+    the best (decision, allocation) pair seen; the trace holds the best
+    value after each round.
     """
     t0 = time.perf_counter()
     cfg = config or DwoaConfig()
-    round_seeds = np.random.SeedSequence(cfg.seed).spawn(max_outer)
+    equal = Evaluator(scenario, alloc_equal(scenario), cfg.penalty, cfg.upload_model)
+    optimal = Evaluator(scenario, alloc_optimal(scenario), cfg.penalty, cfg.upload_model)
 
-    beta = alloc_equal(scenario)
-    best: Optional[SolverRun] = None
+    best: Optional[Tuple[OffloadDecision, Evaluator]] = None
     best_pen = math.inf
     trace: List[float] = []
     prev = math.inf
-    rounds = 0
-    for k in range(max_outer):
-        rounds += 1
-        seed_k = int(round_seeds[k].generate_state(1)[0])
-        run = dwoa_solve(
-            scenario,
-            beta,
-            DwoaConfig(
-                agents=cfg.agents,
-                max_iterations=cfg.max_iterations,
-                penalty=cfg.penalty,
-                seed=seed_k,
-                spiral_b=cfg.spiral_b,
-                upload_model=cfg.upload_model,
-            ),
-        )
-        pen_run = run.trace[-1] if run.trace else Evaluator(
-            scenario, beta, cfg.penalty, cfg.upload_model
-        ).fitness(decision_to_vector(scenario, run.decision))
-        beta_new = alloc_optimal(scenario, run.decision)
-        ev = Evaluator(scenario, beta_new, cfg.penalty, cfg.upload_model)
+    for k, round_seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(max_outer)):
+        ev = equal if k == 0 else optimal
+        seed_k = int(round_seed.generate_state(1)[0])
+        run = dwoa_search(ev, dataclasses.replace(cfg, seed=seed_k))
         vec = decision_to_vector(scenario, run.decision)
-        obj_new, feas_new = ev.objective_and_feasible(vec)
-        pen_new = ev.fitness(vec)
-        for pen, obj, feas, bt in (
-            (pen_run, run.objective_s, run.feasible, beta),
-            (pen_new, obj_new, feas_new, beta_new),
-        ):
+        for scorer in (equal, optimal) if k == 0 else (optimal,):
+            pen = scorer.fitness(vec)
             if pen < best_pen:
                 best_pen = pen
-                best = SolverRun(
-                    solver="alternating",
-                    seed=cfg.seed,
-                    decision=run.decision,
-                    beta=bt,
-                    objective_s=obj,
-                    feasible=feas,
-                    trace=[],
-                    wall_time_s=0.0,
-                    config={},
-                )
+                best = (run.decision, scorer)
         trace.append(best_pen)
-        beta = beta_new
         if math.isfinite(prev) and abs(prev - best_pen) <= tol * max(1.0, abs(prev)):
             break
         prev = best_pen
 
     assert best is not None
-    best.trace = trace
-    best.wall_time_s = time.perf_counter() - t0
-    best.config = {
-        "agents": cfg.agents,
-        "max_iterations": cfg.max_iterations,
-        "lambda": cfg.penalty.lambda_,
-        "penalty_mode": cfg.penalty.mode,
-        "max_outer": max_outer,
-        "tol": tol,
-        "rounds": rounds,
-        "upload_model": cfg.upload_model,
-    }
-    return best
+    decision, scorer = best
+    obj, feasible = scorer.objective_and_feasible(decision_to_vector(scenario, decision))
+    return SolverRun(
+        solver="alternating",
+        seed=cfg.seed,
+        decision=decision,
+        beta=scorer.beta,
+        objective_s=obj,
+        feasible=feasible,
+        trace=trace,
+        wall_time_s=time.perf_counter() - t0,
+        config={
+            "agents": cfg.agents,
+            "max_iterations": cfg.max_iterations,
+            "lambda": cfg.penalty.lambda_,
+            "penalty_mode": cfg.penalty.mode,
+            "max_outer": max_outer,
+            "tol": tol,
+            "rounds": len(trace),
+            "upload_model": cfg.upload_model,
+        },
+    )
+
+
+def associated_baseline(ev: Evaluator) -> SolverRun:
+    """The everything-local decision, scored under the Evaluator's
+    allocation."""
+    t0 = time.perf_counter()
+    decision = associated_decision(ev.scenario)
+    obj, feasible = ev.objective_and_feasible(decision_to_vector(ev.scenario, decision))
+    return SolverRun(
+        solver="associated",
+        seed=None,
+        decision=decision,
+        beta=ev.beta,
+        objective_s=obj,
+        feasible=feasible,
+        trace=[obj],
+        wall_time_s=time.perf_counter() - t0,
+    )
+
+
+def solver_seed(seed: int) -> int:
+    """Solver seed of a run seeded with seed: the first word of
+    SeedSequence([seed, 1]). Scenario generation draws from
+    SeedSequence([seed, 0]), so the two streams never correlate."""
+    return int(np.random.SeedSequence([int(seed), 1]).generate_state(1)[0])
+
+
+# A solver run over an Evaluator, which carries the scenario,
+# allocation, penalty and upload model; cfg supplies the swarm
+# parameters and seed.
+SolverFn = Callable[[Evaluator, DwoaConfig], SolverRun]
+
+SOLVERS: Dict[str, SolverFn] = {
+    "dwoa": dwoa_search,
+    "exhaustive": lambda ev, cfg: exhaustive_search(ev),
+    "associated": lambda ev, cfg: associated_baseline(ev),
+    # starts from the equal split, whatever the Evaluator's allocation
+    "alternating": lambda ev, cfg: alternating_solve(
+        ev.scenario, dataclasses.replace(cfg, penalty=ev.penalty, upload_model=ev.upload_model)
+    ),
+}

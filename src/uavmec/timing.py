@@ -1,9 +1,16 @@
-"""Latency and energy primitives: compute shares, execution/transfer
-latencies, and the per-UAV energy ledger including hover energy.
+"""Static compute shares, the per-UAV energy ledger record, hover
+power, and the energy-budget check.
+
+Schedule times and energy are computed in one place, the Evaluator
+(uavmec.evaluator): ScheduleResult carries the upload, forwarding and
+execution times, and its EnergyLedger the per-UAV energy.
 
 Compute shares are static per decision: the denominator covers every
 sub-task assigned to the UAV for the whole run, so the shares of a
-non-empty UAV saturate its capacity exactly.
+non-empty UAV saturate its capacity exactly. That bit-exact saturation
+holds for compute_shares; the Evaluator's energy uses the raw
+H * F / sum(H) share without the rounding fix-up, and routing it through
+compute_shares would change the energy_j bits of every result.
 """
 from __future__ import annotations
 
@@ -11,12 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
-from . import channel
-from .scenario import PhysicsConstants, Scenario, SubTask, TaskGraph, UavNode
+from .scenario import PhysicsConstants, TaskGraph, UavNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .channel import BandwidthAllocation
-    from .evaluator import OffloadDecision, ScheduleResult
+    from .evaluator import OffloadDecision
 
 
 @dataclass(frozen=True)
@@ -30,17 +35,6 @@ class ComputeShare:
 
     def uav_total(self, uav_id: int) -> float:
         return math.fsum(f for (v, _u, _j), f in self.shares.items() if v == uav_id)
-
-
-@dataclass(frozen=True)
-class TransferLatencies:
-    upload_s: Mapping[Tuple[int, int], float]  # user -> associated UAV, per sub-task
-    forward_s: Mapping[Tuple[int, int], float]  # associated -> executing UAV, 0 when local
-    dep_s: Mapping[Tuple[int, int, int], float]  # (user, pred, sub-task) payload transfer
-
-    def load_s(self, user_id: int, subtask: int) -> float:
-        key = (user_id, subtask)
-        return self.upload_s[key] + self.forward_s[key]
 
 
 @dataclass(frozen=True)
@@ -99,69 +93,6 @@ def compute_shares(decision: "OffloadDecision", tasks: Sequence[TaskGraph], uavs
     return ComputeShare(shares)
 
 
-def exec_latency(subtask: SubTask, share: float) -> float:
-    """C * H / f seconds; the dummy bypasses and costs zero."""
-    if subtask.is_dummy:
-        return 0.0
-    if share <= 0:
-        raise ValueError(f"sub-task {subtask.index} has no compute share")
-    return subtask.cycles_per_bit * subtask.input_size_bits / share
-
-
-def transfer_latencies(
-    decision: "OffloadDecision",
-    beta: "BandwidthAllocation",
-    tasks: Sequence[TaskGraph],
-    scenario: Scenario,
-) -> TransferLatencies:
-    """Per-sub-task upload, forwarding, and dependency-transfer latencies.
-
-    Upload is H_j over the user's allocated uplink rate; forwarding is
-    charged only when the executor differs from the associated UAV;
-    dependency payloads cross the inter-UAV link only when parent and
-    child land on different UAVs.
-    """
-    ph = scenario.physics
-    upload: Dict[Tuple[int, int], float] = {}
-    forward: Dict[Tuple[int, int], float] = {}
-    dep: Dict[Tuple[int, int, int], float] = {}
-    uav_by_id = {v.id: v for v in scenario.uavs}
-    u2u_cache: Dict[Tuple[int, int], float] = {}
-
-    def u2u(a: int, b: int) -> float:
-        key = (a, b)
-        if key not in u2u_cache:
-            u2u_cache[key] = channel.u2u_rate(uav_by_id[a], uav_by_id[b], ph)
-        return u2u_cache[key]
-
-    for t in tasks:
-        user = scenario.user_by_id(t.owner_user)
-        assoc = uav_by_id[user.associated_uav]
-        rate_up = channel.user_uplink_rate(user, assoc, beta.fraction(assoc.id, user.id), ph)
-        executor = {0: assoc.id}
-        for s in t.sub_tasks:
-            if s.is_dummy:
-                continue
-            v = decision.x[t.owner_user][s.index - 1]
-            executor[s.index] = v
-            if rate_up <= 0 and s.input_size_bits > 0:
-                raise ValueError(f"user {user.id}: zero uplink rate on a required link")
-            upload[(t.owner_user, s.index)] = s.input_size_bits / rate_up
-            forward[(t.owner_user, s.index)] = (
-                0.0 if v == assoc.id else s.input_size_bits / u2u(assoc.id, v)
-            )
-        for s in t.sub_tasks:
-            if s.is_dummy:
-                continue
-            for p, bits in s.predecessors:
-                vp, vj = executor[p], executor[s.index]
-                if vp == vj or bits == 0:
-                    dep[(t.owner_user, p, s.index)] = 0.0
-                else:
-                    dep[(t.owner_user, p, s.index)] = bits / u2u(vp, vj)
-    return TransferLatencies(upload, forward, dep)
-
-
 def hover_power_w(uav: UavNode, physics: PhysicsConstants) -> float:
     """Hover power eta*sqrt(eta) / (phi * sqrt(2 pi q r^2 rho)) in watts."""
     h = uav.hover
@@ -170,71 +101,6 @@ def hover_power_w(uav: UavNode, physics: PhysicsConstants) -> float:
         h.power_efficiency
         * math.sqrt(2 * math.pi * h.rotor_count * h.rotor_diameter_m**2 * physics.air_density_kg_m3)
     )
-
-
-def energy_ledger(
-    decision: "OffloadDecision",
-    schedule: "ScheduleResult",
-    beta: "BandwidthAllocation",
-    scenario: Scenario,
-) -> EnergyLedger:
-    """Per-UAV energy totals for an already-computed schedule.
-
-    Components: execution energy k * f^2 * C * H attributed to the
-    executing UAV; forwarding energy P_v * H / R^(v->w) attributed to the
-    associated UAV; an unconditional info-report transmission to the BS;
-    and hover energy over the hover span (per-user upload + report +
-    max(local execution span, forwarding + remote execution span), maxed
-    over the UAV's own active users). Dependency-payload transmissions are
-    deliberately not billed.
-    """
-    ph = scenario.physics
-    uav_by_id = {v.id: v for v in scenario.uavs}
-    shares = compute_shares(decision, scenario.tasks, scenario.uavs)
-
-    exec_e = {v.id: 0.0 for v in scenario.uavs}
-    fwd_e = {v.id: 0.0 for v in scenario.uavs}
-    report_e = {}
-    hover_t = {v.id: 0.0 for v in scenario.uavs}
-    uplink_e: Dict[int, float] = {}
-
-    report_time = {}
-    for v in scenario.uavs:
-        rate_b = channel.u2b_rate(v, scenario.bs_position_m, ph)
-        report_time[v.id] = v.info_payload_bits / rate_b
-        report_e[v.id] = channel.dbm_to_watts(v.tx_power_to_bs_dbm) * report_time[v.id]
-
-    for t in scenario.tasks:
-        user = scenario.user_by_id(t.owner_user)
-        assoc = uav_by_id[user.associated_uav]
-        p_fwd_w = channel.dbm_to_watts(assoc.tx_power_u2u_dbm)
-        up_total = 0.0
-        local_span = 0.0
-        remote_span = 0.0
-        for s in t.sub_tasks:
-            if s.is_dummy:
-                continue
-            key = (t.owner_user, s.index)
-            v = decision.x[t.owner_user][s.index - 1]
-            f = shares.share(v, t.owner_user, s.index)
-            exec_e[v] += ph.effective_switched_capacitance * f * f * s.cycles_per_bit * s.input_size_bits
-            exec_t = schedule.exec_s[key]
-            up_total += schedule.upload_s[key]
-            if v == assoc.id:
-                local_span += exec_t
-            else:
-                fwd_e[assoc.id] += p_fwd_w * schedule.forward_s[key]
-                remote_span += schedule.forward_s[key] + exec_t
-        uplink_e[t.owner_user] = channel.dbm_to_watts(user.tx_power_dbm) * up_total
-        span = up_total + report_time[assoc.id] + max(local_span, remote_span)
-        hover_t[assoc.id] = max(hover_t[assoc.id], span)
-
-    hover_e = {}
-    total = {}
-    for v in scenario.uavs:
-        hover_e[v.id] = hover_power_w(v, ph) * hover_t[v.id]
-        total[v.id] = math.fsum((exec_e[v.id], fwd_e[v.id], report_e[v.id], hover_e[v.id]))
-    return EnergyLedger(exec_e, fwd_e, report_e, hover_e, total, hover_t, uplink_e)
 
 
 def check_energy_feasible(

@@ -2,6 +2,8 @@
 around a megabit so instances stay fast and energy budgets meaningful.
 """
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from uavmec import (
     UserNode,
     generate_scenario,
     generate_task_dag,
+    save_scenario,
 )
 
 DESK_TASK = dict(size_mean_bits=1e6, size_std_bits=2e5)
@@ -110,12 +113,30 @@ def has_parallel_pair(task) -> bool:
     return False
 
 
+def write_nan_uav_scenario(path):
+    """Scenario file whose first UAV has a NaN x position: readable JSON
+    that validate_scenario rejects. Returns the path as a string."""
+    save_scenario(desk_scenario(3, uav_count=2, subtasks=4), path)
+    with open(path, encoding="utf-8") as f:
+        d = json.load(f)
+    d["uavs"][0]["position_m"][0] = math.nan
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(d, f)
+    return str(path)
+
+
 def random_decision(scenario, rng):
     from uavmec import decision_from_vector
 
     m = sum(len(t.non_dummy()) for t in scenario.tasks)
     vec = rng.integers(1, len(scenario.uavs) + 1, size=m)
     return decision_from_vector(scenario, [int(x) for x in vec])
+
+
+def run_digest(blob):
+    """SHA-256 of a SolverRun.to_dict() with its wall-clock field dropped."""
+    blob = {k: v for k, v in blob.items() if k != "wall_time_s"}
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture

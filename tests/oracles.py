@@ -2,8 +2,9 @@
 
 Nothing here shares scheduling or optimization logic with the package:
 the scheduler is an event-driven simulation over an O(n^2) selection
-topological order, and the allocator is a projected-gradient descent on
-the simplex. Channel rates are taken from the package because they are
+topological order, the energy account sums the README energy model per
+UAV, and the allocator is a projected-gradient descent on the simplex.
+Channel rates are taken from the package because they are
 inputs to the scheduling semantics under test, not part of them.
 """
 import heapq
@@ -137,6 +138,74 @@ def event_schedule(scenario, decision, beta, upload_model="cumulative"):
 
     objective = sum(per_user_terms) / len(per_user_terms)
     return at, rt, st, ft, objective
+
+
+def energy_reference(scenario, decision, beta):
+    """Per-UAV energy account, written from the README energy model.
+
+    Returns {uav id: {"exec_j", "forward_j", "report_j", "hover_time_s",
+    "hover_j", "total_j"}}. Execution costs k * f^2 * C * H on the
+    executing UAV, at the size-proportional share f = H * F / (UAV bits);
+    the associated UAV pays P_u2u * H / R(assoc -> executor) for each
+    sub-task it forwards; every UAV pays its status report to the base
+    station; a UAV hovers for the longest span over the active users it
+    serves: task upload + its report + max(local execution time,
+    forwarding plus remote execution time). Dependency payloads are not
+    billed. Hover power is eta^1.5 / (phi * sqrt(2 pi q r^2 rho)).
+    """
+    ph = scenario.physics
+    uavs = {v.id: v for v in scenario.uavs}
+    acct = {
+        vid: dict(exec_j=0.0, forward_j=0.0, report_j=0.0, hover_time_s=0.0, hover_j=0.0)
+        for vid in uavs
+    }
+
+    hosted_bits = {vid: 0.0 for vid in uavs}
+    for t in scenario.tasks:
+        for s in t.non_dummy():
+            hosted_bits[decision.uav_for(t.owner_user, s.index)] += s.input_size_bits
+
+    report_s = {}
+    for vid, v in uavs.items():
+        report_s[vid] = v.info_payload_bits / channel.u2b_rate(v, scenario.bs_position_m, ph)
+        acct[vid]["report_j"] = channel.dbm_to_watts(v.tx_power_to_bs_dbm) * report_s[vid]
+
+    for t in scenario.tasks:
+        user = scenario.user_by_id(t.owner_user)
+        home = uavs[user.associated_uav]
+        rate_up = channel.user_uplink_rate(user, home, beta.fraction(home.id, user.id), ph)
+        upload_s = 0.0
+        local_s = 0.0
+        remote_s = 0.0
+        for s in t.non_dummy():
+            vid = decision.uav_for(user.id, s.index)
+            f = s.input_size_bits * uavs[vid].max_compute_hz / hosted_bits[vid]
+            run_s = s.cycles_per_bit * s.input_size_bits / f
+            acct[vid]["exec_j"] += (
+                ph.effective_switched_capacitance * f**2 * s.cycles_per_bit * s.input_size_bits
+            )
+            upload_s += s.input_size_bits / rate_up
+            if vid == home.id:
+                local_s += run_s
+            else:
+                hop_s = s.input_size_bits / channel.u2u_rate(home, uavs[vid], ph)
+                acct[home.id]["forward_j"] += channel.dbm_to_watts(home.tx_power_u2u_dbm) * hop_s
+                remote_s += hop_s + run_s
+        span = upload_s + report_s[home.id] + max(local_s, remote_s)
+        acct[home.id]["hover_time_s"] = max(acct[home.id]["hover_time_s"], span)
+
+    for vid, v in uavs.items():
+        h = v.hover
+        power = h.thrust_n**1.5 / (
+            h.power_efficiency
+            * math.sqrt(
+                2 * math.pi * h.rotor_count * h.rotor_diameter_m**2 * ph.air_density_kg_m3
+            )
+        )
+        a = acct[vid]
+        a["hover_j"] = power * a["hover_time_s"]
+        a["total_j"] = a["exec_j"] + a["forward_j"] + a["report_j"] + a["hover_j"]
+    return acct
 
 
 def project_simplex(v, total=1.0):

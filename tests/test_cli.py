@@ -1,10 +1,12 @@
 import json
 import os
 
+import pytest
+
 from uavmec import load_scenario, save_scenario
 from uavmec.cli import main
 
-from conftest import desk_scenario
+from conftest import desk_scenario, run_digest, write_nan_uav_scenario
 
 DESK_SPEC = dict(
     experiment_id="cli",
@@ -84,7 +86,8 @@ def test_solve_dwoa_seed_repeatable(tmp_path, capsys):
 
 
 def test_solve_infeasible_exits_two(tmp_path, capsys):
-    scen = _scenario_file(tmp_path, name="broke.json", budget_j=0.0)
+    # 1 J cannot cover a second of hover, so no decision is feasible
+    scen = _scenario_file(tmp_path, name="broke.json", budget_j=1.0)
     rc = main(["solve", "--scenario", scen, "--solver", "exhaustive"])
     assert rc == 2
     err = capsys.readouterr().err
@@ -94,6 +97,15 @@ def test_solve_infeasible_exits_two(tmp_path, capsys):
                "--agents", "6", "--iters", "3"])
     assert rc == 2  # penalty mode still reports its flagged incumbent
     assert "feasible=false" in capsys.readouterr().out
+
+
+def test_solve_invalid_scenario_file_exits_one(tmp_path, capsys):
+    scen = write_nan_uav_scenario(tmp_path / "nan.json")
+    rc = main(["solve", "--scenario", scen, "--solver", "dwoa", "--agents", "4", "--iters", "1"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "uav[1]: position_m must be finite" in err
 
 
 def test_bad_usage_exits_one(tmp_path, capsys):
@@ -166,3 +178,27 @@ def test_sweep_all_infeasible_exits_two(tmp_path, capsys):
     rc = main(["sweep", spec_file])
     assert rc == 2
     capsys.readouterr()
+
+
+# SHA-256 of the sorted-key `solve --out` JSON without wall_time_s,
+# captured while each solver had its own branch in the solve command; the
+# 1800 J budget binds (the associated baseline is infeasible)
+SOLVE_JSON_GOLDENS = {
+    "dwoa": "82ee40a9d95d48dad42e2fb2e26cf277c8ca5fe31a6f36cac1c97edfb0254354",
+    "exhaustive": "991302b055c050a780e6ad214eb1db49332738c74677bafdca6e5df2517cdb2c",
+    "associated": "ca27f3a996d543eaa803d5388de353f1af3da40e193103b4e3bdb300198fbe79",
+    "alternating": "1c614cd06ac4e289e25e75d0d73b58aa22300859c195e69f0a38b2859741e698",
+}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVE_JSON_GOLDENS))
+def test_solve_json_goldens(tmp_path, capsys, solver):
+    scen = str(tmp_path / "bind.json")
+    save_scenario(desk_scenario(4, uav_count=3, subtasks=4, active=2, budget_j=1800.0), scen)
+    out = str(tmp_path / "run.json")
+    rc = main(["solve", "--scenario", scen, "--solver", solver, "--alloc", "optimal",
+               "--agents", "8", "--iters", "4", "--seed", "5", "--out", out])
+    capsys.readouterr()
+    assert rc == (2 if solver == "associated" else 0)
+    with open(out, encoding="utf-8") as f:
+        assert run_digest(json.load(f)) == SOLVE_JSON_GOLDENS[solver]

@@ -62,6 +62,29 @@ def test_schedule_matches_event_oracle(upload_model):
         assert res.objective_s == pytest.approx(obj, abs=ABS)
 
 
+ENERGY_FIELDS = ("exec_j", "forward_j", "report_j", "hover_time_s", "hover_j", "total_j")
+
+
+@pytest.mark.parametrize("upload_model", ["cumulative", "independent"])
+def test_energy_matches_energy_oracle(upload_model):
+    rng = np.random.default_rng(31)
+    # several users per UAV share a hover span and a forwarding bill
+    crowded = [
+        desk_scenario(seed, uav_count=3, subtasks=5, active=4, users_per_uav=(2, 3))
+        for seed in range(6)
+    ]
+    for s in [s for s, _dec in _instances()] + crowded:
+        for beta in (alloc_equal(s), alloc_optimal(s)):
+            for _ in range(3):
+                dec = random_decision(s, rng)
+                energy = evaluate(dec, beta, s, upload_model=upload_model).energy
+                ref = oracles.energy_reference(s, dec, beta)
+                for v in s.uavs:
+                    for name in ENERGY_FIELDS:
+                        got = getattr(energy, name)[v.id]
+                        assert got == pytest.approx(ref[v.id][name], rel=1e-12, abs=0.0), (v.id, name)
+
+
 def test_start_equals_ready():
     for s, dec in _instances()[:5]:
         res = evaluate(dec, alloc_equal(s), s)

@@ -22,7 +22,7 @@ from uavmec import experiments, solvers
 from uavmec.evaluator import Evaluator
 from uavmec.experiments import FIGURES, ResultRow, summary_to_csv
 
-from conftest import DESK_TASK
+from conftest import DESK_TASK, write_nan_uav_scenario
 
 DESK_GEN = dict(
     uav_count=3,
@@ -137,6 +137,22 @@ def test_error_cells_recorded_not_fatal(tmp_path):
     assert by_solver["exhaustive"].objective_s is None
     assert by_solver["associated"].error == ""
     assert by_solver["associated"].feasible
+
+
+def test_invalid_scenario_file_gives_error_rows(tmp_path):
+    spec = _spec(
+        tmp_path,
+        axis="solver",
+        values=("dwoa", "associated"),
+        seeds=(0,),
+        scenario_file=write_nan_uav_scenario(tmp_path / "nan.json"),
+    )
+    rows, paths = run_experiment(spec)
+    assert len(rows) == 2
+    for r in rows:
+        assert r.error == "ValueError: invalid scenario: uav[1]: position_m must be finite"
+        assert r.objective_s is None and r.feasible is None
+    assert os.listdir(paths["traces"]) == []
 
 
 def test_rerun_from_manifest_is_byte_identical(tmp_path):
@@ -324,9 +340,9 @@ def test_evaluator_error_gives_one_row_per_cell(tmp_path, build_counts):
     assert len(rows) == 8
     assert {r.error for r in rows} == {"ValueError: scenario has no active users"}
     assert os.listdir(paths["traces"]) == []
-    # one failed Evaluator build per energy mode, plus one per alternating
-    # cell, which builds its own
-    assert build_counts["evaluators"] == 4
+    # one failed Evaluator build per energy mode, re-raised for every cell
+    # of the group, alternating included
+    assert build_counts["evaluators"] == 2
 
 
 # ---------------------------------------------------------- sweep families

@@ -21,7 +21,7 @@ from uavmec import (
 )
 from uavmec.scenario import MB_BITS, scenario_from_dict, scenario_to_dict
 
-from conftest import hand_scenario
+from conftest import hand_scenario, write_nan_uav_scenario
 
 
 def test_generate_scenario_counts_and_ranges():
@@ -239,6 +239,12 @@ def test_save_refuses_other_non_finite_numbers(tmp_path):
     bad = _with_uav(hand_scenario(), max_compute_hz=math.nan)
     with pytest.raises(ValueError):
         save_scenario(bad, tmp_path / "bad.json")
+
+
+def test_load_rejects_invalid_scenario(tmp_path):
+    path = write_nan_uav_scenario(tmp_path / "nan.json")
+    with pytest.raises(ValueError, match=r"uav\[1\]: position_m must be finite"):
+        load_scenario(path)
 
 
 def test_save_load_round_trip(tmp_path):

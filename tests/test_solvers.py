@@ -44,7 +44,7 @@ from uavmec.evaluator import decision_to_vector
 from uavmec.solvers import discretize, discretize_population, discretize_slot
 
 import oracles
-from conftest import desk_scenario, hand_scenario, random_decision
+from conftest import desk_scenario, hand_scenario, random_decision, run_digest
 
 
 # ---------------------------------------------------------------- discretize
@@ -427,11 +427,11 @@ def test_alternating_improves_on_fixed_equal_allocation():
 
 
 def test_alternating_beta_is_stationary():
-    # at convergence the returned allocation is the optimal response
-    # to the returned decision (or the equal-split starting point)
+    # the returned allocation is the closed-form split (which does not
+    # depend on the decision) or the equal-split starting point
     s = desk_scenario(9, uav_count=2, subtasks=4, active=2)
     run = alternating_solve(s, DwoaConfig(agents=20, max_iterations=10, seed=3))
-    opt = alloc_optimal(s, run.decision)
+    opt = alloc_optimal(s)
     eq = alloc_equal(s)
     keys = set(run.beta.fractions) | set(opt.fractions) | set(eq.fractions)
     close_opt = all(
@@ -441,6 +441,40 @@ def test_alternating_beta_is_stationary():
         abs(run.beta.fraction(*k) - eq.fraction(*k)) < 1e-9 for k in keys
     )
     assert close_opt or close_eq
+
+
+# SHA-256 of the sorted-key JSON of SolverRun.to_dict() without
+# wall_time_s (decision, beta, objective, feasibility, trace, rounds),
+# captured while the loop rebuilt its Evaluators and re-ran the
+# closed-form allocator every round; a 1500 J budget binds on both
+# scenarios (scenario 6 ends infeasible at 0 iterations and in hard mode)
+ALTERNATING_GOLDENS = {
+    (4, "penalty", 0, "cumulative"): "fe598ee7c98370a2e9a32f109e7a2e4bddc91b6bbcbf6e642954494fe4e7bb75",
+    (4, "penalty", 0, "independent"): "c72733e0259429a78d9646db8531d984ac53c468d772b09f2a36c28f2c195d54",
+    (4, "penalty", 6, "cumulative"): "6065560ff1d446b445f03c550a02c8a546c566a813454beef0aaf360f2fce3fe",
+    (4, "penalty", 6, "independent"): "a3fef14fa0048abc154ff67f1fa36f751041a2d7ab290be0d891d351d37cbbc6",
+    (4, "hard", 0, "cumulative"): "143eba82d1ea5969d0e050e171e0d5c20e809ae0f2f5299a0e27a524f8d04b49",
+    (4, "hard", 0, "independent"): "4e61bcd66a644f4596848d7dc2ae465be8fc4d8039039e5c67726be088018910",
+    (4, "hard", 6, "cumulative"): "a399865f9a5c43ebbb85a906cd8f1438e4a16a9f664acbe5f51e72940000353b",
+    (4, "hard", 6, "independent"): "ca44f0f70e914779e19a760959e877d5e9bb7db119bc1a2e189179186f921f7c",
+    (6, "penalty", 0, "cumulative"): "b04534b4d36f42fed596ce3631f2b8285a454b5b13cbfb4b28774daf7f13f900",
+    (6, "penalty", 0, "independent"): "821ce41657d6bd89314cd9282cb7696debac3772732d2c3bcbe23987663fee74",
+    (6, "penalty", 6, "cumulative"): "103e593822ce7aeb769fb00f2dd870a2b0c8ed77b518f830578b6aa0473857ea",
+    (6, "penalty", 6, "independent"): "51235d57c112b3ea6c0447098b103486e0a71f7c97d2162980ecb42a8578aa1a",
+    (6, "hard", 0, "cumulative"): "b27eba8b04ef8b18f8cdab9ac8434978368f9bd527b87662f3ff5d8a1b41a8cf",
+    (6, "hard", 0, "independent"): "62e213dfce98d2f6e24a176d076139956210e5fa031cb63e36b42e6d7822ac3c",
+    (6, "hard", 6, "cumulative"): "051a93f0cfe77d393cc398ca4b4fbb266767291042f2e0882d61afdc21b9c82d",
+    (6, "hard", 6, "independent"): "5b7cc1b129f820e7e51aa13328fb159a30bcca96d6e9fdf540aa1788e2b743aa",
+}
+
+
+@pytest.mark.parametrize("scen_seed,mode,iters,upload", sorted(ALTERNATING_GOLDENS))
+def test_alternating_fixed_seed_goldens(scen_seed, mode, iters, upload):
+    s = desk_scenario(scen_seed, uav_count=3, subtasks=4, active=2, budget_j=1500.0)
+    cfg = DwoaConfig(agents=8, max_iterations=iters, penalty=PenaltyConfig(mode=mode),
+                     seed=7, upload_model=upload)
+    run = alternating_solve(s, cfg)
+    assert run_digest(run.to_dict()) == ALTERNATING_GOLDENS[(scen_seed, mode, iters, upload)]
 
 
 # ---------------------------------------------------------------- solverrun

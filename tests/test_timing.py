@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -10,15 +11,12 @@ from uavmec import (
     check_energy_feasible,
     compute_shares,
     dbm_to_watts,
-    energy_ledger,
     evaluate,
-    exec_latency,
     hover_power_w,
     u2u_rate,
     user_uplink_rate,
 )
-from uavmec.scenario import SubTask
-from uavmec.timing import transfer_latencies
+from uavmec.scenario import SubTask, TaskGraph
 
 from conftest import desk_scenario, hand_scenario
 
@@ -52,20 +50,23 @@ def test_shares_sum_is_bit_exact_on_random_sizes():
     assert math.fsum(vals) == f_max  # exact, not approx
 
 
-def test_exec_latency_golden():
+def _lone_subtask_scenario():
+    """hand_scenario with one 8 Mb sub-task at 1000 cycles/bit."""
+    s = hand_scenario()
+    dummy = s.tasks[0].sub_tasks[0]
     st = SubTask(index=1, input_size_bits=8e6, cycles_per_bit=1000.0, predecessors=((0, 0.0),))
-    assert exec_latency(st, 1e9) == 8.0
+    return dataclasses.replace(s, tasks=(TaskGraph(owner_user=1, sub_tasks=(dummy, st)),))
+
+
+def test_exec_latency_golden():
+    # alone on the 1 GHz UAV the sub-task gets the whole CPU
+    res = evaluate(OffloadDecision({1: (1,)}), BETA_FULL, _lone_subtask_scenario())
+    assert res.exec_s[(1, 1)] == 8.0
 
 
 def test_exec_latency_dummy_is_free():
-    dummy = SubTask(index=0, input_size_bits=0.0, cycles_per_bit=0.0, predecessors=(), is_dummy=True)
-    assert exec_latency(dummy, 0.0) == 0.0
-
-
-def test_exec_latency_requires_positive_share():
-    st = SubTask(index=1, input_size_bits=1e6, cycles_per_bit=1000.0, predecessors=((0, 0.0),))
-    with pytest.raises(ValueError, match="share"):
-        exec_latency(st, 0.0)
+    res = evaluate(OffloadDecision({1: (1,)}), BETA_FULL, _lone_subtask_scenario())
+    assert res.exec_s[(1, 0)] == 0.0
 
 
 def test_static_shares_equalize_exec_times_per_uav():
@@ -73,13 +74,8 @@ def test_static_shares_equalize_exec_times_per_uav():
     # C * (total bits on that UAV) / F_max seconds, whatever its own size
     s = hand_scenario()
     dec = OffloadDecision({1: (1, 1, 1)})
-    shares = compute_shares(dec, s.tasks, s.uavs)
-    task = s.tasks[0]
-    times = [
-        exec_latency(st, shares.share(1, 1, st.index))
-        for st in task.sub_tasks
-        if not st.is_dummy
-    ]
+    res = evaluate(dec, BETA_FULL, s)
+    times = [res.exec_s[(1, st.index)] for st in s.tasks[0].non_dummy()]
     expected = 1000.0 * 4e6 / 1e9
     for t in times:
         assert t == pytest.approx(expected, rel=1e-12)
@@ -88,7 +84,7 @@ def test_static_shares_equalize_exec_times_per_uav():
 def test_transfer_latencies_components():
     s = hand_scenario()
     dec = OffloadDecision({1: (1, 2, 1)})
-    tl = transfer_latencies(dec, BETA_FULL, s.tasks, s)
+    tl = evaluate(dec, BETA_FULL, s, upload_model="independent")
     rate_up = user_uplink_rate(s.users[0], s.uavs[0], 1.0, PH)
     r12 = u2u_rate(s.uavs[0], s.uavs[1], PH)
     assert tl.upload_s[(1, 1)] == pytest.approx(1e6 / rate_up, rel=1e-12)
@@ -97,19 +93,22 @@ def test_transfer_latencies_components():
     assert tl.forward_s[(1, 1)] == 0.0
     assert tl.forward_s[(1, 3)] == 0.0
     assert tl.forward_s[(1, 2)] == pytest.approx(2e6 / r12, rel=1e-12)
-    # dependency payloads cross the air only between distinct UAVs
-    assert tl.dep_s[(1, 1, 3)] == 0.0  # both on uav 1
-    assert tl.dep_s[(1, 2, 3)] == pytest.approx(2e5 / r12, rel=1e-12)
-    assert tl.dep_s[(1, 0, 1)] == 0.0  # dummy payload is empty
-    assert tl.load_s(1, 2) == tl.upload_s[(1, 2)] + tl.forward_s[(1, 2)]
+    # dependency payloads cross the air only between distinct UAVs:
+    # 1 -> 3 stays on uav 1, 2 -> 3 crosses from uav 2 (and binds)
+    ready_3 = max(tl.arrival_s[(1, 3)], tl.finish_s[(1, 1)], tl.finish_s[(1, 2)] + 2e5 / r12)
+    assert tl.ready_s[(1, 3)] == pytest.approx(ready_3, rel=1e-12)
+    assert tl.ready_s[(1, 3)] == pytest.approx(tl.finish_s[(1, 2)] + 2e5 / r12, rel=1e-12)
+    assert tl.ready_s[(1, 1)] == tl.arrival_s[(1, 1)]  # dummy payload is empty
+    assert tl.arrival_s[(1, 2)] == tl.upload_s[(1, 2)] + tl.forward_s[(1, 2)]
 
 
 def test_transfer_latencies_colocated_deps_are_free():
     s = hand_scenario()
     dec = OffloadDecision({1: (2, 2, 2)})
-    tl = transfer_latencies(dec, BETA_FULL, s.tasks, s)
-    assert tl.dep_s[(1, 1, 3)] == 0.0
-    assert tl.dep_s[(1, 2, 3)] == 0.0
+    tl = evaluate(dec, BETA_FULL, s)
+    ready_3 = max(tl.arrival_s[(1, 3)], tl.finish_s[(1, 1)], tl.finish_s[(1, 2)])
+    assert ready_3 > tl.arrival_s[(1, 3)]  # a parent's finish binds
+    assert tl.ready_s[(1, 3)] == ready_3
     # but every sub-task pays the forward hop
     for j in (1, 2, 3):
         assert tl.forward_s[(1, j)] > 0.0
@@ -119,7 +118,7 @@ def test_transfer_latencies_zero_beta_rejected():
     s = hand_scenario()
     dec = OffloadDecision({1: (1, 1, 1)})
     with pytest.raises(ValueError, match="zero uplink rate"):
-        transfer_latencies(dec, BandwidthAllocation({}), s.tasks, s)
+        evaluate(dec, BandwidthAllocation({}), s)
 
 
 def test_hover_power_golden():
@@ -128,8 +127,6 @@ def test_hover_power_golden():
 
 
 def test_hover_power_grows_with_thrust():
-    import dataclasses
-
     s = hand_scenario()
     v = s.uavs[0]
     heavier = dataclasses.replace(v, hover=dataclasses.replace(v.hover, thrust_n=40.0))
@@ -139,7 +136,7 @@ def test_hover_power_grows_with_thrust():
 def _ledger_for(decision):
     s = hand_scenario()
     res = evaluate(decision, BETA_FULL, s)
-    return s, res, energy_ledger(decision, res, BETA_FULL, s)
+    return s, res, res.energy
 
 
 def test_ledger_components_sum_to_total():
@@ -147,16 +144,6 @@ def test_ledger_components_sum_to_total():
     for v in (1, 2):
         parts = (led.exec_j[v], led.forward_j[v], led.report_j[v], led.hover_j[v])
         assert led.total_j[v] == math.fsum(parts)
-
-
-def test_ledger_matches_schedule_result():
-    s = hand_scenario()
-    dec = OffloadDecision({1: (1, 2, 1)})
-    res = evaluate(dec, BETA_FULL, s)
-    led = energy_ledger(dec, res, BETA_FULL, s)
-    for v in (1, 2):
-        assert res.energy.total_j[v] == pytest.approx(led.total_j[v], rel=1e-12)
-        assert res.energy.hover_time_s[v] == pytest.approx(led.hover_time_s[v], rel=1e-12)
 
 
 def test_report_energy_is_unconditional():
@@ -230,8 +217,6 @@ def test_feasibility_boundary_is_feasible():
         uplink_user_j={},
     )
     s = hand_scenario()
-    import dataclasses
-
     exact = dataclasses.replace(s.uavs[0], energy_budget_j=5.0)
     short = dataclasses.replace(s.uavs[0], energy_budget_j=4.0)
     ok = check_energy_feasible(led, [exact])
