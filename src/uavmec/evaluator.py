@@ -1,7 +1,10 @@
 """Turns (decision, bandwidth allocation, scenario) into a full schedule:
 dependency-respecting start/finish times, per-task makespan, objective,
 penalty, and energy feasibility. This is the fitness function behind
-every solver, so the inner loops stay allocation-free.
+every solver, so the inner loops stay allocation-free: the scalar kernel
+reuses per-UAV lists, and the population kernel writes its (N, M)
+intermediates into scratch arrays kept on the Evaluator and returns
+fresh arrays.
 
 Timing rules: sub-tasks are processed in topological order; arrival time
 accumulates the task's uploads over the shared uplink (so one channel
@@ -16,6 +19,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,11 +145,12 @@ class _BatchTables:
     task's topological order (the order the scalar kernel accumulates
     energy and spans in); slots index the decision column of each node.
 
-    Ready times live in an (N, M + U) finish-time table: the nodes
+    Ready times live in an (N, M + U + E) finish-time table: the nodes
     grouped by level, then one column per user holding the release time
-    of its dummy root. A node's level is one more than its deepest
-    non-dummy parent's, so the ready times of one level need only the
-    finish times of earlier levels.
+    of its dummy root, then one column per payload edge holding the
+    time its payload lands (sender's finish plus transfer). A node's
+    level is one more than its deepest non-dummy parent's, so the ready
+    times of one level need only the finish times of earlier levels.
     """
 
     fmax: np.ndarray         # (V,) per slot: max compute
@@ -170,16 +175,59 @@ class _BatchTables:
     pay_src: np.ndarray      # (E,) per payload edge: parent visit position
     pay_dst: np.ndarray      # (E,) child visit position
     pay_bits: np.ndarray     # (E,) dependency payload
-    # per level (lo, hi, gather, k, at, e0, e1): its nodes are finish-table
+    # per level (lo, hi, gather, k, src, e0, e1): its nodes are finish-table
     # columns lo:hi; gather is a (k, hi - lo) block of columns, flattened;
-    # at lists the gathered slots of its payload edges e0:e1
+    # src holds the sender columns of its payload edges e0:e1
     levels: Tuple[tuple, ...]
     user_cols: np.ndarray    # finish-table columns per user: dummy, nodes
     user_starts: np.ndarray  # (U,) first entry of each user in user_cols
     release: np.ndarray      # (U,) release time per user
     task_upload: np.ndarray  # (U,) task upload time per user
     span_base: np.ndarray    # (U,) task upload plus the status report
-    assoc_mask: np.ndarray   # (U, V) user u is served by slot v
+    user_assoc: Tuple[int, ...]  # (U,) associated slot of each user
+
+
+class _Scratch:
+    """Work arrays of the population kernel for up to n_max rows, carved
+    out of one float block and one intp block. Each is an (n_max, width)
+    C-contiguous array, so its first n rows are a contiguous view. The
+    decision-independent ones are filled here, once: the decision-order
+    input bits h, the release-time columns of the finish table ft, and
+    the flat cell offsets of each row."""
+
+    def __init__(self, t: _BatchTables, n_max: int, V: int, U: int):
+        M = len(t.cols)
+        E = len(t.pay_bits)
+        layout = (
+            (float, dict(h=M, exec_t=M, fwd_t=M, share=M, work=M,
+                         ft=M + U + E, by_user=M + U, edge=E)),
+            (np.intp, dict(cells=M, cellv=M, sv=M, fwd_cell=M, ucell=M,
+                           src=E, dst=E, cell=1, cell0=1, row_of=U)),
+        )
+        self.n_max = n_max
+        self._full = {}
+        for dtype, widths in layout:
+            block = np.empty(n_max * sum(widths.values()), dtype=dtype)
+            off = 0
+            for name, w in widths.items():
+                self._full[name] = block[off:off + n_max * w].reshape(n_max, w)
+                off += n_max * w
+        full = self._full
+        row = np.arange(n_max, dtype=np.intp)[:, None]
+        full["h"][:] = t.h
+        full["ft"][:, M:M + U] = t.release
+        cell = np.multiply(row, V, out=full["cell"])
+        np.subtract(cell, 1, out=full["cell0"])
+        np.add(cell, t.assoc, out=full["fwd_cell"])
+        np.add(row * U, t.user, out=full["ucell"])
+        full["row_of"][:] = row
+        self._rows: Optional[SimpleNamespace] = None
+
+    def rows(self, n: int) -> SimpleNamespace:
+        """The first n rows of every array, as attributes."""
+        if self._rows is None or self._rows.n != n:
+            self._rows = SimpleNamespace(n=n, **{k: a[:n] for k, a in self._full.items()})
+        return self._rows
 
 
 class Evaluator:
@@ -195,7 +243,12 @@ class Evaluator:
     on the first such call. Below BATCH_MIN_ROWS rows they loop the
     scalar kernel instead.
 
-    Not thread-safe (scratch buffers are reused); build one per thread.
+    Both kernels reuse scratch held by the Evaluator. The population
+    scratch is built on the first array pass, sized to the largest N
+    seen so far, and serves smaller N from its first rows. The arrays
+    these methods return are always fresh, so callers may keep them
+    across calls. Not thread-safe (scratch is reused); build one
+    Evaluator per thread.
     """
 
     def __init__(
@@ -291,6 +344,7 @@ class Evaluator:
         self._m = offset
 
         self._tables: Optional[_BatchTables] = None
+        self._scratch: Optional[_Scratch] = None
 
         # scratch buffers
         self._tot = [0.0] * V
@@ -440,10 +494,10 @@ class Evaluator:
     def fitness_many(self, population) -> np.ndarray:
         """fitness of each row of an (N, M) matrix of 1-based slots, as
         an (N,) array equal bit for bit to calling fitness row by row."""
-        if len(population) < BATCH_MIN_ROWS:
-            rows = np.asarray(population).tolist()
-            return np.array([self.fitness(row) for row in rows], dtype=float)
-        objective, totals = self._score_many(population)
+        pop = self._slot_matrix(population)
+        if len(pop) < BATCH_MIN_ROWS:
+            return np.array([self.fitness(row) for row in pop.tolist()], dtype=float)
+        objective, totals = self._score_many(pop)
         pen = self.penalty
         if pen is None:
             return objective
@@ -459,87 +513,123 @@ class Evaluator:
     def objective_and_feasible_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
         """objective_and_feasible of each row of an (N, M) slot matrix:
         (N,) objectives and (N,) feasibility flags."""
-        if len(population) < BATCH_MIN_ROWS:
-            rows = np.asarray(population).tolist()
-            pairs = [self.objective_and_feasible(row) for row in rows]
+        pop = self._slot_matrix(population)
+        if len(pop) < BATCH_MIN_ROWS:
+            pairs = [self.objective_and_feasible(row) for row in pop.tolist()]
             return (
                 np.array([obj for obj, _ in pairs], dtype=float),
                 np.array([ok for _, ok in pairs], dtype=bool),
             )
-        objective, totals = self._score_many(population)
+        objective, totals = self._score_many(pop)
         return objective, (totals <= self._tables.budget).all(axis=1)
 
-    def _score_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
-        """Population kernel: (N,) objectives and (N, V) energy totals.
+    def _slot_matrix(self, population) -> np.ndarray:
+        """population as an intp array; ValueError unless it is an (N, M)
+        matrix of slots in [1, V]. The kernel's gathers do not check
+        their indices, so this check is what keeps a bad slot from
+        scoring as some other decision."""
+        pop = np.asarray(population, dtype=np.intp)
+        if pop.size and (
+            pop.ndim != 2 or pop.shape[1] != self._m or pop.min() < 1 or pop.max() > self._V
+        ):
+            raise ValueError(f"population must be an (N, {self._m}) matrix of slots in [1, {self._V}]")
+        return pop
+
+    def _score_many(self, pop: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Population kernel over an (N, M) intp slot matrix: (N,)
+        objectives and (N, V) energy totals.
 
         Every float is produced by the same operations, in the same
         order, as in _core. Per-cell sums use np.bincount, which adds
         its weights one by one in array order, over flat indices laid
         out in the scalar visiting order; adding the 0.0 weights of
         nodes that do not belong to a cell leaves a sum unchanged. Ready
-        times take a max, which does not depend on order.
+        times take a max, which does not depend on order. The (N, M)
+        intermediates live in the Evaluator's scratch; both returned
+        arrays are fresh.
         """
         t = self._tables if self._tables is not None else self._compile()
-        slots = np.asarray(population, dtype=np.intp) - 1
-        Sv = slots[:, t.cols]  # 0-based slots in visiting order
-        exec_t, fwd_t, totals = self._energy_many(t, slots, Sv)
-        return self._objective_many(t, Sv, exec_t, fwd_t), totals
+        n = len(pop)
+        if self._scratch is None or n > self._scratch.n_max:
+            self._scratch = _Scratch(t, n, self._V, len(self._users))
+        s = self._scratch.rows(n)
+        totals = self._energy_many(t, s, pop)
+        return self._objective_many(t, s), totals
 
-    def _energy_many(self, t: _BatchTables, slots, Sv):
-        """Per-node execution and forwarding times (visiting order) and
-        (N, V) per-UAV energy totals."""
-        N = len(slots)
+    def _energy_many(self, t: _BatchTables, s: SimpleNamespace, pop) -> np.ndarray:
+        """Writes the per-node execution and forwarding times (visiting
+        order) into s.exec_t and s.fwd_t and the 0-based slots into s.sv;
+        returns fresh (N, V) per-UAV energy totals."""
+        N = len(pop)
         V = self._V
         U = len(self._users)
-        cell = np.arange(N)[:, None] * V
-        cells = slots + cell  # flat (row, slot) cell of each decision column
-        tot = np.bincount(
-            cells.ravel(), np.broadcast_to(t.h, cells.shape).ravel(), N * V
-        ).reshape(N, V)
+        # _slot_matrix keeps every index in range, so no take needs the
+        # default mode="raise", which would copy its output
+        np.add(pop, s.cell0, out=s.cells)  # flat (row, slot) cell per decision column
+        tot = np.bincount(s.cells.ravel(), s.h.ravel(), N * V).reshape(N, V)
 
-        cellv = Sv + cell
-        exec_t = (tot / t.fmax).ravel()[cellv]
-        exec_t *= t.cycles
-        node_slot = Sv + t.fwd_row
-        fwd_t = t.fwd[node_slot]
-        f_share = t.h_fmax[node_slot]
-        f_share /= tot.ravel()[cellv]
-        energy = t.kappa * f_share
-        energy *= f_share
-        energy *= t.cycles
-        energy *= t.h_visit
-        exec_e = np.bincount(cellv.ravel(), energy.ravel(), N * V).reshape(N, V)
-        fwd_e = np.bincount(
-            (cell + t.assoc).ravel(), (t.p_fwd * fwd_t).ravel(), N * V
-        ).reshape(N, V)
+        np.take(s.cells, t.cols, axis=1, out=s.cellv, mode="clip")
+        np.subtract(s.cellv, s.cell, out=s.sv)  # 0-based slots in visiting order
+        np.take((tot / t.fmax).ravel(), s.cellv, out=s.exec_t, mode="clip")
+        s.exec_t *= t.cycles
+        node = s.cells  # (node, slot) row of fwd and h_fmax; cells is spent
+        np.add(s.sv, t.fwd_row, out=node)
+        np.take(t.fwd, node, out=s.fwd_t, mode="clip")
+        share, work = s.share, s.work
+        np.take(t.h_fmax, node, out=share, mode="clip")
+        np.take(tot.ravel(), s.cellv, out=work, mode="clip")
+        share /= work
+        np.multiply(t.kappa, share, out=work)  # the energy of each node
+        work *= share
+        work *= t.cycles
+        work *= t.h_visit
+        exec_e = np.bincount(s.cellv.ravel(), work.ravel(), N * V).reshape(N, V)
+        np.multiply(t.p_fwd, s.fwd_t, out=work)
+        fwd_e = np.bincount(s.fwd_cell.ravel(), work.ravel(), N * V).reshape(N, V)
 
-        remote = Sv != t.assoc
-        ucell = (np.arange(N)[:, None] * U + t.user).ravel()
-        loc_span = np.bincount(ucell, np.where(remote, 0.0, exec_t).ravel(), N * U)
-        rem_span = fwd_t + exec_t
-        rem_span[~remote] = 0.0
-        rem_span = np.bincount(ucell, rem_span.ravel(), N * U)
+        # the local execution times, then the remote hop-plus-execution
+        # times, each 0.0 elsewhere as np.where would give: times are
+        # finite and >= 0 and a local node's forwarding time is 0.0, so
+        # exec * (slot == assoc) and (fwd + exec) minus that are exact
+        local = share
+        np.equal(s.sv, t.assoc, out=local)
+        np.multiply(s.exec_t, local, out=work)
+        loc_span = np.bincount(s.ucell.ravel(), work.ravel(), N * U)
+        remote = np.add(s.fwd_t, s.exec_t, out=share)
+        remote -= work
+        rem_span = np.bincount(s.ucell.ravel(), remote.ravel(), N * U)
         span = t.span_base + np.maximum(loc_span, rem_span).reshape(N, U)
-        hover_t = np.where(t.assoc_mask, span[:, :, None], 0.0).max(axis=1)
-        return exec_t, fwd_t, exec_e + fwd_e + t.report_e + t.hover_p * hover_t
+        hover_t = np.zeros((N, V))  # the longest span among a UAV's users
+        for u, a in enumerate(t.user_assoc):
+            np.maximum(hover_t[:, a], span[:, u], out=hover_t[:, a])
+        return exec_e + fwd_e + t.report_e + t.hover_p * hover_t
 
-    def _objective_many(self, t: _BatchTables, Sv, exec_t, fwd_t) -> np.ndarray:
-        """Ready and finish times level by level, then the (N,) mean of
-        makespan plus upload time over users."""
-        N, M = Sv.shape
+    def _objective_many(self, t: _BatchTables, s: SimpleNamespace) -> np.ndarray:
+        """Ready and finish times level by level, then the fresh (N,) mean
+        of makespan plus upload time over users."""
+        N, M = s.sv.shape
         U = len(self._users)
-        ft = np.empty((N, M + U))
-        np.add(t.arrival, fwd_t[:, t.level_order], out=ft[:, :M])
-        ft[:, M:] = t.release
-        exec_l = exec_t[:, t.level_order]
-        edge_t = t.pay_bits * t.inv_uu[Sv[:, t.pay_src] * self._V + Sv[:, t.pay_dst]]
-        for lo, hi, gather, k, pay_at, e0, e1 in t.levels:
-            tp = ft[:, gather]
-            tp[:, pay_at] += edge_t[:, e0:e1]
-            np.add(tp.reshape(N, k, hi - lo).max(axis=1), exec_l[:, lo:hi], out=ft[:, lo:hi])
-        f_last = np.maximum.reduceat(ft[:, t.user_cols], t.user_starts, axis=1)
+        ft = s.ft  # columns M:M + U hold the release times
+        np.take(s.fwd_t, t.level_order, axis=1, out=s.work, mode="clip")
+        np.add(t.arrival, s.work, out=ft[:, :M])
+        exec_l = s.share
+        np.take(s.exec_t, t.level_order, axis=1, out=exec_l, mode="clip")
+        np.take(s.sv, t.pay_src, axis=1, out=s.src, mode="clip")
+        s.src *= self._V
+        np.take(s.sv, t.pay_dst, axis=1, out=s.dst, mode="clip")
+        s.src += s.dst
+        edge_t = s.edge
+        np.take(t.inv_uu, s.src, out=edge_t, mode="clip")
+        edge_t *= t.pay_bits
+        landed = ft[:, M + U:]
+        for lo, hi, gather, k, src, e0, e1 in t.levels:
+            np.add(ft[:, src], edge_t[:, e0:e1], out=landed[:, e0:e1])
+            tp = ft[:, gather].reshape(N, k, hi - lo)
+            np.add(tp.max(axis=1), exec_l[:, lo:hi], out=ft[:, lo:hi])
+        np.take(ft, t.user_cols, axis=1, out=s.by_user, mode="clip")
+        f_last = np.maximum.reduceat(s.by_user, t.user_starts, axis=1)
         terms = (f_last - t.release) + t.task_upload
-        return np.bincount(np.repeat(np.arange(N), U), terms.ravel(), N) / U
+        return np.bincount(s.row_of.ravel(), terms.ravel(), N) / U
 
     def _compile(self) -> _BatchTables:
         """Lays the scenario out as the arrays of _BatchTables, once."""
@@ -549,14 +639,12 @@ class Evaluator:
         cols, h_visit, cycles, h_fmax, fwd, user, assoc = [], [], [], [], [], [], []
         arrival, depth, parents = [], [], []
         release, task_upload, span_base = [], [], []
-        assoc_mask = np.zeros((len(self._users), V), dtype=bool)
         for ui, u in enumerate(self._users):
             a = u["assoc"]
             trel = u["trel"]
             release.append(trel)
             task_upload.append(u["task_upload"])
             span_base.append(u["task_upload"] + self._report_t[a])
-            assoc_mask[ui, a] = True
             visit = {}
             cum = trel
             for j in u["topo"]:
@@ -579,7 +667,9 @@ class Evaluator:
                 depth.append(max((depth[q] + 1 for q, _ in ins if q is not None), default=0))
                 parents.append(ins)
 
-        # finish table: nodes by (level, visit position), then the dummies
+        # finish table: nodes by (level, visit position), then the dummies,
+        # then the landing time of each payload edge
+        U = len(self._users)
         order = sorted(range(M), key=lambda i: (depth[i], i))
         ft_col = {i: c for c, i in enumerate(order)}
         levels = []
@@ -591,19 +681,24 @@ class Evaluator:
             hi = lo + n
             k = 1 + max(len(parents[i]) for i in level)
             # row 0 is each node's own column, holding its arrival; then
-            # its parents' finish times, padded with its own column
+            # per parent its finish time, or the landing time of a
+            # payload edge; padded with the node's own column
             gather = np.tile(np.arange(lo, hi, dtype=np.intp), (k, 1))
-            at = []  # gathered slots of this level's payload edges
+            src = []  # finish-table columns of the level's payload senders
             for r, i in enumerate(level):
                 for e, (q, bits) in enumerate(parents[i], start=1):
-                    gather[e, r] = M + user[i] if q is None else ft_col[q]
-                    if q is not None and bits > 0.0:
-                        at.append(e * n + r)
+                    if q is None:
+                        gather[e, r] = M + user[i]
+                    elif bits > 0.0:
+                        gather[e, r] = M + U + len(pay_bits)
+                        src.append(ft_col[q])
                         pay_src.append(q)
                         pay_dst.append(i)
                         pay_bits.append(bits)
+                    else:
+                        gather[e, r] = ft_col[q]
             e1 = len(pay_bits)
-            levels.append((lo, hi, gather.ravel(), k, np.array(at, dtype=np.intp), e0, e1))
+            levels.append((lo, hi, gather.ravel(), k, np.array(src, dtype=np.intp), e0, e1))
             lo = hi
             e0 = e1
         # a user's nodes hold visit positions offset .. offset + n - 1
@@ -643,7 +738,7 @@ class Evaluator:
             release=np.array(release, dtype=float),
             task_upload=np.array(task_upload, dtype=float),
             span_base=np.array(span_base, dtype=float),
-            assoc_mask=assoc_mask,
+            user_assoc=tuple(u["assoc"] for u in self._users),
         )
         return self._tables
 

@@ -224,9 +224,9 @@ def _moved_positions(state: WoaState) -> np.ndarray:
     spiral_e = np.empty(n)
     spiral_c = np.empty(n)
     for i, rng in enumerate(state.rngs):
-        r = rng.random()
-        p = rng.random()
-        l = rng.uniform(-1.0, 1.0)
+        # the bits of random(), random() and uniform(-1.0, 1.0) in turn
+        r, p, u = rng.random(3).tolist()
+        l = -1.0 + 2.0 * u
         A = 2.0 * a * r - a
         coef_a[i] = A
         coef_c[i] = 2.0 * r
@@ -486,8 +486,10 @@ def alternating_solve(
     once. Stops after max_outer rounds, or once the best penalized
     fitness moves by at most tol (relative) between rounds, and returns
     the best (decision, allocation) pair seen; the trace holds the best
-    value after each round.
+    value after each round. max_outer below 1 raises ValueError.
     """
+    if max_outer < 1:
+        raise ValueError("max_outer must be >= 1")
     t0 = time.perf_counter()
     cfg = config or DwoaConfig()
     equal = Evaluator(scenario, alloc_equal(scenario), cfg.penalty, cfg.upload_model)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,64 @@ def test_population_kernel_equals_scalar_kernel(upload_model, allocator, penalty
                 assert fit[i] == ev.fitness(row)
                 assert (obj[i], feas[i]) == ev.objective_and_feasible(row)
                 assert totals[i].tolist() == ev._core(row)[1]
+
+
+@pytest.mark.parametrize("upload_model", ["cumulative", "independent"])
+@pytest.mark.parametrize("penalty", PENALTIES[:2] + PENALTIES[3:], ids=["off", "lam0.1", "hard"])
+def test_population_scratch_reuse_keeps_results(upload_model, penalty):
+    # the scratch grows to the largest row count seen and serves smaller
+    # ones from its first rows; no returned array may share its memory
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
+    ev = Evaluator(s, alloc_equal(s), penalty, upload_model)
+    rng = np.random.default_rng(5)
+    kept = []
+    for i, n in enumerate((100, 8, 1024, 37, 100)):
+        P = rng.integers(1, len(s.uavs) + 1, size=(n, ev.vector_length))
+        if i % 2:
+            obj, feas = ev.objective_and_feasible_many(P)
+            fit = ev.fitness_many(P)
+        else:
+            fit = ev.fitness_many(P)
+            obj, feas = ev.objective_and_feasible_many(P)
+        for j, row in enumerate(P.tolist()):
+            assert fit[j] == ev.fitness(row)
+            assert (obj[j], feas[j]) == ev.objective_and_feasible(row)
+        out = (fit, obj, feas)
+        kept.append((out, [a.copy() for a in out]))
+    for out, snapshot in kept:
+        for got, was in zip(out, snapshot):
+            assert np.array_equal(got, was)
+
+
+@pytest.mark.parametrize("n", [BATCH_MIN_ROWS - 1, 100])
+@pytest.mark.parametrize("bad", [0, 4])
+def test_population_rejects_out_of_range_slots(n, bad):
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2)
+    ev = Evaluator(s, alloc_equal(s), PenaltyConfig())
+    P = np.random.default_rng(3).integers(1, 4, size=(n, ev.vector_length))
+    P[n - 1, 2] = bad
+    with pytest.raises(ValueError, match=r"slots in \[1, 3\]"):
+        ev.fitness_many(P)
+    with pytest.raises(ValueError, match=r"slots in \[1, 3\]"):
+        ev.objective_and_feasible_many(P)
+    with pytest.raises(ValueError, match="matrix"):
+        ev.fitness_many(P[:, 1:])
+
+
+def test_population_kernel_allocates_no_population_sized_temporaries():
+    # dwoa-large shape: V=9, M=200, N=100; the parent kernel peaked near 2 MB
+    s = desk_scenario(4, uav_count=9, subtasks=40, active=5, users_per_uav=(1, 2))
+    ev = Evaluator(s, alloc_equal(s), PenaltyConfig())
+    P = np.random.default_rng(0).integers(1, len(s.uavs) + 1, size=(100, ev.vector_length))
+    assert P.shape == (100, 200)
+    ev.fitness_many(P)  # compiles the tables and builds the scratch
+    tracemalloc.start()
+    try:
+        ev.fitness_many(P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * P.size * 8  # two (N, M) float64 arrays
 
 
 def test_population_kernel_sees_binding_budgets():

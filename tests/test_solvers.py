@@ -90,18 +90,16 @@ def test_discretize_covers_all_slots_uniformly():
 # ------------------------------------------------------------ woa mechanics
 
 class ScriptedRng:
-    """Stand-in generator yielding scripted draws for one whale step."""
+    """Stand-in generator yielding scripted draws for one whale step:
+    random(3) gives r, p and the unit draw that maps to l = -1 + 2u."""
 
     def __init__(self, r, p, l=0.0, j=0):
-        self._draws = [r, p]
-        self._l = l
+        self._draws = [r, p, (l + 1.0) / 2.0]
         self._j = j
 
-    def random(self):
-        return self._draws.pop(0)
-
-    def uniform(self, lo, hi):
-        return self._l
+    def random(self, size):
+        assert size == len(self._draws)
+        return np.array(self._draws)
 
     def integers(self, n):
         return self._j
@@ -475,6 +473,13 @@ def test_alternating_fixed_seed_goldens(scen_seed, mode, iters, upload):
                      seed=7, upload_model=upload)
     run = alternating_solve(s, cfg)
     assert run_digest(run.to_dict()) == ALTERNATING_GOLDENS[(scen_seed, mode, iters, upload)]
+
+
+@pytest.mark.parametrize("max_outer", [0, -1])
+def test_alternating_rejects_fewer_than_one_round(max_outer):
+    s = desk_scenario(3, uav_count=2, subtasks=3)
+    with pytest.raises(ValueError, match="max_outer"):
+        alternating_solve(s, DwoaConfig(agents=4, max_iterations=1, seed=1), max_outer=max_outer)
 
 
 # ---------------------------------------------------------------- solverrun
