@@ -2,9 +2,10 @@
 dependency-respecting start/finish times, per-task makespan, objective,
 penalty, and energy feasibility. This is the fitness function behind
 every solver, so the inner loops stay allocation-free: the scalar kernel
-reuses per-UAV lists, and the population kernel writes its (N, M)
-intermediates into scratch arrays kept on the Evaluator and returns
-fresh arrays.
+reuses per-UAV lists, and the population kernel scores N decisions at
+once, writing its intermediates node-major, one contiguous row of N per
+sub-task, into scratch arrays kept on the Evaluator, and returns fresh
+arrays.
 
 Timing rules: sub-tasks are processed in topological order; arrival time
 accumulates the task's uploads over the shared uplink (so one channel
@@ -34,10 +35,12 @@ from .timing import EnergyLedger, hover_power_w
 HARD_REJECT = 1e18
 
 # Populations with fewer rows than this are scored by looping the scalar
-# kernel. The array pass has a fixed cost whatever the row count: at
-# V=4, M=30 (2-vCPU Xeon VM, numpy 2.4) it costs ~120-140 us for four
-# rows, against ~25 us per scalar call, so the loop is cheaper up to
-# about five rows; eight leaves a margin for that measurement.
+# kernel. The array pass has a fixed cost whatever the row count. In
+# process CPU time on a 2-vCPU Xeon VM (numpy 2.4), at V=4, M=30 it
+# costs ~130-200 us for 2 to 8 rows, against ~30-40 us per scalar call,
+# so the loop is cheaper up to about four rows; at V=9, M=200 it costs
+# ~290-480 us against ~175-220 us per scalar call, so the loop wins only
+# below two rows. Eight keeps the sweep's 5-agent swarms on the loop.
 BATCH_MIN_ROWS = 8
 
 UPLOAD_MODELS = ("cumulative", "independent")
@@ -140,17 +143,20 @@ def decision_to_vector(scenario: Scenario, decision: OffloadDecision) -> Tuple[i
 
 @dataclass(frozen=True)
 class _BatchTables:
-    """The scenario compiled for the population kernel. Node arrays run
-    over the M sub-tasks in visiting order: users ascending, then each
-    task's topological order (the order the scalar kernel accumulates
-    energy and spans in); slots index the decision column of each node.
+    """The scenario compiled for the population kernel, whose arrays are
+    node-major: one row per node (or user, or payload edge), one column
+    per decision. Node rows run over the M sub-tasks in visiting order:
+    users ascending, then each task's topological order (the order the
+    scalar kernel accumulates energy and spans in); slots index the
+    decision column of each node. Per-node and per-user tables are
+    (M, 1) and (U, 1) columns, so they broadcast across the decisions.
 
-    Ready times live in an (N, M + U + E) finish-time table: the nodes
-    grouped by level, then one column per user holding the release time
-    of its dummy root, then one column per payload edge holding the
-    time its payload lands (sender's finish plus transfer). A node's
-    level is one more than its deepest non-dummy parent's, so the ready
-    times of one level need only the finish times of earlier levels.
+    Ready times live in an (M + U + E, N) finish-time table: the nodes
+    grouped by level, then one row per user holding the release time
+    of its dummy root, then one row per payload edge holding the time
+    its payload lands (sender's finish plus transfer). A node's level
+    is one more than its deepest non-dummy parent's, so the ready times
+    of one level need only the finish times of earlier levels.
     """
 
     fmax: np.ndarray         # (V,) per slot: max compute
@@ -159,75 +165,88 @@ class _BatchTables:
     hover_p: np.ndarray      # (V,) hover power
     inv_uu: np.ndarray       # (V*V,) inverse inter-UAV rate, row = sender
     kappa: float
-    h: np.ndarray            # (M,) input bits, decision-column order
+    h: np.ndarray            # (M, 1) input bits, decision-column order
     cols: np.ndarray         # (M,) decision column of each visited node
-    h_visit: np.ndarray      # (M,) input bits
-    cycles: np.ndarray       # (M,) cycles per bit
+    h_visit: np.ndarray      # (M, 1) input bits
+    cycles: np.ndarray       # (M, 1) cycles per bit
     h_fmax: np.ndarray       # (M*V,) h times each slot's max compute
     fwd: np.ndarray          # (M*V,) forwarding time per (node, slot)
-    fwd_row: np.ndarray      # (M,) node * V: row start in h_fmax / fwd
-    user: np.ndarray         # (M,) user index of each node
-    assoc: np.ndarray        # (M,) associated slot of the node's user
-    p_fwd: np.ndarray        # (M,) forwarding power of that slot
+    fwd_row: np.ndarray      # (M, 1) node * V: row start in h_fmax / fwd
+    user: np.ndarray         # (M, 1) user index of each node
+    assoc: np.ndarray        # (M, 1) associated slot of the node's user
+    p_fwd: np.ndarray        # (M, 1) forwarding power of that slot
     level_order: np.ndarray  # (M,) visit position of each finish-table node
-    arrival: np.ndarray      # (M,) arrival before the forwarding hop,
+    arrival: np.ndarray      # (M, 1) arrival before the forwarding hop,
                              # finish-table order
     pay_src: np.ndarray      # (E,) per payload edge: parent visit position
     pay_dst: np.ndarray      # (E,) child visit position
-    pay_bits: np.ndarray     # (E,) dependency payload
+    pay_bits: np.ndarray     # (E, 1) dependency payload
     # per level (lo, hi, gather, k, src, e0, e1): its nodes are finish-table
-    # columns lo:hi; gather is a (k, hi - lo) block of columns, flattened;
-    # src holds the sender columns of its payload edges e0:e1
+    # rows lo:hi; gather is a (k, hi - lo) block of rows, flattened; src
+    # holds the sender rows of its payload edges e0:e1
     levels: Tuple[tuple, ...]
-    user_cols: np.ndarray    # finish-table columns per user: dummy, nodes
-    user_starts: np.ndarray  # (U,) first entry of each user in user_cols
-    release: np.ndarray      # (U,) release time per user
-    task_upload: np.ndarray  # (U,) task upload time per user
+    user_rows: np.ndarray    # finish-table rows per user: dummy, nodes
+    user_bounds: Tuple[Tuple[int, int], ...]  # (U,) each user's entries
+                             # lo:hi in user_rows
+    release: np.ndarray      # (U, 1) release time per user
+    task_upload: np.ndarray  # (U, 1) task upload time per user
     span_base: np.ndarray    # (U,) task upload plus the status report
     user_assoc: Tuple[int, ...]  # (U,) associated slot of each user
 
 
 class _Scratch:
-    """Work arrays of the population kernel for up to n_max rows, carved
-    out of one float block and one intp block. Each is an (n_max, width)
-    C-contiguous array, so its first n rows are a contiguous view. The
-    decision-independent ones are filled here, once: the decision-order
-    input bits h, the release-time columns of the finish table ft, and
-    the flat cell offsets of each row."""
+    """Work arrays of the population kernel for up to n_max decisions,
+    carved out of one float block and one intp block. rows(n) lays each
+    out as a C-contiguous (width, n) array, one row per node, payload
+    edge or user, so every per-node gather and every level's max moves
+    whole contiguous rows. A column prefix of a (width, n_max) array is
+    not contiguous, so each n gets views of its own over the blocks' first
+    n * width entries, and the decision-independent arrays are refilled
+    whenever n changes: the decision-order input bits h, the release-time
+    rows of the finish table ft and the flat cell offsets."""
 
     def __init__(self, t: _BatchTables, n_max: int, V: int, U: int):
         M = len(t.cols)
         E = len(t.pay_bits)
-        layout = (
+        # one level's gathered rows, or its payload senders
+        tp = max(max(k * (hi - lo), e1 - e0) for lo, hi, _, k, _, e0, e1 in t.levels)
+        self._layout = (
             (float, dict(h=M, exec_t=M, fwd_t=M, share=M, work=M,
-                         ft=M + U + E, by_user=M + U, edge=E)),
+                         ft=M + U + E, by_user=M + U, last=U, edge=E, tp=tp)),
             (np.intp, dict(cells=M, cellv=M, sv=M, fwd_cell=M, ucell=M,
                            src=E, dst=E, cell=1, cell0=1, row_of=U)),
         )
+        self._blocks = [np.empty(n_max * sum(widths.values()), dtype=dtype)
+                        for dtype, widths in self._layout]
+        self._t = t
+        self._V = V
+        self._U = U
         self.n_max = n_max
-        self._full = {}
-        for dtype, widths in layout:
-            block = np.empty(n_max * sum(widths.values()), dtype=dtype)
-            off = 0
-            for name, w in widths.items():
-                self._full[name] = block[off:off + n_max * w].reshape(n_max, w)
-                off += n_max * w
-        full = self._full
-        row = np.arange(n_max, dtype=np.intp)[:, None]
-        full["h"][:] = t.h
-        full["ft"][:, M:M + U] = t.release
-        cell = np.multiply(row, V, out=full["cell"])
-        np.subtract(cell, 1, out=full["cell0"])
-        np.add(cell, t.assoc, out=full["fwd_cell"])
-        np.add(row * U, t.user, out=full["ucell"])
-        full["row_of"][:] = row
         self._rows: Optional[SimpleNamespace] = None
 
     def rows(self, n: int) -> SimpleNamespace:
-        """The first n rows of every array, as attributes."""
-        if self._rows is None or self._rows.n != n:
-            self._rows = SimpleNamespace(n=n, **{k: a[:n] for k, a in self._full.items()})
-        return self._rows
+        """Every array as a (width, n) attribute, valid until the next
+        call with another n."""
+        if self._rows is not None and self._rows.n == n:
+            return self._rows
+        s = SimpleNamespace(n=n)
+        for (_, widths), block in zip(self._layout, self._blocks):
+            off = 0
+            for name, w in widths.items():
+                setattr(s, name, block[off:off + w * n].reshape(w, n))
+                off += w * n
+        t = self._t
+        M = len(t.cols)
+        col = np.arange(n, dtype=np.intp)
+        s.h[:] = t.h
+        s.ft[M:M + self._U] = t.release
+        np.multiply(col, self._V, out=s.cell[0])
+        np.subtract(s.cell, 1, out=s.cell0)
+        np.add(s.cell, t.assoc, out=s.fwd_cell)
+        np.add(col * self._U, t.user, out=s.ucell)
+        s.row_of[:] = col
+        self._rows = s
+        return s
 
 
 class Evaluator:
@@ -243,12 +262,18 @@ class Evaluator:
     on the first such call. Below BATCH_MIN_ROWS rows they loop the
     scalar kernel instead.
 
+    The population kernel works node-major: its intermediates are
+    (rows, N) arrays with one contiguous row of N values per sub-task,
+    user or payload edge, so its gathers and per-level maxima move
+    whole rows. The scalar methods reject a vector that is not M slots
+    in [1, V], as the population methods reject such a matrix.
+
     Both kernels reuse scratch held by the Evaluator. The population
     scratch is built on the first array pass, sized to the largest N
-    seen so far, and serves smaller N from its first rows. The arrays
-    these methods return are always fresh, so callers may keep them
-    across calls. Not thread-safe (scratch is reused); build one
-    Evaluator per thread.
+    seen so far; each N gets contiguous (rows, N) views of its blocks,
+    rebuilt when N changes. The arrays these methods return are always
+    fresh, so callers may keep them across calls. Not thread-safe
+    (scratch is reused); build one Evaluator per thread.
     """
 
     def __init__(
@@ -480,12 +505,20 @@ class Evaluator:
 
     def fitness(self, vec) -> float:
         """Penalized objective of an integer decision vector (1-based slots)."""
+        self._check_vector(vec)
+        return self._fitness(vec)
+
+    def objective_and_feasible(self, vec) -> Tuple[float, bool]:
+        self._check_vector(vec)
+        return self._objective_and_feasible(vec)
+
+    def _fitness(self, vec) -> float:
         objective, totals, _ = self._core(vec)
         if self.penalty is None:
             return objective
         return _penalize(objective, totals, self._ebudget, self.penalty)
 
-    def objective_and_feasible(self, vec) -> Tuple[float, bool]:
+    def _objective_and_feasible(self, vec) -> Tuple[float, bool]:
         objective, totals, _ = self._core(vec)
         budgets = self._ebudget
         feasible = all(totals[i] <= budgets[i] for i in range(self._V))
@@ -496,7 +529,7 @@ class Evaluator:
         an (N,) array equal bit for bit to calling fitness row by row."""
         pop = self._slot_matrix(population)
         if len(pop) < BATCH_MIN_ROWS:
-            return np.array([self.fitness(row) for row in pop.tolist()], dtype=float)
+            return np.array([self._fitness(row) for row in pop.tolist()], dtype=float)
         objective, totals = self._score_many(pop)
         pen = self.penalty
         if pen is None:
@@ -515,13 +548,26 @@ class Evaluator:
         (N,) objectives and (N,) feasibility flags."""
         pop = self._slot_matrix(population)
         if len(pop) < BATCH_MIN_ROWS:
-            pairs = [self.objective_and_feasible(row) for row in pop.tolist()]
+            pairs = [self._objective_and_feasible(row) for row in pop.tolist()]
             return (
                 np.array([obj for obj, _ in pairs], dtype=float),
                 np.array([ok for _, ok in pairs], dtype=bool),
             )
         objective, totals = self._score_many(pop)
         return objective, (totals <= self._tables.budget).all(axis=1)
+
+    def _slot_error(self) -> ValueError:
+        return ValueError(
+            f"decisions must be length-{self._m} vectors, or an (N, {self._m}) "
+            f"matrix of them, of slots in [1, {self._V}]"
+        )
+
+    def _check_vector(self, vec) -> None:
+        """ValueError unless vec is one decision of M slots in [1, V]:
+        the scalar kernel would index its per-UAV lists with a 0 slot
+        as the last UAV."""
+        if len(vec) != self._m or (self._m and (min(vec) < 1 or max(vec) > self._V)):
+            raise self._slot_error()
 
     def _slot_matrix(self, population) -> np.ndarray:
         """population as an intp array; ValueError unless it is an (N, M)
@@ -532,7 +578,7 @@ class Evaluator:
         if pop.size and (
             pop.ndim != 2 or pop.shape[1] != self._m or pop.min() < 1 or pop.max() > self._V
         ):
-            raise ValueError(f"population must be an (N, {self._m}) matrix of slots in [1, {self._V}]")
+            raise self._slot_error()
         return pop
 
     def _score_many(self, pop: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -540,13 +586,13 @@ class Evaluator:
         objectives and (N, V) energy totals.
 
         Every float is produced by the same operations, in the same
-        order, as in _core. Per-cell sums use np.bincount, which adds
-        its weights one by one in array order, over flat indices laid
-        out in the scalar visiting order; adding the 0.0 weights of
-        nodes that do not belong to a cell leaves a sum unchanged. Ready
-        times take a max, which does not depend on order. The (N, M)
-        intermediates live in the Evaluator's scratch; both returned
-        arrays are fresh.
+        order, as in _core. The work runs node-major, on (width, N)
+        scratch rows. Per-cell sums use np.bincount, which adds its
+        weights one by one in array order; the flat weights run node by
+        node in the scalar visiting order, so each cell's weights arrive
+        in that order, and adding the 0.0 weights of nodes that do not
+        belong to a cell leaves a sum unchanged. Ready times take a max,
+        which does not depend on order. Both returned arrays are fresh.
         """
         t = self._tables if self._tables is not None else self._compile()
         n = len(pop)
@@ -560,32 +606,37 @@ class Evaluator:
         """Writes the per-node execution and forwarding times (visiting
         order) into s.exec_t and s.fwd_t and the 0-based slots into s.sv;
         returns fresh (N, V) per-UAV energy totals."""
-        N = len(pop)
+        N = s.n
         V = self._V
         U = len(self._users)
         # _slot_matrix keeps every index in range, so no take needs the
-        # default mode="raise", which would copy its output
-        np.add(pop, s.cell0, out=s.cells)  # flat (row, slot) cell per decision column
+        # default mode="raise", which would copy its output. pop is read
+        # once, into sv as its transpose (sv is rewritten below): a ufunc
+        # that broadcasts buffers each strided operand
+        np.copyto(s.sv, pop.T)
+        np.add(s.sv, s.cell0, out=s.cells)  # flat (decision, slot) cell per column
         tot = np.bincount(s.cells.ravel(), s.h.ravel(), N * V).reshape(N, V)
 
-        np.take(s.cells, t.cols, axis=1, out=s.cellv, mode="clip")
+        np.take(s.cells, t.cols, axis=0, out=s.cellv, mode="clip")
         np.subtract(s.cellv, s.cell, out=s.sv)  # 0-based slots in visiting order
         np.take((tot / t.fmax).ravel(), s.cellv, out=s.exec_t, mode="clip")
         s.exec_t *= t.cycles
-        node = s.cells  # (node, slot) row of fwd and h_fmax; cells is spent
+        node = s.cells  # (node, slot) entry of fwd and h_fmax; cells is spent
         np.add(s.sv, t.fwd_row, out=node)
         np.take(t.fwd, node, out=s.fwd_t, mode="clip")
         share, work = s.share, s.work
         np.take(t.h_fmax, node, out=share, mode="clip")
         np.take(tot.ravel(), s.cellv, out=work, mode="clip")
+        del tot
         share /= work
         np.multiply(t.kappa, share, out=work)  # the energy of each node
         work *= share
         work *= t.cycles
         work *= t.h_visit
-        exec_e = np.bincount(s.cellv.ravel(), work.ravel(), N * V).reshape(N, V)
+        totals = np.bincount(s.cellv.ravel(), work.ravel(), N * V).reshape(N, V)
         np.multiply(t.p_fwd, s.fwd_t, out=work)
-        fwd_e = np.bincount(s.fwd_cell.ravel(), work.ravel(), N * V).reshape(N, V)
+        totals += np.bincount(s.fwd_cell.ravel(), work.ravel(), N * V).reshape(N, V)
+        totals += t.report_e
 
         # the local execution times, then the remote hop-plus-execution
         # times, each 0.0 elsewhere as np.where would give: times are
@@ -594,42 +645,58 @@ class Evaluator:
         local = share
         np.equal(s.sv, t.assoc, out=local)
         np.multiply(s.exec_t, local, out=work)
-        loc_span = np.bincount(s.ucell.ravel(), work.ravel(), N * U)
+        span = np.bincount(s.ucell.ravel(), work.ravel(), N * U)
         remote = np.add(s.fwd_t, s.exec_t, out=share)
         remote -= work
-        rem_span = np.bincount(s.ucell.ravel(), remote.ravel(), N * U)
-        span = t.span_base + np.maximum(loc_span, rem_span).reshape(N, U)
+        np.maximum(span, np.bincount(s.ucell.ravel(), remote.ravel(), N * U), out=span)
+        span = span.reshape(N, U)
+        span += t.span_base
         hover_t = np.zeros((N, V))  # the longest span among a UAV's users
         for u, a in enumerate(t.user_assoc):
             np.maximum(hover_t[:, a], span[:, u], out=hover_t[:, a])
-        return exec_e + fwd_e + t.report_e + t.hover_p * hover_t
+        hover_t *= t.hover_p
+        totals += hover_t
+        return totals
 
     def _objective_many(self, t: _BatchTables, s: SimpleNamespace) -> np.ndarray:
         """Ready and finish times level by level, then the fresh (N,) mean
         of makespan plus upload time over users."""
-        N, M = s.sv.shape
+        N = s.n
+        M = len(t.cols)
         U = len(self._users)
-        ft = s.ft  # columns M:M + U hold the release times
-        np.take(s.fwd_t, t.level_order, axis=1, out=s.work, mode="clip")
-        np.add(t.arrival, s.work, out=ft[:, :M])
+        ft = s.ft  # rows M:M + U hold the release times
+        np.take(s.fwd_t, t.level_order, axis=0, out=s.work, mode="clip")
+        np.add(t.arrival, s.work, out=ft[:M])
         exec_l = s.share
-        np.take(s.exec_t, t.level_order, axis=1, out=exec_l, mode="clip")
-        np.take(s.sv, t.pay_src, axis=1, out=s.src, mode="clip")
+        np.take(s.exec_t, t.level_order, axis=0, out=exec_l, mode="clip")
+        np.take(s.sv, t.pay_src, axis=0, out=s.src, mode="clip")
         s.src *= self._V
-        np.take(s.sv, t.pay_dst, axis=1, out=s.dst, mode="clip")
+        np.take(s.sv, t.pay_dst, axis=0, out=s.dst, mode="clip")
         s.src += s.dst
         edge_t = s.edge
         np.take(t.inv_uu, s.src, out=edge_t, mode="clip")
         edge_t *= t.pay_bits
-        landed = ft[:, M + U:]
+        landed = ft[M + U:]
         for lo, hi, gather, k, src, e0, e1 in t.levels:
-            np.add(ft[:, src], edge_t[:, e0:e1], out=landed[:, e0:e1])
-            tp = ft[:, gather].reshape(N, k, hi - lo)
-            np.add(tp.max(axis=1), exec_l[:, lo:hi], out=ft[:, lo:hi])
-        np.take(ft, t.user_cols, axis=1, out=s.by_user, mode="clip")
-        f_last = np.maximum.reduceat(s.by_user, t.user_starts, axis=1)
-        terms = (f_last - t.release) + t.task_upload
-        return np.bincount(s.row_of.ravel(), terms.ravel(), N) / U
+            # gathers go through s.tp: a take whose output overlaps its
+            # input copies the output
+            if e1 > e0:
+                sent = s.tp[:e1 - e0]
+                np.take(ft, src, axis=0, out=sent, mode="clip")
+                np.add(sent, edge_t[e0:e1], out=landed[e0:e1])
+            tp = s.tp[:len(gather)]
+            np.take(ft, gather, axis=0, out=tp, mode="clip")
+            np.maximum.reduce(tp.reshape(k, hi - lo, N), axis=0, out=ft[lo:hi])
+            ft[lo:hi] += exec_l[lo:hi]
+        np.take(ft, t.user_rows, axis=0, out=s.by_user, mode="clip")
+        # one reduce per user: np.maximum.reduceat along axis 0 costs
+        # about ten times as much
+        f_last = s.last
+        for u, (lo, hi) in enumerate(t.user_bounds):
+            np.maximum.reduce(s.by_user[lo:hi], axis=0, out=f_last[u])
+        f_last -= t.release
+        f_last += t.task_upload
+        return np.bincount(s.row_of.ravel(), f_last.ravel(), N) / U
 
     def _compile(self) -> _BatchTables:
         """Lays the scenario out as the arrays of _BatchTables, once."""
@@ -671,7 +738,7 @@ class Evaluator:
         # then the landing time of each payload edge
         U = len(self._users)
         order = sorted(range(M), key=lambda i: (depth[i], i))
-        ft_col = {i: c for c, i in enumerate(order)}
+        ft_row = {i: r for r, i in enumerate(order)}
         levels = []
         pay_src, pay_dst, pay_bits = [], [], []
         lo = e0 = 0
@@ -680,36 +747,41 @@ class Evaluator:
             n = len(level)
             hi = lo + n
             k = 1 + max(len(parents[i]) for i in level)
-            # row 0 is each node's own column, holding its arrival; then
+            # row 0 is each node's own row, holding its arrival; then
             # per parent its finish time, or the landing time of a
-            # payload edge; padded with the node's own column
+            # payload edge; padded with the node's own row
             gather = np.tile(np.arange(lo, hi, dtype=np.intp), (k, 1))
-            src = []  # finish-table columns of the level's payload senders
+            src = []  # finish-table rows of the level's payload senders
             for r, i in enumerate(level):
                 for e, (q, bits) in enumerate(parents[i], start=1):
                     if q is None:
                         gather[e, r] = M + user[i]
                     elif bits > 0.0:
                         gather[e, r] = M + U + len(pay_bits)
-                        src.append(ft_col[q])
+                        src.append(ft_row[q])
                         pay_src.append(q)
                         pay_dst.append(i)
                         pay_bits.append(bits)
                     else:
-                        gather[e, r] = ft_col[q]
+                        gather[e, r] = ft_row[q]
             e1 = len(pay_bits)
             levels.append((lo, hi, gather.ravel(), k, np.array(src, dtype=np.intp), e0, e1))
             lo = hi
             e0 = e1
         # a user's nodes hold visit positions offset .. offset + n - 1
-        user_cols, user_starts = [], []
+        user_rows, user_bounds = [], []
         for ui, u in enumerate(self._users):
-            user_starts.append(len(user_cols))
-            user_cols.append(M + ui)
-            user_cols.extend(ft_col[i] for i in range(u["offset"], u["offset"] + u["n"]))
+            lo = len(user_rows)
+            user_rows.append(M + ui)
+            user_rows.extend(ft_row[i] for i in range(u["offset"], u["offset"] + u["n"]))
+            user_bounds.append((lo, len(user_rows)))
 
         h = np.empty(M)
         h[cols] = h_visit
+
+        def column(values, dtype=float):
+            return np.array(values, dtype=dtype).reshape(-1, 1)
+
         self._tables = _BatchTables(
             fmax=np.array(self._fmax, dtype=float),
             budget=np.array(self._ebudget, dtype=float),
@@ -717,26 +789,26 @@ class Evaluator:
             hover_p=np.array(self._hover_p, dtype=float),
             inv_uu=np.array(self._inv_uu, dtype=float).ravel(),
             kappa=self.scenario.physics.effective_switched_capacitance,
-            h=h,
+            h=column(h),
             cols=np.array(cols, dtype=np.intp),
-            h_visit=np.array(h_visit, dtype=float),
-            cycles=np.array(cycles, dtype=float),
+            h_visit=column(h_visit),
+            cycles=column(cycles),
             h_fmax=np.array(h_fmax, dtype=float),
             fwd=np.array(fwd, dtype=float),
-            fwd_row=np.arange(M, dtype=np.intp) * V,
-            user=np.array(user, dtype=np.intp),
-            assoc=np.array(assoc, dtype=np.intp),
-            p_fwd=np.array([self._p_fwd_w[a] for a in assoc], dtype=float),
+            fwd_row=column(range(0, M * V, V), np.intp),
+            user=column(user, np.intp),
+            assoc=column(assoc, np.intp),
+            p_fwd=column([self._p_fwd_w[a] for a in assoc]),
             level_order=np.array(order, dtype=np.intp),
-            arrival=np.array([arrival[i] for i in order], dtype=float),
+            arrival=column([arrival[i] for i in order]),
             pay_src=np.array(pay_src, dtype=np.intp),
             pay_dst=np.array(pay_dst, dtype=np.intp),
-            pay_bits=np.array(pay_bits, dtype=float),
+            pay_bits=column(pay_bits),
             levels=tuple(levels),
-            user_cols=np.array(user_cols, dtype=np.intp),
-            user_starts=np.array(user_starts, dtype=np.intp),
-            release=np.array(release, dtype=float),
-            task_upload=np.array(task_upload, dtype=float),
+            user_rows=np.array(user_rows, dtype=np.intp),
+            user_bounds=tuple(user_bounds),
+            release=column(release),
+            task_upload=column(task_upload),
             span_base=np.array(span_base, dtype=float),
             user_assoc=tuple(u["assoc"] for u in self._users),
         )

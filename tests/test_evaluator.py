@@ -316,9 +316,30 @@ def _odd_dag_scenario():
     return dataclasses.replace(s, tasks=(task,))
 
 
+def _shaped_scenario(lengths, chain):
+    """Three active users on two shared UAVs, user k holding lengths[k]
+    sub-tasks: a chain with a payload on every edge when chain is set,
+    else every sub-task a child of the dummy root only (one level)."""
+    s = desk_scenario(8, uav_count=2, subtasks=7, active=3, users_per_uav=(2, 3))
+    tasks = []
+    for k, (task, n) in enumerate(zip(s.tasks, lengths)):
+        subs = [SubTask(index=0, input_size_bits=0.0, cycles_per_bit=0.0, is_dummy=True)]
+        for j in range(1, n + 1):
+            parent = j - 1 if chain else 0
+            bits = 1e5 * (j + k) if parent else 0.0
+            subs.append(SubTask(index=j, input_size_bits=8e5 + 1e5 * j,
+                                cycles_per_bit=1000.0 + 250.0 * (j % 3),
+                                predecessors=((parent, bits),)))
+        tasks.append(TaskGraph(owner_user=task.owner_user, sub_tasks=tuple(subs),
+                               release_time_s=0.25 * k))
+    return dataclasses.replace(s, tasks=tuple(tasks))
+
+
 def _kernel_cases():
     shared = dict(users_per_uav=(2, 3))
     yield "odd-dag", _odd_dag_scenario()
+    yield "chain", _shaped_scenario((6, 3, 4), chain=True)
+    yield "flat", _shaped_scenario((5, 2, 3), chain=False)
     yield "binding", desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
     yield "shared-uav", desk_scenario(8, uav_count=2, subtasks=7, active=3,
                                       budget_j=2500.0, **shared)
@@ -355,8 +376,9 @@ def test_population_kernel_equals_scalar_kernel(upload_model, allocator, penalty
 @pytest.mark.parametrize("upload_model", ["cumulative", "independent"])
 @pytest.mark.parametrize("penalty", PENALTIES[:2] + PENALTIES[3:], ids=["off", "lam0.1", "hard"])
 def test_population_scratch_reuse_keeps_results(upload_model, penalty):
-    # the scratch grows to the largest row count seen and serves smaller
-    # ones from its first rows; no returned array may share its memory
+    # the scratch grows to the largest row count seen and serves every
+    # count from views of the same memory, refilled when the count
+    # changes; no returned array may share its memory
     s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
     ev = Evaluator(s, alloc_equal(s), penalty, upload_model)
     rng = np.random.default_rng(5)
@@ -408,6 +430,53 @@ def test_population_kernel_allocates_no_population_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 2 * P.size * 8  # two (N, M) float64 arrays
+
+
+def test_population_kernel_allocates_no_temporaries_at_exhaustive_shape():
+    # exhaustive-small shape: V=3, M=8, N=1024; an (N, V) array of energy
+    # totals is 3/8 of an (N, M) one here, so a few live ones near the bound
+    s = desk_scenario(4, uav_count=3, subtasks=8, active=1)
+    ev = Evaluator(s, alloc_equal(s), None)
+    P = np.random.default_rng(0).integers(1, len(s.uavs) + 1, size=(1024, ev.vector_length))
+    assert P.shape == (1024, 8)
+    ev.objective_and_feasible_many(P)  # compiles the tables and builds the scratch
+    tracemalloc.start()
+    try:
+        ev.objective_and_feasible_many(P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * P.size * 8  # two (N, M) float64 arrays
+
+
+def test_shaped_cases_reach_the_level_loop_extremes():
+    # chain: each user's sub-tasks one per level, six levels deep at most;
+    # flat: a single level
+    for name, levels, edges in (("chain", 6, 13 - 3), ("flat", 1, 0)):
+        s = dict(_kernel_cases())[name]
+        ev = Evaluator(s, alloc_equal(s))
+        ev.fitness_many(np.ones((BATCH_MIN_ROWS, ev.vector_length), dtype=int))
+        assert len(ev._tables.levels) == levels
+        assert len(ev._tables.pay_bits) == edges
+        assert len(set(ev._tables.user_assoc)) < len(s.tasks)  # users share a UAV
+
+
+@pytest.mark.parametrize("method", ["fitness", "objective_and_feasible"])
+@pytest.mark.parametrize("bad", ["zero", "past-last", "short", "long"])
+def test_scalar_path_rejects_bad_vectors(method, bad):
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
+    ev = Evaluator(s, alloc_equal(s), PenaltyConfig())
+    row = [1] * ev.vector_length
+    if bad == "zero":
+        row[2] = 0
+    elif bad == "past-last":
+        row[2] = len(s.uavs) + 1
+    elif bad == "short":
+        row = row[:-1]
+    else:
+        row = row + [1]
+    with pytest.raises(ValueError, match=r"slots in \[1, 3\]"):
+        getattr(ev, method)(row)
 
 
 def test_population_kernel_sees_binding_budgets():
