@@ -23,14 +23,14 @@ the axis value on the users and subtasks axes; the unlimited energy mode
 is that scenario with infinite budgets), one allocation per (scenario,
 energy mode, allocator) and one Evaluator per (scenario, energy mode,
 allocator, penalty), which every cell runs its solver on (through
-solvers.SOLVERS) and scores with; alternating reads only its scenario,
-penalty and upload model, and builds its equal-split and closed-form
-split Evaluators itself. Cells run grouped by these keys, holding one
-input of each kind at a time. results.csv stays byte-identical to
-building every input per cell: each input is a pure function of its
-key, and an Evaluator's scoring buffers are reset on every call, so no
-cell sees another's state. Rows are sorted into the fixed output order
-at the end.
+solvers.SOLVERS); each row is read from the schedule the run returns.
+Alternating starts from that Evaluator too, and builds one closed-form
+split Evaluator only when the cell's split differs. Cells run grouped
+by these keys, holding one input of each kind at a time. results.csv
+stays byte-identical to building every input per cell: each input is a
+pure function of its key, and an Evaluator's scoring buffers are reset
+on every call, so no cell sees another's state. Rows are sorted into
+the fixed output order at the end.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__
 from . import channel
 from .channel import BandwidthAllocation
-from .evaluator import Evaluator, PenaltyConfig, decision_latency_breakdown, evaluate
+from .evaluator import Evaluator, PenaltyConfig, decision_latency_breakdown
 from .scenario import (
     MB_BITS,
     PhysicsConstants,
@@ -493,11 +493,7 @@ def _run_cell(
     )
     ev = inputs.evaluator(key, scenario, inputs.allocation(key, scenario), penalty)
     run = SOLVER_FNS[solver](ev, cfg)
-    if run.beta is ev.beta:
-        result = ev.result(run.decision)
-    else:  # alternating returns the split it picked
-        result = evaluate(run.decision, run.beta, scenario, penalty, spec.upload_model)
-
+    result = run.schedule
     br = decision_latency_breakdown(result)
     comm = math.fsum(result.task_upload_s.values()) / len(result.task_upload_s)
     return (

@@ -136,12 +136,6 @@ class Scenario:
                 return u
         raise KeyError(f"no user with id {user_id}")
 
-    def task_for_user(self, user_id: int) -> TaskGraph:
-        for t in self.tasks:
-            if t.owner_user == user_id:
-                return t
-        raise KeyError(f"no task for user {user_id}")
-
     def active_users(self) -> List[UserNode]:
         return [u for u in self.users if u.active]
 

@@ -4,13 +4,13 @@ The main solver is a whale-style metaheuristic run in a continuous
 box [1, V]^M and discretized only at fitness evaluation. Alongside it:
 an exhaustive oracle for small instances, the everything-local
 baseline, three bandwidth allocators, and the alternating loop (a
-search under the equal split, then restarts under the closed-form
-split). SOLVERS maps each solver name to its run over a built
-Evaluator.
+search under the given split, then restarts under the closed-form
+split). SOLVERS maps each solver name to its search over a built
+Evaluator; each search scores its own split only and returns the
+winning decision's schedule on the run.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
@@ -25,8 +25,8 @@ from .evaluator import (
     Evaluator,
     OffloadDecision,
     PenaltyConfig,
+    ScheduleResult,
     decision_from_vector,
-    decision_to_vector,
 )
 from .scenario import Scenario
 
@@ -73,6 +73,8 @@ class SolverRun:
     trace: List[float]
     wall_time_s: float
     config: Dict[str, object] = field(default_factory=dict)
+    # the decision's schedule under beta; not serialized
+    schedule: Optional[ScheduleResult] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -95,10 +97,7 @@ class SolverRun:
         decision = OffloadDecision(
             {int(u): tuple(int(x) for x in v) for u, v in d["decision"].items()}
         )
-        fr = {}
-        for key, b in d["beta"].items():
-            v, u = key.split(",")
-            fr[(int(v), int(u))] = float(b)
+        fr = {tuple(int(x) for x in key.split(",")): float(b) for key, b in d["beta"].items()}
         return SolverRun(
             solver=d["solver"],
             seed=d["seed"],
@@ -295,35 +294,20 @@ def dwoa_search(ev: Evaluator, cfg: DwoaConfig) -> SolverRun:
     scenario, allocation, penalty and upload model. cfg supplies the
     swarm parameters; its penalty and upload model must be the
     Evaluator's."""
-    if cfg.penalty != ev.penalty or cfg.upload_model != ev.upload_model:
-        raise ValueError("config penalty and upload model must match the Evaluator's")
     t0 = time.perf_counter()
-    state = woa_init(
-        ev.fitness_many,
-        ev.vector_length,
-        len(ev.scenario.uavs),
-        cfg.agents,
-        cfg.max_iterations,
-        cfg.seed,
-        cfg.spiral_b,
-    )
-    trace = []
-    for _ in range(cfg.max_iterations):
-        woa_step(state, ev.fitness_many)
-        trace.append(state.best_value)
-
-    vec = discretize_vector(state.best_position, state.v_count)
+    vec, trace = _whale_search(ev, cfg, cfg.seed)
     decision = decision_from_vector(ev.scenario, vec)
-    obj, feasible = ev.objective_and_feasible(vec)
+    res = ev.result(decision)
     return SolverRun(
         solver="dwoa",
         seed=cfg.seed,
         decision=decision,
         beta=ev.beta,
-        objective_s=obj,
-        feasible=feasible,
+        objective_s=res.objective_s,
+        feasible=res.feasible,
         trace=trace,
         wall_time_s=time.perf_counter() - t0,
+        schedule=res,
         config={
             "agents": cfg.agents,
             "max_iterations": cfg.max_iterations,
@@ -333,6 +317,22 @@ def dwoa_search(ev: Evaluator, cfg: DwoaConfig) -> SolverRun:
             "upload_model": cfg.upload_model,
         },
     )
+
+
+def _whale_search(ev: Evaluator, cfg: DwoaConfig, seed: int) -> Tuple[Tuple[int, ...], List[float]]:
+    """The best decision vector of a whale search over ev from seed, and
+    the incumbent fitness after every iteration."""
+    if cfg.penalty != ev.penalty or cfg.upload_model != ev.upload_model:
+        raise ValueError("config penalty and upload model must match the Evaluator's")
+    state = woa_init(
+        ev.fitness_many, ev.vector_length, len(ev.scenario.uavs), cfg.agents,
+        cfg.max_iterations, seed, cfg.spiral_b,
+    )
+    trace = []
+    for _ in range(cfg.max_iterations):
+        woa_step(state, ev.fitness_many)
+        trace.append(state.best_value)
+    return discretize_vector(state.best_position, state.v_count), trace
 
 
 def exhaustive_solve(
@@ -378,15 +378,17 @@ def exhaustive_search(ev: Evaluator, cap: int = 10**7) -> SolverRun:
             best_vec = tuple(slots[i].tolist())
     if best_vec is None:
         raise NoFeasibleDecisionError("no decision satisfies all energy budgets")
+    decision = decision_from_vector(ev.scenario, best_vec)
     return SolverRun(
         solver="exhaustive",
         seed=None,
-        decision=decision_from_vector(ev.scenario, best_vec),
+        decision=decision,
         beta=ev.beta,
         objective_s=best_obj,
         feasible=True,
         trace=[best_obj],
         wall_time_s=time.perf_counter() - t0,
+        schedule=ev.result(decision),
         config={"cap": cap, "upload_model": ev.upload_model},
     )
 
@@ -471,61 +473,71 @@ ALLOCATORS = {
 
 
 def alternating_solve(
-    scenario: Scenario,
-    config: Optional[DwoaConfig] = None,
-    max_outer: int = 10,
-    tol: float = 1e-6,
+    scenario: Scenario, config: Optional[DwoaConfig] = None, max_outer: int = 10, tol: float = 1e-6
 ) -> SolverRun:
-    """Whale search under the equal split, then seeded restarts under
-    the closed-form split.
+    """alternating_search starting from the equal split."""
+    cfg = config or DwoaConfig()
+    t0 = time.perf_counter()
+    ev = Evaluator(scenario, alloc_equal(scenario), cfg.penalty, cfg.upload_model)
+    run = alternating_search(ev, cfg, max_outer, tol)
+    run.wall_time_s = time.perf_counter() - t0
+    return run
 
-    Round 0 searches under alloc_equal and scores its decision under
-    both splits; every later round restarts the search under
-    alloc_optimal with the next seed spawned from config.seed. Both
-    allocations are decision-independent, so each Evaluator is built
-    once. Stops after max_outer rounds, or once the best penalized
-    fitness moves by at most tol (relative) between rounds, and returns
-    the best (decision, allocation) pair seen; the trace holds the best
-    value after each round. max_outer below 1 raises ValueError.
+
+def alternating_search(
+    ev: Evaluator, cfg: DwoaConfig, max_outer: int = 10, tol: float = 1e-6
+) -> SolverRun:
+    """Whale search under the Evaluator's split, then seeded restarts
+    under the closed-form split.
+
+    Round 0 searches ev and scores its decision under both splits;
+    every later round restarts the search under alloc_optimal with the
+    next seed spawned from cfg.seed. The closed-form Evaluator is built
+    once, and not at all when ev already carries that split. Stops
+    after max_outer rounds, or once the best penalized fitness moves by
+    at most tol (relative) between rounds, and returns the best
+    (decision, allocation) pair seen; the trace holds the best value
+    after each round. max_outer below 1 raises ValueError.
     """
     if max_outer < 1:
         raise ValueError("max_outer must be >= 1")
     t0 = time.perf_counter()
-    cfg = config or DwoaConfig()
-    equal = Evaluator(scenario, alloc_equal(scenario), cfg.penalty, cfg.upload_model)
-    optimal = Evaluator(scenario, alloc_optimal(scenario), cfg.penalty, cfg.upload_model)
+    closed = alloc_optimal(ev.scenario)
+    optimal = ev
+    if closed.fractions != ev.beta.fractions:
+        optimal = Evaluator(ev.scenario, closed, ev.penalty, ev.upload_model)
 
-    best: Optional[Tuple[OffloadDecision, Evaluator]] = None
+    best: Optional[Tuple[Tuple[int, ...], Evaluator]] = None
     best_pen = math.inf
     trace: List[float] = []
     prev = math.inf
     for k, round_seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(max_outer)):
-        ev = equal if k == 0 else optimal
         seed_k = int(round_seed.generate_state(1)[0])
-        run = dwoa_search(ev, dataclasses.replace(cfg, seed=seed_k))
-        vec = decision_to_vector(scenario, run.decision)
-        for scorer in (equal, optimal) if k == 0 else (optimal,):
+        vec, _ = _whale_search(ev if k == 0 else optimal, cfg, seed_k)
+        for scorer in (ev, optimal) if k == 0 else (optimal,):
             pen = scorer.fitness(vec)
             if pen < best_pen:
                 best_pen = pen
-                best = (run.decision, scorer)
+                best = (vec, scorer)
         trace.append(best_pen)
         if math.isfinite(prev) and abs(prev - best_pen) <= tol * max(1.0, abs(prev)):
             break
         prev = best_pen
 
     assert best is not None
-    decision, scorer = best
-    obj, feasible = scorer.objective_and_feasible(decision_to_vector(scenario, decision))
+    vec, scorer = best
+    decision = decision_from_vector(ev.scenario, vec)
+    res = scorer.result(decision)
     return SolverRun(
         solver="alternating",
         seed=cfg.seed,
         decision=decision,
         beta=scorer.beta,
-        objective_s=obj,
-        feasible=feasible,
+        objective_s=res.objective_s,
+        feasible=res.feasible,
         trace=trace,
         wall_time_s=time.perf_counter() - t0,
+        schedule=res,
         config={
             "agents": cfg.agents,
             "max_iterations": cfg.max_iterations,
@@ -544,16 +556,17 @@ def associated_baseline(ev: Evaluator) -> SolverRun:
     allocation."""
     t0 = time.perf_counter()
     decision = associated_decision(ev.scenario)
-    obj, feasible = ev.objective_and_feasible(decision_to_vector(ev.scenario, decision))
+    res = ev.result(decision)
     return SolverRun(
         solver="associated",
         seed=None,
         decision=decision,
         beta=ev.beta,
-        objective_s=obj,
-        feasible=feasible,
-        trace=[obj],
+        objective_s=res.objective_s,
+        feasible=res.feasible,
+        trace=[res.objective_s],
         wall_time_s=time.perf_counter() - t0,
+        schedule=res,
     )
 
 
@@ -564,17 +577,13 @@ def solver_seed(seed: int) -> int:
     return int(np.random.SeedSequence([int(seed), 1]).generate_state(1)[0])
 
 
-# A solver run over an Evaluator, which carries the scenario,
-# allocation, penalty and upload model; cfg supplies the swarm
-# parameters and seed.
+# A search over an Evaluator, which carries the scenario, allocation,
+# penalty and upload model; cfg supplies the swarm parameters and seed.
 SolverFn = Callable[[Evaluator, DwoaConfig], SolverRun]
 
 SOLVERS: Dict[str, SolverFn] = {
     "dwoa": dwoa_search,
     "exhaustive": lambda ev, cfg: exhaustive_search(ev),
     "associated": lambda ev, cfg: associated_baseline(ev),
-    # starts from the equal split, whatever the Evaluator's allocation
-    "alternating": lambda ev, cfg: alternating_solve(
-        ev.scenario, dataclasses.replace(cfg, penalty=ev.penalty, upload_model=ev.upload_model)
-    ),
+    "alternating": alternating_search,
 }

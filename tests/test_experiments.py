@@ -18,6 +18,7 @@ from uavmec import (
     summarize,
     with_unlimited_energy,
 )
+from uavmec import DwoaConfig, PenaltyConfig, alloc_proportional, generate_scenario
 from uavmec import experiments, solvers
 from uavmec.evaluator import Evaluator
 from uavmec.experiments import FIGURES, ResultRow, summary_to_csv
@@ -236,6 +237,65 @@ def test_sweep_builds_each_input_once(tmp_path, build_counts):
     # one scenario per seed; one Evaluator per (seed, mode, allocator),
     # shared by the associated and the dwoa cell and their result()
     assert build_counts == {"scenarios": 2, "evaluators": 12}
+
+
+def test_alternating_cells_build_one_closed_form_evaluator_at_most(tmp_path, build_counts):
+    spec = _shared_spec(
+        tmp_path,
+        axis="allocator",
+        values=("equal", "proportional", "optimal"),
+        solvers=("associated", "dwoa", "alternating"),
+        energy_modes=("limited", "unlimited"),
+    )
+    rows, _paths = run_experiment(spec)
+    assert len(rows) == 36 and not any(r.error for r in rows)
+    # the 12 shared Evaluators, plus a closed-form split one for each
+    # equal-split alternating cell; each UAV serves at most one active
+    # user here, so the proportional split already is the closed form
+    assert build_counts == {"scenarios": 2, "evaluators": 16}
+
+
+# three UAVs serving 2-10 users each; both active users share UAV 3, so
+# the three allocators give three different splits
+ALLOC_GEN = dict(uav_count=3, subtasks_per_task=4, active_users=2)
+
+
+@pytest.mark.parametrize("alloc,builds", [("equal", 2), ("proportional", 2), ("optimal", 1)])
+def test_alternating_cell_builds(tmp_path, build_counts, alloc, builds):
+    spec = _shared_spec(
+        tmp_path, axis="allocator", values=(alloc,), seeds=(0,), generator=dict(ALLOC_GEN),
+        solvers=("alternating",), agents=5, max_iterations=3,
+    )
+    rows, _paths = run_experiment(spec)
+    assert not rows[0].error
+    assert build_counts["evaluators"] == builds
+
+
+def test_alternating_row_searches_the_cells_allocation(tmp_path, monkeypatch):
+    runs = {}
+
+    def recording(ev, cfg):
+        run = solvers.alternating_search(ev, cfg)
+        runs[tuple(sorted(ev.beta.fractions.items()))] = run
+        return run
+
+    monkeypatch.setitem(solvers.SOLVERS, "alternating", recording)
+    spec = _shared_spec(
+        tmp_path, axis="allocator", values=("equal", "proportional"), seeds=(0,),
+        generator=dict(ALLOC_GEN), solvers=("alternating",), agents=5, max_iterations=3,
+    )
+    rows, _paths = run_experiment(spec)
+    row = next(r for r in rows if r.allocator == "proportional")
+
+    scen = generate_scenario(np.random.SeedSequence([0, 0]), **ALLOC_GEN)
+    beta = alloc_proportional(scen)
+    cfg = DwoaConfig(agents=5, max_iterations=3, penalty=PenaltyConfig(lambda_=spec.penalty_lambda),
+                     seed=solvers.solver_seed(0), upload_model=spec.upload_model)
+    want = solvers.alternating_search(Evaluator(scen, beta, cfg.penalty, cfg.upload_model), cfg)
+    assert row.objective_s.hex() == want.objective_s.hex() == (341.3554264017053).hex()
+    assert runs[tuple(sorted(beta.fractions.items()))].beta.fractions == want.beta.fractions
+    # the equal split reaches another optimum on this scenario
+    assert next(r for r in rows if r.allocator == "equal").objective_s != row.objective_s
 
 
 def test_subtasks_axis_generates_per_seed_and_value(tmp_path, build_counts):

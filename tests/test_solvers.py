@@ -31,7 +31,7 @@ from uavmec import (
     woa_init,
     woa_step,
 )
-from uavmec.solvers import dwoa_search, exhaustive_search
+from uavmec.solvers import SOLVERS, alternating_search, dwoa_search, exhaustive_search
 from uavmec.scenario import (
     PhysicsConstants,
     Scenario,
@@ -494,6 +494,46 @@ def test_solver_run_json_round_trip():
     assert back.trace == run.trace
     assert back.beta.fractions == run.beta.fractions
     assert back.seed == run.seed
+    # the schedule stays in memory only
+    assert run.schedule is not None and back.schedule is None
+    assert "schedule" not in run.to_dict()
+
+
+@pytest.mark.parametrize("alloc", ["equal", "optimal"])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_every_solver_returns_its_decisions_schedule(name, alloc):
+    # a 1500 J budget binds: dwoa, associated and alternating end
+    # infeasible; under the equal split alternating returns the
+    # closed-form split
+    s = desk_scenario(6, uav_count=3, subtasks=4, active=2, budget_j=1500.0, users_per_uav=(1, 2))
+    cfg = DwoaConfig(agents=6, max_iterations=3, seed=2, upload_model="independent")
+    ev = Evaluator(s, ALLOCATORS[alloc](s), cfg.penalty, cfg.upload_model)
+    run = SOLVERS[name](ev, cfg)
+    ref = evaluate(run.decision, run.beta, s, cfg.penalty, cfg.upload_model)
+    got = run.schedule
+    assert (got.objective_s, got.feasible) == (ref.objective_s, ref.feasible)
+    assert (run.objective_s, run.feasible) == (ref.objective_s, ref.feasible)
+    assert got.energy.total_j == ref.energy.total_j
+    assert got.task_upload_s == ref.task_upload_s
+
+
+def test_alternating_search_round_zero_searches_the_evaluator():
+    # two or three users per UAV: round 0 finds another decision under
+    # some split than under the others
+    s = desk_scenario(0, uav_count=3, subtasks=3, active=4, budget_j=1500.0, users_per_uav=(2, 3))
+    cfg = DwoaConfig(agents=6, max_iterations=3, seed=2)
+    seed_0 = int(np.random.SeedSequence(cfg.seed).spawn(1)[0].generate_state(1)[0])
+    for alloc in ALLOCATORS.values():
+        ev = Evaluator(s, alloc(s), cfg.penalty, cfg.upload_model)
+        first = dwoa_search(ev, dataclasses.replace(cfg, seed=seed_0))
+        assert alternating_search(ev, cfg, max_outer=1).decision == first.decision
+    # alternating_solve is the search from the equal split
+    ev = Evaluator(s, alloc_equal(s), cfg.penalty, cfg.upload_model)
+    assert run_digest(alternating_search(ev, cfg).to_dict()) == run_digest(
+        alternating_solve(s, cfg).to_dict()
+    )
+    with pytest.raises(ValueError, match="match"):
+        alternating_search(Evaluator(s, alloc_equal(s), PenaltyConfig(mode="hard")), cfg)
 
 
 # ------------------------------------------------------------------ goldens
