@@ -55,7 +55,6 @@ from .evaluator import (
     decision_latency_breakdown,
     decision_to_vector,
     evaluate,
-    penalized_objective,
     schedule_to_csv,
 )
 from .solvers import (

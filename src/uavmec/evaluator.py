@@ -296,6 +296,7 @@ class Evaluator:
         uavs = sorted(scenario.uavs, key=lambda v: v.id)
         self._uav_ids = [v.id for v in uavs]
         slot = {v.id: i for i, v in enumerate(uavs)}
+        self._slot_of = {v: i + 1 for v, i in slot.items()}
         V = len(uavs)
         self._V = V
         self._fmax = [v.max_compute_hz for v in uavs]
@@ -348,6 +349,7 @@ class Evaluator:
                     if b != assoc:
                         row[b] = h_bits[j] * self._inv_uu[assoc][b]
                 fwd.append(row)
+            task_upload = math.fsum(up_t)
             self._users.append(
                 dict(
                     user_id=user.id,
@@ -358,7 +360,8 @@ class Evaluator:
                     cycles_per_bit=cycles,
                     h_bits=h_bits,
                     up_t=up_t,
-                    task_upload=math.fsum(up_t),
+                    task_upload=task_upload,
+                    uplink_j=channel.dbm_to_watts(user.tx_power_dbm) * task_upload,
                     preds=preds,
                     topo=topo,
                     fwd=fwd,
@@ -818,7 +821,8 @@ class Evaluator:
         problems = decision.validate(self.scenario)
         if problems:
             raise ValueError("; ".join(problems))
-        vec = decision_to_vector(self.scenario, decision)
+        slot_of = self._slot_of
+        vec = [slot_of[v] for u in self._users for v in decision.x[u["user_id"]]]
         objective, totals, detail = self._core(vec, collect=True)
 
         uav_ids = self._uav_ids
@@ -828,10 +832,7 @@ class Evaluator:
         hover_time = {uav_ids[i]: self._hov_t[i] for i in range(self._V)}
         hover_j = {uav_ids[i]: self._hover_p[i] * self._hov_t[i] for i in range(self._V)}
         total_j = {uav_ids[i]: totals[i] for i in range(self._V)}
-        uplink = {}
-        for u in self._users:
-            user = self.scenario.user_by_id(u["user_id"])
-            uplink[u["user_id"]] = channel.dbm_to_watts(user.tx_power_dbm) * u["task_upload"]
+        uplink = {u["user_id"]: u["uplink_j"] for u in self._users}
         ledger = EnergyLedger(exec_j, fwd_j, report_j, hover_j, total_j, hover_time, uplink)
 
         feasible = all(
@@ -883,13 +884,6 @@ def evaluate(
 ) -> ScheduleResult:
     """One-shot schedule evaluation; see Evaluator for the batch path."""
     return Evaluator(scenario, beta, penalty, upload_model).result(decision)
-
-
-def penalized_objective(result: ScheduleResult, penalty: PenaltyConfig, uavs) -> float:
-    """Penalty-mode surcharge or hard-mode rejection applied to a result."""
-    totals = [result.energy.total_j.get(v.id, 0.0) for v in uavs]
-    budgets = [v.energy_budget_j for v in uavs]
-    return _penalize(result.objective_s, totals, budgets, penalty)
 
 
 def decision_latency_breakdown(result: ScheduleResult) -> Dict[str, float]:

@@ -3,12 +3,11 @@
 Axes: agents, users, subtasks, penalty_lambda, energy_mode, allocator,
 solver. Every sweep writes four things into its output directory:
 
-  results.csv   one row per (axis value, seed, scheme); fixed columns
-                experiment,seed,axis,value,solver,allocator,energy_mode,
-                objective_s,computation_s,distributed_s,comm_s,
-                mean_rate_bps,energy_j,feasible,error
-  timings.csv   wall-clock per row, kept out of results.csv so a re-run
-                from the manifest reproduces results.csv byte for byte
+  results.csv   one row per (axis value, seed, scheme); columns in
+                RESULT_COLUMNS order
+  timings.csv   each row's key columns and wall-clock time, kept out of
+                results.csv so a re-run from the manifest reproduces
+                results.csv byte for byte
   traces/       per-run convergence traces (searching solvers only)
   manifest.json config echo + package version; rerun_from_manifest(path)
                 repeats the sweep exactly
@@ -81,24 +80,6 @@ SOLVERS = tuple(SOLVER_FNS)
 SEARCHING_SOLVERS = ("dwoa", "alternating")
 ENERGY_MODES = ("limited", "unlimited")
 
-RESULT_COLUMNS = (
-    "experiment",
-    "seed",
-    "axis",
-    "value",
-    "solver",
-    "allocator",
-    "energy_mode",
-    "objective_s",
-    "computation_s",
-    "distributed_s",
-    "comm_s",
-    "mean_rate_bps",
-    "energy_j",
-    "feasible",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -152,46 +133,42 @@ class ExperimentSpec:
             for v in self.values:
                 if v != "hard" and (not isinstance(v, (int, float)) or v <= 0):
                     out.append(f"penalty_lambda value {v!r} must be positive or 'hard'")
+        for text in (str(self.experiment_id), *map(str, self.values)):
+            if any(c in text for c in ",\n\r"):
+                out.append(f"{text!r}: results.csv text may not hold ',', newline or carriage return")
         return out
 
     def to_dict(self) -> Dict[str, object]:
-        d = dataclasses.asdict(self)
-        d["values"] = list(self.values)
-        d["seeds"] = list(self.seeds)
-        d["solvers"] = list(self.solvers)
-        d["allocators"] = list(self.allocators)
-        d["energy_modes"] = list(self.energy_modes)
-        return d
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: Dict[str, object]) -> "ExperimentSpec":
-        return ExperimentSpec(
-            experiment_id=d["experiment_id"],
-            axis=d["axis"],
-            values=tuple(d["values"]),
-            seeds=tuple(int(s) for s in d["seeds"]),
-            output_dir=d["output_dir"],
-            scenario_file=d.get("scenario_file"),
-            # JSON has no tuples; sequence-valued generator params come
-            # back as lists, so re-tuple them for spec equality
-            generator={
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in dict(d.get("generator", {})).items()
-            },
-            solvers=tuple(d.get("solvers", ("dwoa",))),
-            allocators=tuple(d.get("allocators", ("equal",))),
-            energy_modes=tuple(d.get("energy_modes", ("limited",))),
-            agents=int(d.get("agents", 100)),
-            max_iterations=int(d.get("max_iterations", 50)),
-            penalty_lambda=float(d.get("penalty_lambda", 0.1)),
-            penalty_mode=d.get("penalty_mode", "penalty"),
-            upload_model=d.get("upload_model", "cumulative"),
-        )
+        """Builds a spec from its JSON form; a missing key takes the
+        field's default and an unknown key is an error."""
+        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(ExperimentSpec)})
+        if unknown:
+            raise ValueError(f"unknown spec keys {unknown}")
+        return ExperimentSpec(**{k: _SPEC_DECODE.get(k, lambda x: x)(v) for k, v in d.items()})
 
     @staticmethod
     def from_json_file(path: str) -> "ExperimentSpec":
         with open(path, encoding="utf-8") as f:
             return ExperimentSpec.from_dict(json.load(f))
+
+
+# JSON has no tuples: the sequence fields and sequence-valued generator
+# params come back as lists, so they are re-tupled for spec equality
+_SPEC_DECODE = {
+    "values": tuple,
+    "seeds": lambda v: tuple(int(s) for s in v),
+    "generator": lambda g: {k: tuple(v) if isinstance(v, list) else v for k, v in dict(g).items()},
+    "solvers": tuple,
+    "allocators": tuple,
+    "energy_modes": tuple,
+    "agents": int,
+    "max_iterations": int,
+    "penalty_lambda": float,
+}
 
 
 @dataclass
@@ -218,39 +195,59 @@ def _fmt(x: Optional[float]) -> str:
     return "" if x is None else repr(float(x))
 
 
+def _float_or_none(text: str) -> Optional[float]:
+    return float(text) if text else None
+
+
 def _fmt_energy(e: Dict[int, float]) -> str:
     return ";".join(f"{k}:{float(v)!r}" for k, v in sorted(e.items()))
+
+
+def _parse_energy(text: str) -> Dict[int, float]:
+    pairs = (part.split(":") for part in text.split(";")) if text else ()
+    return {int(k): float(v) for k, v in pairs}
+
+
+def _fmt_bool(b: Optional[bool]) -> str:
+    return "" if b is None else ("true" if b else "false")
 
 
 def _sanitize(text: str) -> str:
     return text.replace(",", ";").replace("\n", " ").replace("\r", " ")
 
 
-def rows_to_csv(rows: Sequence[ResultRow]) -> str:
-    lines = [",".join(RESULT_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.experiment,
-                    str(r.seed),
-                    r.axis,
-                    r.value,
-                    r.solver,
-                    r.allocator,
-                    r.energy_mode,
-                    _fmt(r.objective_s),
-                    _fmt(r.computation_s),
-                    _fmt(r.distributed_s),
-                    _fmt(r.comm_s),
-                    _fmt(r.mean_rate_bps),
-                    _fmt_energy(r.energy_j),
-                    "" if r.feasible is None else ("true" if r.feasible else "false"),
-                    _sanitize(r.error),
-                )
-            )
-        )
+# results.csv layout: (column, encode, decode) per ResultRow field, in
+# column order; the first seven name the cell
+_RESULT_TABLE = (
+    ("experiment", str, str),
+    ("seed", str, int),
+    ("axis", str, str),
+    ("value", str, str),
+    ("solver", str, str),
+    ("allocator", str, str),
+    ("energy_mode", str, str),
+    ("objective_s", _fmt, _float_or_none),
+    ("computation_s", _fmt, _float_or_none),
+    ("distributed_s", _fmt, _float_or_none),
+    ("comm_s", _fmt, _float_or_none),
+    ("mean_rate_bps", _fmt, _float_or_none),
+    ("energy_j", _fmt_energy, _parse_energy),
+    ("feasible", _fmt_bool, lambda t: None if t == "" else t == "true"),
+    ("error", _sanitize, str),
+)
+RESULT_COLUMNS = tuple(name for name, _, _ in _RESULT_TABLE)
+# timings.csv: the cell's key columns and its wall-clock time
+_TIMING_TABLE = _RESULT_TABLE[:7] + (("wall_time_s", repr, float),)
+
+
+def _to_csv(table, rows: Sequence[ResultRow]) -> str:
+    lines = [",".join(name for name, _, _ in table)]
+    lines += [",".join(enc(getattr(r, name)) for name, enc, _ in table) for r in rows]
     return "\n".join(lines) + "\n"
+
+
+def rows_to_csv(rows: Sequence[ResultRow]) -> str:
+    return _to_csv(_RESULT_TABLE, rows)
 
 
 def rows_from_csv(text: str) -> List[ResultRow]:
@@ -259,32 +256,11 @@ def rows_from_csv(text: str) -> List[ResultRow]:
     if tuple(header) != RESULT_COLUMNS:
         raise ValueError(f"unexpected columns {header}")
     out = []
-    for line in lines[1:]:
-        c = line.split(",")
-        energy = {}
-        if c[12]:
-            for part in c[12].split(";"):
-                k, v = part.split(":")
-                energy[int(k)] = float(v)
-        out.append(
-            ResultRow(
-                experiment=c[0],
-                seed=int(c[1]),
-                axis=c[2],
-                value=c[3],
-                solver=c[4],
-                allocator=c[5],
-                energy_mode=c[6],
-                objective_s=float(c[7]) if c[7] else None,
-                computation_s=float(c[8]) if c[8] else None,
-                distributed_s=float(c[9]) if c[9] else None,
-                comm_s=float(c[10]) if c[10] else None,
-                mean_rate_bps=float(c[11]) if c[11] else None,
-                energy_j=energy,
-                feasible=None if c[13] == "" else c[13] == "true",
-                error=c[14],
-            )
-        )
+    for n, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(RESULT_COLUMNS):
+            raise ValueError(f"line {n}: {len(cells)} fields, expected {len(RESULT_COLUMNS)}")
+        out.append(ResultRow(**{name: dec(c) for (name, _, dec), c in zip(_RESULT_TABLE, cells)}))
     return out
 
 
@@ -510,23 +486,32 @@ def _run_cell(
     )
 
 
-def _write_trace(traces_dir: str, value, seed: int, solver: str, alloc: str, emode: str, trace) -> None:
-    name = f"{_slug(value)}_{seed}_{solver}_{alloc}_{emode}.json"
-    with open(os.path.join(traces_dir, name), "w", encoding="utf-8", newline="\n") as f:
-        json.dump(
-            {
-                "value": str(value),
-                "seed": seed,
-                "solver": solver,
-                "allocator": alloc,
-                "energy_mode": emode,
-                "trace": trace,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+def _trace_name(r: ResultRow) -> str:
+    return f"{_slug(r.value)}_{r.seed}_{r.solver}_{r.allocator}_{r.energy_mode}.json"
+
+
+def _write_text(path: str, text: str) -> str:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+    return path
+
+
+def _write_json(path: str, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_trace(traces_dir: str, r: ResultRow, trace) -> None:
+    _write_json(
+        os.path.join(traces_dir, _trace_name(r)),
+        {
+            "value": r.value,
+            "seed": r.seed,
+            "solver": r.solver,
+            "allocator": r.allocator,
+            "energy_mode": r.energy_mode,
+            "trace": trace,
+        },
+    )
 
 
 def run_experiment(spec: ExperimentSpec) -> Tuple[List[ResultRow], Dict[str, str]]:
@@ -560,22 +545,14 @@ def run_experiment(spec: ExperimentSpec) -> Tuple[List[ResultRow], Dict[str, str
             for k, v in metrics.items():
                 setattr(row, k, v)
             if trace is not None:
-                _write_trace(traces_dir, value, seed, solver, alloc, emode, trace)
+                _write_trace(traces_dir, row, trace)
         except Exception as exc:  # noqa: BLE001 - per-cell isolation
             row.error = f"{type(exc).__name__}: {exc}"
         row.wall_time_s = time.perf_counter() - t0
         rows.append(row)
 
     value_pos = {str(v): i for i, v in enumerate(spec.values)}
-    rows.sort(
-        key=lambda r: (
-            value_pos[r.value],
-            r.seed,
-            r.solver,
-            r.allocator,
-            r.energy_mode,
-        )
-    )
+    rows.sort(key=lambda r: (value_pos[r.value], r.seed, *_scheme(r)))
 
     paths = {
         "results": os.path.join(out_dir, "results.csv"),
@@ -583,27 +560,12 @@ def run_experiment(spec: ExperimentSpec) -> Tuple[List[ResultRow], Dict[str, str
         "manifest": os.path.join(out_dir, "manifest.json"),
         "traces": traces_dir,
     }
-    with open(paths["results"], "w", encoding="utf-8", newline="\n") as f:
-        f.write(rows_to_csv(rows))
-    with open(paths["timings"], "w", encoding="utf-8", newline="\n") as f:
-        f.write("experiment,seed,axis,value,solver,allocator,energy_mode,wall_time_s\n")
-        for r in rows:
-            f.write(
-                f"{r.experiment},{r.seed},{r.axis},{r.value},{r.solver},"
-                f"{r.allocator},{r.energy_mode},{r.wall_time_s!r}\n"
-            )
-    with open(paths["manifest"], "w", encoding="utf-8", newline="\n") as f:
-        json.dump(
-            {
-                "schema_version": 1,
-                "package_version": __version__,
-                "spec": spec.to_dict(),
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    _write_text(paths["results"], rows_to_csv(rows))
+    _write_text(paths["timings"], _to_csv(_TIMING_TABLE, rows))
+    _write_json(
+        paths["manifest"],
+        {"schema_version": 1, "package_version": __version__, "spec": spec.to_dict()},
+    )
     return rows, paths
 
 
@@ -635,17 +597,25 @@ def _scheme(r: ResultRow) -> Tuple[str, str, str]:
     return (r.solver, r.allocator, r.energy_mode)
 
 
+def _values_in_order(rows: Sequence[ResultRow]) -> List[str]:
+    return list(dict.fromkeys(r.value for r in rows))
+
+
+def _median(xs: Sequence[float]) -> float:
+    s = sorted(xs)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2.0
+
+
 def summarize(rows: Sequence[ResultRow]) -> Dict[str, object]:
     """Per (axis value, scheme) objective stats, feasibility rate, and
     pairwise median-objective improvements between schemes."""
     if not rows:
         raise ValueError("no rows to summarize")
     groups: Dict[Tuple[str, Tuple[str, str, str]], List[ResultRow]] = {}
-    value_order: List[str] = []
     for r in rows:
-        if r.value not in value_order:
-            value_order.append(r.value)
         groups.setdefault((r.value, _scheme(r)), []).append(r)
+    value_order = _values_in_order(rows)
 
     table = []
     medians: Dict[Tuple[str, Tuple[str, str, str]], float] = {}
@@ -663,10 +633,7 @@ def summarize(rows: Sequence[ResultRow]) -> Dict[str, object]:
             "errors": len(grp) - len(ok),
         }
         if objs:
-            mid = len(objs) // 2
-            median = (
-                objs[mid] if len(objs) % 2 else (objs[mid - 1] + objs[mid]) / 2.0
-            )
+            median = _median(objs)
             entry.update(
                 objective_median=median,
                 objective_mean=math.fsum(objs) / len(objs),
@@ -697,30 +664,28 @@ def summarize(rows: Sequence[ResultRow]) -> Dict[str, object]:
     return {"table": table, "improvements": improvements}
 
 
+# summary.csv table columns; the text and count columns come first, the
+# objective statistics after them are empty for a group with no solved row
+_SUMMARY_COLUMNS = (
+    "value",
+    "solver",
+    "allocator",
+    "energy_mode",
+    "n",
+    "errors",
+    "objective_median",
+    "objective_mean",
+    "objective_min",
+    "objective_max",
+    "feasible_rate",
+)
+
+
 def summary_to_csv(summary: Dict[str, object]) -> str:
-    cols = (
-        "value,solver,allocator,energy_mode,n,errors,objective_median,"
-        "objective_mean,objective_min,objective_max,feasible_rate"
-    )
-    lines = [cols]
+    text, stats = _SUMMARY_COLUMNS[:6], _SUMMARY_COLUMNS[6:]
+    lines = [",".join(_SUMMARY_COLUMNS)]
     for e in summary["table"]:
-        lines.append(
-            ",".join(
-                (
-                    e["value"],
-                    e["solver"],
-                    e["allocator"],
-                    e["energy_mode"],
-                    str(e["n"]),
-                    str(e["errors"]),
-                    _fmt(e.get("objective_median")),
-                    _fmt(e.get("objective_mean")),
-                    _fmt(e.get("objective_min")),
-                    _fmt(e.get("objective_max")),
-                    _fmt(e.get("feasible_rate")),
-                )
-            )
-        )
+        lines.append(",".join([str(e[c]) for c in text] + [_fmt(e.get(c)) for c in stats]))
     lines.append("")
     lines.append("value,scheme,baseline,improvement_pct")
     for e in summary["improvements"]:
@@ -730,35 +695,21 @@ def summary_to_csv(summary: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-FIGURES = (
-    "convergence",
-    "latency-bars",
-    "energy-bars",
-    "rate-vs-users",
-    "latency-vs-users",
-    "latency-vs-subtasks",
-    "limited-vs-unlimited",
-    "penalty-factors",
-)
-
-
-def _median(xs: Sequence[float]) -> float:
-    s = sorted(xs)
-    mid = len(s) // 2
-    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2.0
-
-
-def _require_axis(rows: Sequence[ResultRow], axis: str, figure: str):
-    if not rows or any(r.axis != axis for r in rows):
-        raise ValueError(f"figure {figure!r} needs rows from a {axis!r}-axis sweep")
+# each figure and the sweep axis its rows must come from (None: any axis)
+FIGURES = {
+    "convergence": "agents",
+    "latency-bars": None,
+    "energy-bars": None,
+    "rate-vs-users": "users",
+    "latency-vs-users": "users",
+    "latency-vs-subtasks": "subtasks",
+    "limited-vs-unlimited": "subtasks",
+    "penalty-factors": "penalty_lambda",
+}
 
 
 def _write_series(path: str, header: str, lines: Sequence[str]) -> str:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        for line in lines:
-            f.write(line + "\n")
-    return path
+    return _write_text(path, "".join(line + "\n" for line in (header, *lines)))
 
 
 def _trace_series(
@@ -767,11 +718,7 @@ def _trace_series(
     if not traces_dir:
         raise ValueError(f"figure {figure!r} needs traces_dir")
     written = []
-    values = []
-    for r in rows:
-        if r.value not in values:
-            values.append(r.value)
-    for value in values:
+    for value in _values_in_order(rows):
         per_iter: List[List[float]] = []
         flagged = 0
         total = 0
@@ -781,7 +728,7 @@ def _trace_series(
             total += 1
             if r.feasible is False:
                 flagged += 1
-            name = f"{_slug(value)}_{r.seed}_{r.solver}_{r.allocator}_{r.energy_mode}.json"
+            name = _trace_name(r)
             path = os.path.join(traces_dir, name)
             if not os.path.exists(path):
                 raise ValueError(f"missing trace file {name} for figure {figure!r}")
@@ -812,18 +759,16 @@ def emit_plot_data(
     """Writes one tidy CSV per curve of the requested figure and returns
     the paths. No plotting happens here; any tool can render the files."""
     if figure not in FIGURES:
-        raise ValueError(f"unknown figure {figure!r}; choose from {FIGURES}")
+        raise ValueError(f"unknown figure {figure!r}; choose from {tuple(FIGURES)}")
     if not rows:
         raise ValueError("no rows")
+    axis = FIGURES[figure]
+    if axis is not None and any(r.axis != axis for r in rows):
+        raise ValueError(f"figure {figure!r} needs rows from a {axis!r}-axis sweep")
     os.makedirs(out_dir, exist_ok=True)
     ok = [r for r in rows if not r.error]
 
-    if figure == "convergence":
-        _require_axis(rows, "agents", figure)
-        return _trace_series(ok, traces_dir, out_dir, figure)
-
-    if figure == "penalty-factors":
-        _require_axis(rows, "penalty_lambda", figure)
+    if figure in ("convergence", "penalty-factors"):
         return _trace_series(ok, traces_dir, out_dir, figure)
 
     if figure in ("latency-bars", "energy-bars"):
@@ -849,27 +794,12 @@ def emit_plot_data(
         path = os.path.join(out_dir, f"{figure}.csv")
         return [_write_series(path, header, lines)]
 
-    axis_by_figure = {
-        "rate-vs-users": "users",
-        "latency-vs-users": "users",
-        "latency-vs-subtasks": "subtasks",
-        "limited-vs-unlimited": "subtasks",
-    }
-    axis = axis_by_figure[figure]
-    _require_axis(rows, axis, figure)
     if figure == "limited-vs-unlimited":
         modes = {r.energy_mode for r in ok}
         if modes != set(ENERGY_MODES):
             raise ValueError(
                 f"figure {figure!r} needs both energy modes, found {sorted(modes)}"
             )
-    value_order: List[str] = []
-    for r in ok:
-        if r.value not in value_order:
-            value_order.append(r.value)
-
-    written = []
-    if figure == "limited-vs-unlimited":
         key_fn = lambda r: r.energy_mode
         metric = lambda r: r.objective_s
         header = "value,objective_s"
@@ -881,6 +811,8 @@ def emit_plot_data(
         key_fn = lambda r: "+".join(_scheme(r))
         metric = lambda r: r.objective_s
         header = "value,objective_s"
+    value_order = _values_in_order(ok)
+    written = []
     grouped: Dict[str, Dict[str, List[float]]] = {}
     for r in ok:
         grouped.setdefault(key_fn(r), {}).setdefault(r.value, []).append(metric(r))

@@ -168,6 +168,16 @@ def test_sweep_out_flag_overrides_spec_dir(tmp_path, capsys):
     assert not os.path.exists(str(tmp_path / "ignored"))
 
 
+def test_sweep_unknown_spec_key_exits_one(tmp_path, capsys):
+    spec = dict(DESK_SPEC, output_dir=str(tmp_path / "out"), max_iteration=2)
+    spec_file = str(tmp_path / "s.json")
+    with open(spec_file, "w") as f:
+        json.dump(spec, f)
+    assert main(["sweep", spec_file]) == 1
+    assert "max_iteration" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "out"))
+
+
 def test_sweep_all_infeasible_exits_two(tmp_path, capsys):
     gen = dict(DESK_SPEC["generator"], energy_per_subtask_j=0.0)
     spec = dict(DESK_SPEC, generator=gen, values=[4], seeds=[0],

@@ -74,6 +74,26 @@ def test_spec_json_round_trip(tmp_path):
     assert back == spec
 
 
+def test_spec_rejects_unknown_keys(tmp_path):
+    d = dict(_spec(tmp_path).to_dict(), max_iteration=2)
+    with pytest.raises(ValueError, match="max_iteration"):
+        ExperimentSpec.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(values=("1,2", 3)),
+        dict(axis="subtasks", values=("2\n", 3)),
+        dict(experiment_id="a,b"),
+        dict(experiment_id="a\rb"),
+    ],
+)
+def test_spec_rejects_csv_breaking_text(tmp_path, kw):
+    problems = _spec(tmp_path, **kw).validate()
+    assert any("',', newline or carriage return" in p for p in problems)
+
+
 def test_run_experiment_rejects_bad_spec(tmp_path):
     with pytest.raises(ValueError):
         run_experiment(_spec(tmp_path, axis="nope"))
@@ -361,6 +381,88 @@ def test_shared_inputs_keep_output_bytes(tmp_path, name):
     assert _output_digests(paths) == want
 
 
+# SHA-256 of every other artifact a sweep and its readers write, captured
+# while results.csv, timings.csv and summary.csv each had a hand-typed
+# writer: the summary CSV, the timings key columns (wall_time_s dropped),
+# the manifest with output_dir replaced by "OUT", and the names and bytes
+# of each figure's plot-data files
+ARTIFACT_GOLDENS = {
+    "agents": (
+        dict(axis="agents", values=(3, 5), solvers=("dwoa", "alternating"), max_iterations=4),
+        ("convergence", "latency-bars", "energy-bars"),
+        {
+            "convergence": "2253d406f269d053f28fca0ef9db9906b3a5b9e0f63bd0b248e34d66a4d19716",
+            "energy-bars": "1548f81c32e36f0f7796452b995657bd8dee10604f6f3e47fd05b842373028da",
+            "latency-bars": "05f8a3785e9b5e685af237638c1174e9d13fa0b9e23fb40cd154188658e74827",
+            "manifest": "c0ef75a767be39190eb61728d7b50e3a1b2a2c630748b6c7bc9b09a1c634e9ad",
+            "summary": "d7b452a2244da9d913178b5599fc059b6bc5b141f40700128775f843e0660f1c",
+            "timings": "bdff8ed3cb12c8f085f2cbdde25f1e35873be300c3d684fcedcfa303e3281b03",
+        },
+    ),
+    "penalty_lambda": (
+        dict(axis="penalty_lambda", values=(0.01, "hard"), allocators=("equal", "optimal")),
+        ("penalty-factors",),
+        {
+            "manifest": "afb5d178e854533408a685315c4af3d01ea51915c348dff8eed22cdce800fef9",
+            "penalty-factors": "6ed71362090d51533bbc14f9e7e632c8e69e35ce34ef218df7c631a5c3632622",
+            "summary": "2f9e00fb03d1d3123af61ed8d81c3880653d443532934459bfff9e7b0b65b643",
+            "timings": "2a04db228bb8eeb525313b31948f335923d8445c029d73a98fce952a9445a415",
+        },
+    ),
+    "users": (
+        dict(axis="users", values=(2, 4), generator=dict(subtasks=3),
+             solvers=("associated", "dwoa"), allocators=("equal", "optimal")),
+        ("rate-vs-users", "latency-vs-users"),
+        {
+            "latency-vs-users": "ad47b904d26a8767234a2c762b631a54c25c6f42a3484440d48875328c030865",
+            "manifest": "1c76db9f0fbfa4dd02919cdac42a9de94018fce34b7547dd99d747e123a55986",
+            "rate-vs-users": "8674ab4441c0106acaf8545750348d404cc163805764348dad7bae8bb24a9f1d",
+            "summary": "58ebb863074e590fe1a3da31ea6eb5629160d42d92571f8f1133d2a2a347e754",
+            "timings": "a97e541462b31a8013fa499b08c21087d4f72fa9ad72da66619e0f6c5ba05bb4",
+        },
+    ),
+    "subtasks": (
+        dict(axis="subtasks", values=(2, 3), solvers=("associated", "dwoa"),
+             energy_modes=("limited", "unlimited")),
+        ("latency-vs-subtasks", "limited-vs-unlimited"),
+        {
+            "latency-vs-subtasks": "2406ba4cacfe651157c4888e4c60ad42436cb578c4729e5440807baec5bf8c07",
+            "limited-vs-unlimited": "7da5749758226d8f8f2171dbe23bec159fec3ec0f9ce270c9df75866e15bc00d",
+            "manifest": "3e6107bb15fe946c347140fab6f81c009284b6eb2d2d8c67a8d7dbae61f0018f",
+            "summary": "2cc6a750f5f0c717833df29fcbb84f5916a06c02f755b8ed192f16a889e77225",
+            "timings": "af322acc0805d1d3f90161da4f7417d5e9339d7f1ceca64e7c849eeb04ef4cf0",
+        },
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_GOLDENS))
+def test_sweep_artifacts_keep_bytes(tmp_path, name):
+    kw, figures, want = ARTIFACT_GOLDENS[name]
+    spec = _shared_spec(tmp_path, agents=5, **kw)
+    rows, paths = run_experiment(spec)
+    got = {"summary": _sha(summary_to_csv(summarize(rows)).encode())}
+    with open(paths["timings"], encoding="utf-8") as f:
+        head, *body = f.read().splitlines()
+    got["timings"] = _sha("\n".join([head] + [l.rsplit(",", 1)[0] for l in body]).encode())
+    with open(paths["manifest"], encoding="utf-8") as f:
+        manifest = f.read().replace(json.dumps(spec.output_dir), '"OUT"')
+    got["manifest"] = _sha(manifest.encode())
+    for figure in figures:
+        out = tmp_path / figure
+        files = emit_plot_data(rows, figure, str(out), traces_dir=paths["traces"])
+        blob = hashlib.sha256()
+        for path in files:
+            with open(path, "rb") as f:
+                blob.update(os.path.relpath(path, out).encode() + b"\0" + f.read() + b"\0")
+        got[figure] = blob.hexdigest()
+    assert got == want
+
+
 def test_allocator_error_gives_one_row_per_cell(tmp_path, monkeypatch):
     calls = []
 
@@ -523,6 +625,19 @@ def test_summarize_counts_errors():
     assert entry["errors"] == 1
     assert entry["n"] == 2  # errors stay in the head count
     assert entry["objective_median"] == 3.0
+
+
+def test_summary_csv_leaves_error_groups_empty():
+    rows = _fake_rows([2], {("dwoa", "equal"): {2: [4.0, 6.0]}, ("associated", "equal"): {2: [10.0]}})
+    rows[-1].error, rows[-1].objective_s = "Boom: x", None
+    assert summary_to_csv(summarize(rows)) == (
+        "value,solver,allocator,energy_mode,n,errors,objective_median,"
+        "objective_mean,objective_min,objective_max,feasible_rate\n"
+        "2,associated,equal,limited,1,1,,,,,\n"
+        "2,dwoa,equal,limited,2,0,5.0,5.0,4.0,6.0,1.0\n"
+        "\n"
+        "value,scheme,baseline,improvement_pct\n"
+    )
 
 
 # ------------------------------------------------------------- plot data
