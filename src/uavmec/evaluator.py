@@ -115,9 +115,7 @@ def decision_order(scenario: Scenario) -> List[Tuple[int, int]]:
     active users by ascending id, sub-tasks by ascending index."""
     order = []
     for t in sorted(scenario.tasks, key=lambda t: t.owner_user):
-        for s in t.sub_tasks:
-            if not s.is_dummy:
-                order.append((t.owner_user, s.index))
+        order.extend((t.owner_user, j) for j in sorted(s.index for s in t.non_dummy()))
     return order
 
 

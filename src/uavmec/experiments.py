@@ -125,6 +125,8 @@ class ExperimentSpec:
                 out.append(f"unknown energy mode {m!r}")
         if self.axis in ("users", "subtasks") and self.scenario_file:
             out.append(f"axis {self.axis} regenerates scenarios; scenario_file unsupported")
+        if self.scenario_file and self.generator:
+            out.append("generator parameters are unused next to scenario_file")
         if self.axis == "agents":
             bad = [s for s in solvers if s not in SEARCHING_SOLVERS]
             if bad:
@@ -133,7 +135,11 @@ class ExperimentSpec:
             for v in self.values:
                 if v != "hard" and (not isinstance(v, (int, float)) or v <= 0):
                     out.append(f"penalty_lambda value {v!r} must be positive or 'hard'")
-        for text in (str(self.experiment_id), *map(str, self.values)):
+        # cells, results.csv rows and trace files are keyed by the value's text
+        texts = [str(v) for v in self.values]
+        if len(set(texts)) != len(texts):
+            out.append(f"axis values must differ as text, got {texts}")
+        for text in (str(self.experiment_id), *texts):
             if any(c in text for c in ",\n\r"):
                 out.append(f"{text!r}: results.csv text may not hold ',', newline or carriage return")
         return out

@@ -23,7 +23,7 @@ SCHEMA_VERSION = 1
 MB_BITS = 8e6
 KB_BITS = 1e3
 
-SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
+SeedLike = Union[int, np.random.SeedSequence]
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,6 @@ def topological_order(task: TaskGraph) -> List[int]:
     return order
 
 
-def _rng_of(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def generate_task_dag(
     seed: SeedLike,
     total_subtasks: int,
@@ -204,7 +198,7 @@ def generate_task_dag(
     """
     if total_subtasks < 1:
         raise ValueError("total_subtasks must be >= 1")
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
 
     widths: List[int] = []
     remaining = total_subtasks
@@ -277,13 +271,9 @@ def generate_scenario(
     if lo < 1 or hi < lo:
         raise ValueError("users_per_uav range must satisfy 1 <= lo <= hi")
 
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-        task_root = np.random.SeedSequence(int(rng.integers(2**63)))
-    else:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        scen_ss, task_root = ss.spawn(2)
-        rng = np.random.default_rng(scen_ss)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    scen_ss, task_root = ss.spawn(2)
+    rng = np.random.default_rng(scen_ss)
 
     physics = physics or PhysicsConstants()
     uav_defaults = dict(uav_defaults or {})
@@ -435,9 +425,13 @@ def validate_scenario(scenario: Scenario) -> List[str]:
             d = dummies[0]
             if d.input_size_bits != 0 or d.predecessors:
                 out.append(f"{tag}: dummy must have zero size and no predecessors")
+            if d.index != 0:
+                out.append(f"{tag}: dummy root must have index 0")
+        # a decision's column j-1 is sub-task j, so indices are 0..n,
+        # listed in any order
         idxs = [s.index for s in t.sub_tasks]
-        if len(set(idxs)) != len(idxs):
-            out.append(f"{tag}: duplicate sub-task indices")
+        if sorted(idxs) != list(range(len(idxs))):
+            out.append(f"{tag}: sub-task indices must be 0..{len(idxs) - 1}, each once")
         known_idx = set(idxs)
         for s in t.sub_tasks:
             if not math.isfinite(s.input_size_bits):

@@ -6,8 +6,10 @@ an exhaustive oracle for small instances, the everything-local
 baseline, three bandwidth allocators, and the alternating loop (a
 search under the given split, then restarts under the closed-form
 split). SOLVERS maps each solver name to its search over a built
-Evaluator; each search scores its own split only and returns the
-winning decision's schedule on the run.
+Evaluator; each search scores its own split only and returns through
+_run, which scores the winning decision once on the Evaluator that
+found it. A run's wall_time_s is search time over a built Evaluator;
+the *_solve functions build one and return the search's run.
 """
 from __future__ import annotations
 
@@ -36,6 +38,13 @@ from .scenario import Scenario
 # ~4.7 MB and ran slower than 1024 rows (~0.7 MB).
 EXHAUSTIVE_CHUNK = 1024
 
+# Log-spiral shape constant of the whale search's bubble-net move.
+SPIRAL_B = 1.0
+
+# Relative change of the best penalized fitness between two alternating
+# rounds at or below which the loop stops.
+ALTERNATING_TOL = 1e-6
+
 
 class NoFeasibleDecisionError(Exception):
     """Raised when no decision in the searched space meets every energy budget."""
@@ -51,7 +60,6 @@ class DwoaConfig:
     max_iterations: int = 50
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     seed: int = 0
-    spiral_b: float = 1.0
     upload_model: str = "cumulative"
 
     def __post_init__(self):
@@ -111,6 +119,39 @@ class SolverRun:
         )
 
 
+def _run(
+    solver: str, ev: Evaluator, decision: OffloadDecision, t0: float, seed: Optional[int] = None,
+    trace: Optional[List[float]] = None, config: Optional[Dict[str, object]] = None,
+) -> SolverRun:
+    """The run a search ends with: decision scored once by ev, the
+    Evaluator whose split it won under, timed from t0 (a perf_counter
+    reading). The trace defaults to the objective alone."""
+    res = ev.result(decision)
+    return SolverRun(
+        solver=solver,
+        seed=seed,
+        decision=decision,
+        beta=ev.beta,
+        objective_s=res.objective_s,
+        feasible=res.feasible,
+        trace=[res.objective_s] if trace is None else trace,
+        wall_time_s=time.perf_counter() - t0,
+        config=config or {},
+        schedule=res,
+    )
+
+
+def _swarm_config(cfg: DwoaConfig) -> Dict[str, object]:
+    """The swarm settings a dwoa or alternating run records."""
+    return {
+        "agents": cfg.agents,
+        "max_iterations": cfg.max_iterations,
+        "lambda": cfg.penalty.lambda_,
+        "penalty_mode": cfg.penalty.mode,
+        "upload_model": cfg.upload_model,
+    }
+
+
 def discretize_slot(x: float, v_count: int) -> int:
     """Continuous coordinate -> UAV slot: round half down, clamp to [1, V]."""
     k = math.ceil(x - 0.5)
@@ -154,7 +195,6 @@ class WoaState:
     max_iterations: int
     a: float
     v_count: int
-    spiral_b: float = 1.0
     rngs: List[np.random.Generator] = field(default_factory=list, repr=False)
 
 
@@ -178,7 +218,6 @@ def woa_init(
     agents: int,
     max_iterations: int,
     seed: int,
-    spiral_b: float = 1.0,
 ) -> WoaState:
     """Uniform random population in [1, V]^M, one independent stream per
     agent (so a population prefix is reproducible regardless of N)."""
@@ -199,7 +238,6 @@ def woa_init(
         max_iterations=max_iterations,
         a=2.0,
         v_count=v_count,
-        spiral_b=spiral_b,
         rngs=rngs,
     )
 
@@ -210,7 +248,6 @@ def _moved_positions(state: WoaState) -> np.ndarray:
     run as whole-matrix operations on the snapshot of the population
     and the incumbent."""
     a = state.a
-    b = state.spiral_b
     old = state.positions
     best_pos = state.best_position
     n = len(state.rngs)
@@ -235,7 +272,7 @@ def _moved_positions(state: WoaState) -> np.ndarray:
                 target[i] = int(rng.integers(n))
         else:
             spiral[i] = True
-            spiral_e[i] = math.exp(b * l)
+            spiral_e[i] = math.exp(SPIRAL_B * l)
             spiral_c[i] = math.cos(2.0 * math.pi * l)
 
     move = ~spiral
@@ -283,10 +320,7 @@ def dwoa_solve(
     incumbent is still returned, flagged feasible=False.
     """
     cfg = config or DwoaConfig()
-    t0 = time.perf_counter()
-    run = dwoa_search(Evaluator(scenario, beta, cfg.penalty, cfg.upload_model), cfg)
-    run.wall_time_s = time.perf_counter() - t0
-    return run
+    return dwoa_search(Evaluator(scenario, beta, cfg.penalty, cfg.upload_model), cfg)
 
 
 def dwoa_search(ev: Evaluator, cfg: DwoaConfig) -> SolverRun:
@@ -296,26 +330,9 @@ def dwoa_search(ev: Evaluator, cfg: DwoaConfig) -> SolverRun:
     Evaluator's."""
     t0 = time.perf_counter()
     vec, trace = _whale_search(ev, cfg, cfg.seed)
-    decision = decision_from_vector(ev.scenario, vec)
-    res = ev.result(decision)
-    return SolverRun(
-        solver="dwoa",
-        seed=cfg.seed,
-        decision=decision,
-        beta=ev.beta,
-        objective_s=res.objective_s,
-        feasible=res.feasible,
-        trace=trace,
-        wall_time_s=time.perf_counter() - t0,
-        schedule=res,
-        config={
-            "agents": cfg.agents,
-            "max_iterations": cfg.max_iterations,
-            "lambda": cfg.penalty.lambda_,
-            "penalty_mode": cfg.penalty.mode,
-            "spiral_b": cfg.spiral_b,
-            "upload_model": cfg.upload_model,
-        },
+    return _run(
+        "dwoa", ev, decision_from_vector(ev.scenario, vec), t0, cfg.seed, trace,
+        {**_swarm_config(cfg), "spiral_b": SPIRAL_B},
     )
 
 
@@ -326,7 +343,7 @@ def _whale_search(ev: Evaluator, cfg: DwoaConfig, seed: int) -> Tuple[Tuple[int,
         raise ValueError("config penalty and upload model must match the Evaluator's")
     state = woa_init(
         ev.fitness_many, ev.vector_length, len(ev.scenario.uavs), cfg.agents,
-        cfg.max_iterations, seed, cfg.spiral_b,
+        cfg.max_iterations, seed,
     )
     trace = []
     for _ in range(cfg.max_iterations):
@@ -346,10 +363,7 @@ def exhaustive_solve(
     StateSpaceCapError over the cap and NoFeasibleDecisionError when
     every decision blows an energy budget.
     """
-    t0 = time.perf_counter()
-    run = exhaustive_search(Evaluator(scenario, beta, None, upload_model), cap)
-    run.wall_time_s = time.perf_counter() - t0
-    return run
+    return exhaustive_search(Evaluator(scenario, beta, None, upload_model), cap)
 
 
 def exhaustive_search(ev: Evaluator, cap: int = 10**7) -> SolverRun:
@@ -378,17 +392,8 @@ def exhaustive_search(ev: Evaluator, cap: int = 10**7) -> SolverRun:
             best_vec = tuple(slots[i].tolist())
     if best_vec is None:
         raise NoFeasibleDecisionError("no decision satisfies all energy budgets")
-    decision = decision_from_vector(ev.scenario, best_vec)
-    return SolverRun(
-        solver="exhaustive",
-        seed=None,
-        decision=decision,
-        beta=ev.beta,
-        objective_s=best_obj,
-        feasible=True,
-        trace=[best_obj],
-        wall_time_s=time.perf_counter() - t0,
-        schedule=ev.result(decision),
+    return _run(
+        "exhaustive", ev, decision_from_vector(ev.scenario, best_vec), t0,
         config={"cap": cap, "upload_model": ev.upload_model},
     )
 
@@ -473,20 +478,15 @@ ALLOCATORS = {
 
 
 def alternating_solve(
-    scenario: Scenario, config: Optional[DwoaConfig] = None, max_outer: int = 10, tol: float = 1e-6
+    scenario: Scenario, config: Optional[DwoaConfig] = None, max_outer: int = 10
 ) -> SolverRun:
     """alternating_search starting from the equal split."""
     cfg = config or DwoaConfig()
-    t0 = time.perf_counter()
     ev = Evaluator(scenario, alloc_equal(scenario), cfg.penalty, cfg.upload_model)
-    run = alternating_search(ev, cfg, max_outer, tol)
-    run.wall_time_s = time.perf_counter() - t0
-    return run
+    return alternating_search(ev, cfg, max_outer)
 
 
-def alternating_search(
-    ev: Evaluator, cfg: DwoaConfig, max_outer: int = 10, tol: float = 1e-6
-) -> SolverRun:
+def alternating_search(ev: Evaluator, cfg: DwoaConfig, max_outer: int = 10) -> SolverRun:
     """Whale search under the Evaluator's split, then seeded restarts
     under the closed-form split.
 
@@ -495,9 +495,9 @@ def alternating_search(
     next seed spawned from cfg.seed. The closed-form Evaluator is built
     once, and not at all when ev already carries that split. Stops
     after max_outer rounds, or once the best penalized fitness moves by
-    at most tol (relative) between rounds, and returns the best
-    (decision, allocation) pair seen; the trace holds the best value
-    after each round. max_outer below 1 raises ValueError.
+    at most ALTERNATING_TOL (relative) between rounds, and returns the
+    best (decision, allocation) pair seen; the trace holds the best
+    value after each round. max_outer below 1 raises ValueError.
     """
     if max_outer < 1:
         raise ValueError("max_outer must be >= 1")
@@ -520,54 +520,23 @@ def alternating_search(
                 best_pen = pen
                 best = (vec, scorer)
         trace.append(best_pen)
-        if math.isfinite(prev) and abs(prev - best_pen) <= tol * max(1.0, abs(prev)):
+        if math.isfinite(prev) and abs(prev - best_pen) <= ALTERNATING_TOL * max(1.0, abs(prev)):
             break
         prev = best_pen
 
     assert best is not None
     vec, scorer = best
-    decision = decision_from_vector(ev.scenario, vec)
-    res = scorer.result(decision)
-    return SolverRun(
-        solver="alternating",
-        seed=cfg.seed,
-        decision=decision,
-        beta=scorer.beta,
-        objective_s=res.objective_s,
-        feasible=res.feasible,
-        trace=trace,
-        wall_time_s=time.perf_counter() - t0,
-        schedule=res,
-        config={
-            "agents": cfg.agents,
-            "max_iterations": cfg.max_iterations,
-            "lambda": cfg.penalty.lambda_,
-            "penalty_mode": cfg.penalty.mode,
-            "max_outer": max_outer,
-            "tol": tol,
-            "rounds": len(trace),
-            "upload_model": cfg.upload_model,
-        },
+    return _run(
+        "alternating", scorer, decision_from_vector(ev.scenario, vec), t0, cfg.seed, trace,
+        {**_swarm_config(cfg), "max_outer": max_outer, "tol": ALTERNATING_TOL,
+         "rounds": len(trace)},
     )
 
 
 def associated_baseline(ev: Evaluator) -> SolverRun:
     """The everything-local decision, scored under the Evaluator's
     allocation."""
-    t0 = time.perf_counter()
-    decision = associated_decision(ev.scenario)
-    res = ev.result(decision)
-    return SolverRun(
-        solver="associated",
-        seed=None,
-        decision=decision,
-        beta=ev.beta,
-        objective_s=res.objective_s,
-        feasible=res.feasible,
-        trace=[res.objective_s],
-        wall_time_s=time.perf_counter() - t0,
-        schedule=res,
-    )
+    return _run("associated", ev, associated_decision(ev.scenario), time.perf_counter())
 
 
 def solver_seed(seed: int) -> int:

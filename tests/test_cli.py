@@ -178,6 +178,18 @@ def test_sweep_unknown_spec_key_exits_one(tmp_path, capsys):
     assert not os.path.exists(str(tmp_path / "out"))
 
 
+def test_sweep_generator_next_to_scenario_file_exits_one(tmp_path, capsys):
+    scen = _scenario_file(tmp_path)
+    gen = dict(DESK_SPEC["generator"], uav_count=9)
+    spec = dict(DESK_SPEC, scenario_file=scen, generator=gen, output_dir=str(tmp_path / "out"))
+    spec_file = str(tmp_path / "s.json")
+    with open(spec_file, "w") as f:
+        json.dump(spec, f)
+    assert main(["sweep", spec_file]) == 1
+    assert "generator parameters are unused" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "out"))
+
+
 def test_sweep_all_infeasible_exits_two(tmp_path, capsys):
     gen = dict(DESK_SPEC["generator"], energy_per_subtask_j=0.0)
     spec = dict(DESK_SPEC, generator=gen, values=[4], seeds=[0],

@@ -18,7 +18,9 @@ from uavmec import (
     alloc_optimal,
     decision_latency_breakdown,
     evaluate,
+    generate_scenario,
     schedule_to_csv,
+    validate_scenario,
     with_unlimited_energy,
 )
 from uavmec.evaluator import (
@@ -113,6 +115,23 @@ def test_decision_vector_round_trip():
         back = decision_from_vector(s, vec)
         assert back.x == dec.x
         assert decision_to_vector(s, back) == vec
+
+
+def test_decision_order_follows_index_not_listing_order():
+    # the same scenario with every task's sub-tasks listed in reverse
+    s = generate_scenario(3, uav_count=3, active_users=2, subtasks_per_task=4)
+    rev = dataclasses.replace(s, tasks=tuple(
+        dataclasses.replace(t, sub_tasks=t.sub_tasks[:1] + t.sub_tasks[:0:-1]) for t in s.tasks
+    ))
+    assert validate_scenario(rev) == []
+    assert decision_order(rev) == decision_order(s)
+    ev = Evaluator(rev, alloc_equal(rev))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        vec = tuple(rng.integers(1, 4, ev.vector_length).tolist())
+        back = decision_to_vector(rev, decision_from_vector(rev, vec))
+        assert back == vec
+        assert ev.fitness(back) == ev.fitness(vec)
 
 
 def test_decision_vector_slot_mapping():

@@ -94,6 +94,18 @@ def test_spec_rejects_csv_breaking_text(tmp_path, kw):
     assert any("',', newline or carriage return" in p for p in problems)
 
 
+def test_spec_rejects_axis_values_that_repeat_as_text(tmp_path):
+    # (3, "3") would run two cells writing one trace file
+    problems = _spec(tmp_path, values=(3, "3")).validate()
+    assert any("axis values must differ as text" in p for p in problems)
+
+
+def test_spec_rejects_generator_next_to_scenario_file(tmp_path):
+    problems = _spec(tmp_path, scenario_file="scen.json").validate()
+    assert "generator parameters are unused next to scenario_file" in problems
+    assert _spec(tmp_path, scenario_file="scen.json", generator={}).validate() == []
+
+
 def test_run_experiment_rejects_bad_spec(tmp_path):
     with pytest.raises(ValueError):
         run_experiment(_spec(tmp_path, axis="nope"))
@@ -167,6 +179,7 @@ def test_invalid_scenario_file_gives_error_rows(tmp_path):
         values=("dwoa", "associated"),
         seeds=(0,),
         scenario_file=write_nan_uav_scenario(tmp_path / "nan.json"),
+        generator={},
     )
     rows, paths = run_experiment(spec)
     assert len(rows) == 2

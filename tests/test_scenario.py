@@ -247,6 +247,25 @@ def test_load_rejects_invalid_scenario(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "renumber, message",
+    [
+        ({4: 9}, "sub-task indices must be 0..4"),  # a gap: KeyError in the Evaluator
+        ({0: 5}, "dummy root must have index 0"),  # IndexError in fitness
+    ],
+)
+def test_load_rejects_subtask_indices_other_than_0_to_n(tmp_path, renumber, message):
+    path = tmp_path / "scen.json"
+    save_scenario(generate_scenario(3, uav_count=3, active_users=1, subtasks_per_task=4), path)
+    d = json.loads(path.read_text(encoding="utf-8"))
+    for sub in d["tasks"][0]["sub_tasks"]:
+        sub["index"] = renumber.get(sub["index"], sub["index"])
+        sub["predecessors"] = [[renumber.get(p, p), b] for p, b in sub["predecessors"]]
+    path.write_text(json.dumps(d), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_scenario(path)
+
+
 def test_save_load_round_trip(tmp_path):
     s = generate_scenario(21)
     path = tmp_path / "scen.json"
