@@ -1,16 +1,18 @@
 """Turns (decision, bandwidth allocation, scenario) into a full schedule:
 dependency-respecting start/finish times, per-task makespan, objective,
 penalty, and energy feasibility. This is the fitness function behind
-every solver, so the inner loops stay allocation-free: the scalar kernel
-reuses per-UAV lists, and the population kernel scores N decisions at
+every solver. Whatever depends on the scenario alone, the upload model
+among it, is settled when an Evaluator is built. The scalar kernel keeps
+no state between calls; the population kernel scores N decisions at
 once, writing its intermediates node-major, one contiguous row of N per
 sub-task, into scratch arrays kept on the Evaluator, and returns fresh
 arrays.
 
 Timing rules: sub-tasks are processed in topological order; arrival time
 accumulates the task's uploads over the shared uplink (so one channel
-never carries two inputs at once) plus the forwarding hop when the
-executor is not the associated UAV; start time equals ready time, the
+never carries two inputs at once; the "independent" upload model starts
+every upload at the release time instead) plus the forwarding hop when
+the executor is not the associated UAV; start time equals ready time, the
 earliest instant at which the input has arrived and every predecessor
 has finished and shipped its dependency payload.
 """
@@ -158,7 +160,6 @@ class _BatchTables:
     """
 
     fmax: np.ndarray         # (V,) per slot: max compute
-    budget: np.ndarray       # (V,) energy budget
     report_e: np.ndarray     # (V,) status report energy
     hover_p: np.ndarray      # (V,) hover power
     inv_uu: np.ndarray       # (V*V,) inverse inter-UAV rate, row = sender
@@ -252,26 +253,33 @@ class Evaluator:
     (scenario, bandwidth allocation) pair, then maps decision vectors to
     objectives.
 
-    Two paths give bit-identical numbers. fitness, objective_and_feasible
-    and result score one vector with the scalar kernel. fitness_many and
-    objective_and_feasible_many score an (N, M) matrix of 1-based slots,
-    one decision per row, in one array pass whose numpy call count grows
-    with DAG depth, not with N or M; the scenario is compiled into arrays
-    on the first such call. Below BATCH_MIN_ROWS rows they loop the
-    scalar kernel instead.
+    The upload model is applied here, at construction: each node's
+    arrival before the forwarding hop is computed once, so neither
+    kernel reads the model.
+
+    Two kernels give bit-identical numbers. The scalar kernel scores one
+    vector; result uses it. fitness_many and objective_and_feasible_many
+    score an (N, M) matrix of 1-based slots, one decision per row, in
+    one array pass whose numpy call count grows with DAG depth, not with
+    N or M; the scenario is compiled into arrays on the first such call.
+    Below BATCH_MIN_ROWS rows they loop the scalar kernel instead.
+    fitness and objective_and_feasible score one vector as a one-row
+    matrix. Every path applies one budget rule: a decision is feasible
+    exactly when every energy total is at most its UAV's budget, and
+    hard mode rejects exactly the infeasible decisions.
 
     The population kernel works node-major: its intermediates are
     (rows, N) arrays with one contiguous row of N values per sub-task,
     user or payload edge, so its gathers and per-level maxima move
-    whole rows. The scalar methods reject a vector that is not M slots
-    in [1, V], as the population methods reject such a matrix.
+    whole rows. Every method rejects a vector that is not M slots in
+    [1, V], and a matrix whose rows are not.
 
-    Both kernels reuse scratch held by the Evaluator. The population
-    scratch is built on the first array pass, sized to the largest N
-    seen so far; each N gets contiguous (rows, N) views of its blocks,
-    rebuilt when N changes. The arrays these methods return are always
-    fresh, so callers may keep them across calls. Not thread-safe
-    (scratch is reused); build one Evaluator per thread.
+    Only the population kernel reuses scratch held by the Evaluator. It
+    is built on the first array pass, sized to the largest N seen so
+    far; each N gets contiguous (rows, N) views of its blocks, rebuilt
+    when N changes. The arrays these methods return are always fresh,
+    so callers may keep them across calls. Not thread-safe (scratch is
+    reused); build one Evaluator per thread.
     """
 
     def __init__(
@@ -298,15 +306,14 @@ class Evaluator:
         V = len(uavs)
         self._V = V
         self._fmax = [v.max_compute_hz for v in uavs]
-        self._ebudget = [v.energy_budget_j for v in uavs]
-        self._kappa = [ph.effective_switched_capacitance] * V
+        self._budget = np.array([v.energy_budget_j for v in uavs], dtype=float)
         self._p_fwd_w = [channel.dbm_to_watts(v.tx_power_u2u_dbm) for v in uavs]
         self._hover_p = [hover_power_w(v, ph) for v in uavs]
-        self._report_t = []
+        report_t = []
         self._report_e = []
         for v in uavs:
             t_b = v.info_payload_bits / channel.u2b_rate(v, scenario.bs_position_m, ph)
-            self._report_t.append(t_b)
+            report_t.append(t_b)
             self._report_e.append(channel.dbm_to_watts(v.tx_power_to_bs_dbm) * t_b)
 
         # inverse inter-UAV rates; diagonal zero makes co-located transfers free
@@ -316,7 +323,9 @@ class Evaluator:
                 if a != b:
                     self._inv_uu[a][b] = 1.0 / channel.u2u_rate(uavs[a], uavs[b], ph)
 
-        # per active user: static uploads, forward-time table, DAG shape
+        # per active user: static uploads and arrivals, forward-time
+        # table, DAG shape
+        cumulative = upload_model == "cumulative"
         self._users = []
         offset = 0
         for t in sorted(scenario.tasks, key=lambda t: t.owner_user):
@@ -340,6 +349,13 @@ class Evaluator:
                 up_t[j] = s.input_size_bits / rate_up
                 preds[j] = tuple(s.predecessors)
             topo = [j for j in topological_order(t) if j != 0]
+            # arrival before the forwarding hop: the cumulative model
+            # uploads the inputs one after another in visiting order
+            arrival = [0.0] * (n + 1)
+            cum = t.release_time_s
+            for j in topo:
+                cum += up_t[j]
+                arrival[j] = cum if cumulative else t.release_time_s + up_t[j]
             fwd = []
             for j in range(1, n + 1):
                 row = [0.0] * V
@@ -358,12 +374,15 @@ class Evaluator:
                     cycles_per_bit=cycles,
                     h_bits=h_bits,
                     up_t=up_t,
+                    arrival=arrival,
                     task_upload=task_upload,
+                    # a hover span is this plus the longer of the
+                    # user's local and remote execution spans
+                    span_base=task_upload + report_t[assoc],
                     uplink_j=channel.dbm_to_watts(user.tx_power_dbm) * task_upload,
                     preds=preds,
                     topo=topo,
                     fwd=fwd,
-                    ft=[0.0] * (n + 1),
                 )
             )
             offset += n
@@ -372,31 +391,20 @@ class Evaluator:
         self._tables: Optional[_BatchTables] = None
         self._scratch: Optional[_Scratch] = None
 
-        # scratch buffers
-        self._tot = [0.0] * V
-        self._exec_unit = [0.0] * V
-        self._exec_e = [0.0] * V
-        self._fwd_e = [0.0] * V
-        self._hov_t = [0.0] * V
-
     @property
     def vector_length(self) -> int:
         return self._m
 
     def _core(self, vec, collect: bool = False):
-        """Shared fast path. Returns (objective, per-UAV energy totals)
-        and, when collect is set, a detail dict for ScheduleResult."""
+        """The scalar kernel over one vector of 1-based slots, with no
+        state kept between calls. Returns (objective, per-UAV energy
+        totals, detail): detail is None unless collect is set, then a
+        dict of the schedule and of the energy parts for result()."""
         V = self._V
-        tot = self._tot
-        exec_unit = self._exec_unit
-        exec_e = self._exec_e
-        fwd_e = self._fwd_e
-        hov_t = self._hov_t
-        for i in range(V):
-            tot[i] = 0.0
-            exec_e[i] = 0.0
-            fwd_e[i] = 0.0
-            hov_t[i] = 0.0
+        tot = [0.0] * V  # input bits per UAV
+        exec_e = [0.0] * V
+        fwd_e = [0.0] * V
+        hov_t = [0.0] * V
 
         for u in self._users:
             off = u["offset"]
@@ -404,12 +412,10 @@ class Evaluator:
             for j in range(1, u["n"] + 1):
                 tot[vec[off + j - 1] - 1] += h[j]
         fmax_arr = self._fmax
-        for i in range(V):
-            exec_unit[i] = tot[i] / fmax_arr[i]
+        exec_unit = [tot[i] / fmax_arr[i] for i in range(V)]
 
         inv_uu = self._inv_uu
-        kappa = self._kappa
-        cumulative = self.upload_model == "cumulative"
+        kappa = self.scenario.physics.effective_switched_capacitance
         detail = (
             dict(arrival={}, ready={}, start={}, finish={}, exec={}, upload={},
                  forward={}, executor={}, makespan={}, task_upload={})
@@ -423,27 +429,21 @@ class Evaluator:
             uid = u["user_id"]
             trel = u["trel"]
             assoc = u["assoc"]
-            up_t = u["up_t"]
+            arrival = u["arrival"]
             h = u["h_bits"]
             preds = u["preds"]
             fwd = u["fwd"]
-            ft = u["ft"]
             cpb = u["cycles_per_bit"]
+            ft = [0.0] * (u["n"] + 1)  # finish time per sub-task
             ft[0] = trel
-            cum = trel
             f_last = trel
             loc_span = 0.0
             rem_span = 0.0
             for j in u["topo"]:
                 v = vec[off + j - 1]
                 v0 = v - 1
-                if cumulative:
-                    cum += up_t[j]
-                    at = cum
-                else:
-                    at = trel + up_t[j]
                 fwd_t = fwd[j - 1][v0]
-                at += fwd_t
+                at = arrival[j] + fwd_t
                 rt = at
                 for p, bits in preds[j]:
                     tp = ft[p]
@@ -461,7 +461,7 @@ class Evaluator:
                     f_last = fin
 
                 f_share = h[j] * fmax_arr[v0] / tot[v0]
-                exec_e[v0] += kappa[v0] * f_share * f_share * cu * h[j]
+                exec_e[v0] += kappa * f_share * f_share * cu * h[j]
                 if v0 == assoc:
                     loc_span += exec_t
                 else:
@@ -474,14 +474,12 @@ class Evaluator:
                     detail["start"][key] = rt
                     detail["finish"][key] = fin
                     detail["exec"][key] = exec_t
-                    detail["upload"][key] = up_t[j]
+                    detail["upload"][key] = u["up_t"][j]
                     detail["forward"][key] = fwd_t
                     detail["executor"][key] = self._uav_ids[v0]
             makespan = f_last - trel
             obj_sum += makespan + u["task_upload"]
-            span = u["task_upload"] + self._report_t[assoc] + (
-                loc_span if loc_span >= rem_span else rem_span
-            )
+            span = u["span_base"] + (loc_span if loc_span >= rem_span else rem_span)
             if span > hov_t[assoc]:
                 hov_t[assoc] = span
             if collect:
@@ -502,84 +500,77 @@ class Evaluator:
             exec_e[i] + fwd_e[i] + self._report_e[i] + self._hover_p[i] * hov_t[i]
             for i in range(V)
         ]
+        if collect:
+            detail.update(exec_e=exec_e, fwd_e=fwd_e, hover_t=hov_t)
         return objective, totals, detail
 
     def fitness(self, vec) -> float:
         """Penalized objective of an integer decision vector (1-based slots)."""
-        self._check_vector(vec)
-        return self._fitness(vec)
+        return float(self.fitness_many([vec])[0])
 
     def objective_and_feasible(self, vec) -> Tuple[float, bool]:
-        self._check_vector(vec)
-        return self._objective_and_feasible(vec)
-
-    def _fitness(self, vec) -> float:
-        objective, totals, _ = self._core(vec)
-        if self.penalty is None:
-            return objective
-        return _penalize(objective, totals, self._ebudget, self.penalty)
-
-    def _objective_and_feasible(self, vec) -> Tuple[float, bool]:
-        objective, totals, _ = self._core(vec)
-        budgets = self._ebudget
-        feasible = all(totals[i] <= budgets[i] for i in range(self._V))
-        return objective, feasible
+        objective, feasible = self.objective_and_feasible_many([vec])
+        return float(objective[0]), bool(feasible[0])
 
     def fitness_many(self, population) -> np.ndarray:
         """fitness of each row of an (N, M) matrix of 1-based slots, as
         an (N,) array equal bit for bit to calling fitness row by row."""
-        pop = self._slot_matrix(population)
-        if len(pop) < BATCH_MIN_ROWS:
-            return np.array([self._fitness(row) for row in pop.tolist()], dtype=float)
-        objective, totals = self._score_many(pop)
-        pen = self.penalty
-        if pen is None:
-            return objective
-        budget = self._tables.budget
-        if pen.mode == "hard":
-            return np.where((totals > budget).any(axis=1), HARD_REJECT, objective)
-        over = totals - budget
-        surcharge = np.where(over > 0.0, pen.lambda_ * over * over, 0.0)
-        for i in range(self._V):  # slot order, as fitness adds them
-            objective = objective + surcharge[:, i]
-        return objective
+        return self._penalize(*self._score(population))
 
     def objective_and_feasible_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
         """objective_and_feasible of each row of an (N, M) slot matrix:
         (N,) objectives and (N,) feasibility flags."""
+        objective, totals = self._score(population)
+        return objective, self._feasible(totals)
+
+    def _feasible(self, totals: np.ndarray) -> np.ndarray:
+        """The budget rule, over the last axis of per-UAV energy totals:
+        feasible exactly when every total is at most its budget, so a
+        NaN total is infeasible."""
+        return (totals <= self._budget).all(axis=-1)
+
+    def _penalize(self, objective, totals: np.ndarray):
+        """The objective under the penalty: hard mode rejects exactly the
+        infeasible decisions; penalty mode adds lambda * excess^2 UAV by
+        UAV in slot order. objective is (N,) or a scalar, totals (N, V)
+        or (V,)."""
+        pen = self.penalty
+        if pen is None:
+            return objective
+        if pen.mode == "hard":
+            return np.where(self._feasible(totals), objective, HARD_REJECT)
+        over = totals - self._budget
+        surcharge = np.where(over > 0.0, pen.lambda_ * over * over, 0.0)
+        for i in range(self._V):
+            objective = objective + surcharge[..., i]
+        return objective
+
+    def _score(self, population) -> Tuple[np.ndarray, np.ndarray]:
+        """(N,) objectives and (N, V) energy totals of an (N, M) slot
+        matrix, both fresh: the scalar kernel row by row below
+        BATCH_MIN_ROWS rows, else the population kernel."""
         pop = self._slot_matrix(population)
-        if len(pop) < BATCH_MIN_ROWS:
-            pairs = [self._objective_and_feasible(row) for row in pop.tolist()]
-            return (
-                np.array([obj for obj, _ in pairs], dtype=float),
-                np.array([ok for _, ok in pairs], dtype=bool),
-            )
-        objective, totals = self._score_many(pop)
-        return objective, (totals <= self._tables.budget).all(axis=1)
-
-    def _slot_error(self) -> ValueError:
-        return ValueError(
-            f"decisions must be length-{self._m} vectors, or an (N, {self._m}) "
-            f"matrix of them, of slots in [1, {self._V}]"
+        if len(pop) >= BATCH_MIN_ROWS:
+            return self._score_many(pop)
+        scored = [self._core(row)[:2] for row in pop.tolist()]
+        return (
+            np.array([obj for obj, _ in scored], dtype=float),
+            np.array([tot for _, tot in scored], dtype=float).reshape(len(pop), self._V),
         )
-
-    def _check_vector(self, vec) -> None:
-        """ValueError unless vec is one decision of M slots in [1, V]:
-        the scalar kernel would index its per-UAV lists with a 0 slot
-        as the last UAV."""
-        if len(vec) != self._m or (self._m and (min(vec) < 1 or max(vec) > self._V)):
-            raise self._slot_error()
 
     def _slot_matrix(self, population) -> np.ndarray:
         """population as an intp array; ValueError unless it is an (N, M)
-        matrix of slots in [1, V]. The kernel's gathers do not check
-        their indices, so this check is what keeps a bad slot from
-        scoring as some other decision."""
+        matrix of slots in [1, V]. Neither kernel checks its indices (the
+        scalar one would read a 0 slot as the last UAV), so this check
+        is what keeps a bad slot from scoring as some other decision."""
         pop = np.asarray(population, dtype=np.intp)
-        if pop.size and (
-            pop.ndim != 2 or pop.shape[1] != self._m or pop.min() < 1 or pop.max() > self._V
+        if pop.ndim != 2 or pop.shape[1] != self._m or (
+            pop.size and (pop.min() < 1 or pop.max() > self._V)
         ):
-            raise self._slot_error()
+            raise ValueError(
+                f"decisions must be length-{self._m} vectors, or an (N, {self._m}) "
+                f"matrix of them, of slots in [1, {self._V}]"
+            )
         return pop
 
     def _score_many(self, pop: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -703,7 +694,6 @@ class Evaluator:
         """Lays the scenario out as the arrays of _BatchTables, once."""
         V = self._V
         M = self._m
-        cumulative = self.upload_model == "cumulative"
         cols, h_visit, cycles, h_fmax, fwd, user, assoc = [], [], [], [], [], [], []
         arrival, depth, parents = [], [], []
         release, task_upload, span_base = [], [], []
@@ -712,9 +702,8 @@ class Evaluator:
             trel = u["trel"]
             release.append(trel)
             task_upload.append(u["task_upload"])
-            span_base.append(u["task_upload"] + self._report_t[a])
+            span_base.append(u["span_base"])
             visit = {}
-            cum = trel
             for j in u["topo"]:
                 visit[j] = len(cols)
                 cols.append(u["offset"] + j - 1)
@@ -725,11 +714,7 @@ class Evaluator:
                 fwd.extend(u["fwd"][j - 1])
                 user.append(ui)
                 assoc.append(a)
-                if cumulative:
-                    cum += u["up_t"][j]
-                    arrival.append(cum)
-                else:
-                    arrival.append(trel + u["up_t"][j])
+                arrival.append(u["arrival"][j])
                 # parent visit position, or None for the dummy root
                 ins = [(visit[p] if p != 0 else None, bits) for p, bits in u["preds"][j]]
                 depth.append(max((depth[q] + 1 for q, _ in ins if q is not None), default=0))
@@ -785,7 +770,6 @@ class Evaluator:
 
         self._tables = _BatchTables(
             fmax=np.array(self._fmax, dtype=float),
-            budget=np.array(self._ebudget, dtype=float),
             report_e=np.array(self._report_e, dtype=float),
             hover_p=np.array(self._hover_p, dtype=float),
             inv_uu=np.array(self._inv_uu, dtype=float).ravel(),
@@ -824,21 +808,21 @@ class Evaluator:
         objective, totals, detail = self._core(vec, collect=True)
 
         uav_ids = self._uav_ids
-        exec_j = {uav_ids[i]: self._exec_e[i] for i in range(self._V)}
-        fwd_j = {uav_ids[i]: self._fwd_e[i] for i in range(self._V)}
+        exec_e, fwd_e, hov_t = detail["exec_e"], detail["fwd_e"], detail["hover_t"]
+        exec_j = {uav_ids[i]: exec_e[i] for i in range(self._V)}
+        fwd_j = {uav_ids[i]: fwd_e[i] for i in range(self._V)}
         report_j = {uav_ids[i]: self._report_e[i] for i in range(self._V)}
-        hover_time = {uav_ids[i]: self._hov_t[i] for i in range(self._V)}
-        hover_j = {uav_ids[i]: self._hover_p[i] * self._hov_t[i] for i in range(self._V)}
+        hover_time = {uav_ids[i]: hov_t[i] for i in range(self._V)}
+        hover_j = {uav_ids[i]: self._hover_p[i] * hov_t[i] for i in range(self._V)}
         total_j = {uav_ids[i]: totals[i] for i in range(self._V)}
         uplink = {u["user_id"]: u["uplink_j"] for u in self._users}
         ledger = EnergyLedger(exec_j, fwd_j, report_j, hover_j, total_j, hover_time, uplink)
 
-        feasible = all(
-            totals[i] <= self._ebudget[i] for i in range(self._V)
-        )
+        totals_v = np.array(totals)
+        feasible = bool(self._feasible(totals_v))
         penalized = None
         if self.penalty is not None:
-            penalized = _penalize(objective, totals, self._ebudget, self.penalty)
+            penalized = float(self._penalize(objective, totals_v))
         return ScheduleResult(
             arrival_s=detail["arrival"],
             ready_s=detail["ready"],
@@ -855,22 +839,6 @@ class Evaluator:
             penalized_s=penalized,
             feasible=feasible,
         )
-
-
-def _penalize(objective: float, totals, budgets, pen: PenaltyConfig) -> float:
-    """Hard rejection when a total exceeds its budget, else the objective
-    plus lambda * excess^2 added UAV by UAV in slot order (the order
-    fitness_many adds them)."""
-    if pen.mode == "hard":
-        for t, b in zip(totals, budgets):
-            if t > b:
-                return HARD_REJECT
-        return objective
-    for t, b in zip(totals, budgets):
-        over = t - b
-        if over > 0.0:
-            objective += pen.lambda_ * over * over
-    return objective
 
 
 def evaluate(

@@ -27,9 +27,10 @@ Alternating starts from that Evaluator too, and builds one closed-form
 split Evaluator only when the cell's split differs. Cells run grouped
 by these keys, holding one input of each kind at a time. results.csv
 stays byte-identical to building every input per cell: each input is a
-pure function of its key, and an Evaluator's scoring buffers are reset
-on every call, so no cell sees another's state. Rows are sorted into
-the fixed output order at the end.
+pure function of its key, and an Evaluator's only state between calls
+is its population scratch, overwritten before it is read, so no cell
+sees another's state. Rows are sorted into the fixed output order at
+the end.
 """
 from __future__ import annotations
 
@@ -123,6 +124,13 @@ class ExperimentSpec:
         for m in modes:
             if m not in ENERGY_MODES:
                 out.append(f"unknown energy mode {m!r}")
+        # cells, results.csv rows and trace files are keyed by these too
+        for name in ("solvers", "allocators", "energy_modes"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                out.append(f"{name} must be distinct, got {list(entries)}")
+        if self.penalty_mode not in ("penalty", "hard"):
+            out.append(f"unknown penalty mode {self.penalty_mode!r}")
         if self.axis in ("users", "subtasks") and self.scenario_file:
             out.append(f"axis {self.axis} regenerates scenarios; scenario_file unsupported")
         if self.scenario_file and self.generator:

@@ -261,7 +261,8 @@ def generate_scenario(
     the region center. active_users users (network-wide) are marked
     active and receive a task DAG each. The per-UAV energy budget follows
     the budget rule energy = subtasks_per_task * energy_per_subtask_j.
-    Identical seed and params give a bit-identical scenario.
+    Identical seed and params give a bit-identical scenario; a
+    SeedSequence seed is left as it was passed in.
     """
     if region_m[0] <= 0 or region_m[1] <= 0:
         raise ValueError("region must have positive area")
@@ -271,7 +272,14 @@ def generate_scenario(
     if lo < 1 or hi < lo:
         raise ValueError("users_per_uav range must satisfy 1 <= lo <= hi")
 
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    if isinstance(seed, np.random.SeedSequence):
+        # spawn from a copy: spawning advances the caller's sequence
+        ss = np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned,
+        )
+    else:
+        ss = np.random.SeedSequence(seed)
     scen_ss, task_root = ss.spawn(2)
     rng = np.random.default_rng(scen_ss)
 

@@ -520,6 +520,56 @@ def test_population_kernel_sees_binding_budgets():
     assert (ev.fitness_many(P) == HARD_REJECT).sum() == len(feas) - feas.sum()
 
 
+def _penalized_on_every_path(ev, row):
+    """row's fitness from the one-decision call, the scalar loop, the
+    array pass and result()."""
+    return [
+        ev.fitness(row),
+        *ev.fitness_many([row] * 2).tolist(),
+        *ev.fitness_many([row] * BATCH_MIN_ROWS).tolist(),
+        ev.result(decision_from_vector(ev.scenario, row)).penalized_s,
+    ]
+
+
+def _feasible_on_every_path(ev, row):
+    return [
+        ev.objective_and_feasible(row)[1],
+        *ev.objective_and_feasible_many([row] * 2)[1].tolist(),
+        *ev.objective_and_feasible_many([row] * BATCH_MIN_ROWS)[1].tolist(),
+        ev.result(decision_from_vector(ev.scenario, row)).feasible,
+    ]
+
+
+def test_hard_mode_rejects_a_nan_energy_total_on_every_path():
+    # a NaN status report power makes UAV 2's energy total NaN, which is
+    # not at most its budget: infeasible, so hard mode must reject it
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2)
+    s = dataclasses.replace(s, uavs=tuple(
+        dataclasses.replace(v, tx_power_to_bs_dbm=math.nan) if v.id == 2 else v for v in s.uavs
+    ))
+    ev = Evaluator(s, alloc_equal(s), PenaltyConfig(mode="hard"))
+    row = [1] * ev.vector_length
+    assert math.isnan(ev.result(decision_from_vector(s, row)).energy.total_j[2])
+    assert set(_feasible_on_every_path(ev, row)) == {False}
+    assert set(_penalized_on_every_path(ev, row)) == {HARD_REJECT}
+
+
+@pytest.mark.parametrize("penalty", [PenaltyConfig(mode="hard"), PenaltyConfig(lambda_=0.1)],
+                         ids=["hard", "lam0.1"])
+def test_total_equal_to_its_budget_is_feasible_on_every_path(penalty):
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
+    row = [1, 2, 3] * (len(decision_order(s)) // 3)
+    totals = evaluate(decision_from_vector(s, row), alloc_equal(s), s).energy.total_j
+    s = dataclasses.replace(s, uavs=tuple(
+        dataclasses.replace(v, energy_budget_j=totals[v.id]) for v in s.uavs
+    ))
+    ev = Evaluator(s, alloc_equal(s), penalty)
+    res = ev.result(decision_from_vector(s, row))
+    assert res.energy.total_j == {v.id: v.energy_budget_j for v in s.uavs}
+    assert set(_feasible_on_every_path(ev, row)) == {True}
+    assert set(_penalized_on_every_path(ev, row)) == {res.objective_s}
+
+
 def test_parentless_subtask_is_ready_at_arrival():
     s = _odd_dag_scenario()
     res = evaluate(OffloadDecision({1: (1, 2, 1, 1)}), alloc_equal(s), s)

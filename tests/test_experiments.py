@@ -100,6 +100,22 @@ def test_spec_rejects_axis_values_that_repeat_as_text(tmp_path):
     assert any("axis values must differ as text" in p for p in problems)
 
 
+@pytest.mark.parametrize(
+    "field, entries",
+    [("solvers", ("dwoa", "dwoa")), ("allocators", ("equal", "optimal", "equal")),
+     ("energy_modes", ("limited", "limited"))],
+)
+def test_spec_rejects_repeated_entries(tmp_path, field, entries):
+    # solvers=("dwoa", "dwoa") would run two cells writing one trace file
+    problems = _spec(tmp_path, **{field: entries}).validate()
+    assert f"{field} must be distinct, got {list(entries)}" in problems
+
+
+def test_spec_rejects_unknown_penalty_mode(tmp_path):
+    assert _spec(tmp_path, penalty_mode="hard").validate() == []
+    assert _spec(tmp_path, penalty_mode="hrad").validate() == ["unknown penalty mode 'hrad'"]
+
+
 def test_spec_rejects_generator_next_to_scenario_file(tmp_path):
     problems = _spec(tmp_path, scenario_file="scen.json").validate()
     assert "generator parameters are unused next to scenario_file" in problems

@@ -49,6 +49,14 @@ def test_generate_scenario_is_deterministic():
     assert a != c
 
 
+def test_generate_scenario_leaves_a_seed_sequence_as_passed():
+    ss = np.random.SeedSequence(5)
+    first = generate_scenario(ss)
+    assert generate_scenario(ss) == first
+    assert ss.n_children_spawned == 0
+    assert first == generate_scenario(np.random.SeedSequence(5))
+
+
 def test_task_dag_shape():
     t = generate_task_dag(3, 12)
     subs = t.sub_tasks
