@@ -22,7 +22,6 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,12 +126,13 @@ def decision_from_vector(scenario: Scenario, values: Sequence[int]) -> OffloadDe
     order = decision_order(scenario)
     if len(values) != len(order):
         raise ValueError(f"vector length {len(values)} != {len(order)} sub-tasks")
-    x: Dict[int, List[int]] = {}
+    # an entry per active user, also for a task with no sub-task to place
+    x: Dict[int, List[int]] = {u: [] for u in sorted(t.owner_user for t in scenario.tasks)}
     for (u, j), val in zip(order, values):
         k = int(val)
         if not 1 <= k <= len(uav_ids):
             raise ValueError(f"slot value {k} outside [1, {len(uav_ids)}]")
-        x.setdefault(u, []).append(uav_ids[k - 1])
+        x[u].append(uav_ids[k - 1])
     return OffloadDecision({u: tuple(vals) for u, vals in x.items()})
 
 
@@ -164,7 +164,6 @@ class _BatchTables:
     hover_p: np.ndarray      # (V,) hover power
     inv_uu: np.ndarray       # (V*V,) inverse inter-UAV rate, row = sender
     kappa: float
-    h: np.ndarray            # (M, 1) input bits, decision-column order
     cols: np.ndarray         # (M,) decision column of each visited node
     h_visit: np.ndarray      # (M, 1) input bits
     cycles: np.ndarray       # (M, 1) cycles per bit
@@ -194,58 +193,36 @@ class _BatchTables:
 
 
 class _Scratch:
-    """Work arrays of the population kernel for up to n_max decisions,
-    carved out of one float block and one intp block. rows(n) lays each
-    out as a C-contiguous (width, n) array, one row per node, payload
-    edge or user, so every per-node gather and every level's max moves
-    whole contiguous rows. A column prefix of a (width, n_max) array is
-    not contiguous, so each n gets views of its own over the blocks' first
-    n * width entries, and the decision-independent arrays are refilled
-    whenever n changes: the decision-order input bits h, the release-time
-    rows of the finish table ft and the flat cell offsets."""
+    """Work arrays of the population kernel for exactly n decisions, each
+    its own C-contiguous (width, n) array, one row per node, payload edge
+    or user, so every per-node gather and every level's max moves whole
+    contiguous rows. The decision-independent rows are filled here, once:
+    the decision-order input bits h, the release-time rows of the finish
+    table ft and the flat cell offsets."""
 
-    def __init__(self, t: _BatchTables, n_max: int, V: int, U: int):
+    def __init__(self, t: _BatchTables, n: int, V: int, U: int):
         M = len(t.cols)
         E = len(t.pay_bits)
         # one level's gathered rows, or its payload senders
         tp = max(max(k * (hi - lo), e1 - e0) for lo, hi, _, k, _, e0, e1 in t.levels)
-        self._layout = (
-            (float, dict(h=M, exec_t=M, fwd_t=M, share=M, work=M,
-                         ft=M + U + E, by_user=M + U, last=U, edge=E, tp=tp)),
-            (np.intp, dict(cells=M, cellv=M, sv=M, fwd_cell=M, ucell=M,
-                           src=E, dst=E, cell=1, cell0=1, row_of=U)),
-        )
-        self._blocks = [np.empty(n_max * sum(widths.values()), dtype=dtype)
-                        for dtype, widths in self._layout]
-        self._t = t
-        self._V = V
-        self._U = U
-        self.n_max = n_max
-        self._rows: Optional[SimpleNamespace] = None
+        self.n = n
 
-    def rows(self, n: int) -> SimpleNamespace:
-        """Every array as a (width, n) attribute, valid until the next
-        call with another n."""
-        if self._rows is not None and self._rows.n == n:
-            return self._rows
-        s = SimpleNamespace(n=n)
-        for (_, widths), block in zip(self._layout, self._blocks):
-            off = 0
-            for name, w in widths.items():
-                setattr(s, name, block[off:off + w * n].reshape(w, n))
-                off += w * n
-        t = self._t
-        M = len(t.cols)
+        def rows(width, dtype=float):
+            return np.empty((width, n), dtype=dtype)
+
+        self.h, self.exec_t, self.fwd_t, self.share, self.work = (rows(M) for _ in range(5))
+        self.ft, self.by_user, self.last = rows(M + U + E), rows(M + U), rows(U)
+        self.edge, self.tp = rows(E), rows(tp)
+        self.cells, self.cellv, self.sv = (rows(M, np.intp) for _ in range(3))
+        self.src, self.dst = rows(E, np.intp), rows(E, np.intp)
+        self.h[t.cols] = t.h_visit
+        self.ft[M:M + U] = t.release
         col = np.arange(n, dtype=np.intp)
-        s.h[:] = t.h
-        s.ft[M:M + self._U] = t.release
-        np.multiply(col, self._V, out=s.cell[0])
-        np.subtract(s.cell, 1, out=s.cell0)
-        np.add(s.cell, t.assoc, out=s.fwd_cell)
-        np.add(col * self._U, t.user, out=s.ucell)
-        s.row_of[:] = col
-        self._rows = s
-        return s
+        self.cell = (col * V).reshape(1, n)
+        self.cell0 = self.cell - 1
+        self.fwd_cell = self.cell + t.assoc
+        self.ucell = col * U + t.user
+        self.row_of = np.tile(col, (U, 1))
 
 
 class Evaluator:
@@ -271,15 +248,16 @@ class Evaluator:
     The population kernel works node-major: its intermediates are
     (rows, N) arrays with one contiguous row of N values per sub-task,
     user or payload edge, so its gathers and per-level maxima move
-    whole rows. Every method rejects a vector that is not M slots in
-    [1, V], and a matrix whose rows are not.
+    whole rows. Every method rejects a vector that is not M integer
+    slots in [1, V], and a matrix whose rows are not. Construction
+    rejects a bandwidth split that BandwidthAllocation.check faults and
+    a scenario with no sub-task to place.
 
-    Only the population kernel reuses scratch held by the Evaluator. It
-    is built on the first array pass, sized to the largest N seen so
-    far; each N gets contiguous (rows, N) views of its blocks, rebuilt
-    when N changes. The arrays these methods return are always fresh,
-    so callers may keep them across calls. Not thread-safe (scratch is
-    reused); build one Evaluator per thread.
+    Only the population kernel reuses scratch held by the Evaluator:
+    work arrays for exactly the N of the last array pass, built again
+    when a call brings another N. The arrays these methods return are
+    always fresh, so callers may keep them across calls. Not thread-safe
+    (scratch is reused); build one Evaluator per thread.
     """
 
     def __init__(
@@ -293,6 +271,9 @@ class Evaluator:
             raise ValueError(f"unknown upload model {upload_model!r}")
         if not scenario.tasks:
             raise ValueError("scenario has no active users")
+        problems = beta.check(scenario)
+        if problems:
+            raise ValueError("; ".join(problems))
         self.scenario = scenario
         self.beta = beta
         self.penalty = penalty
@@ -386,6 +367,8 @@ class Evaluator:
                 )
             )
             offset += n
+        if offset == 0:
+            raise ValueError("scenario has no sub-task to place")
         self._m = offset
 
         self._tables: Optional[_BatchTables] = None
@@ -532,15 +515,15 @@ class Evaluator:
     def _penalize(self, objective, totals: np.ndarray):
         """The objective under the penalty: hard mode rejects exactly the
         infeasible decisions; penalty mode adds lambda * excess^2 UAV by
-        UAV in slot order. objective is (N,) or a scalar, totals (N, V)
-        or (V,)."""
+        UAV in slot order, and HARD_REJECT for a NaN excess. objective is
+        (N,) or a scalar, totals (N, V) or (V,)."""
         pen = self.penalty
         if pen is None:
             return objective
         if pen.mode == "hard":
             return np.where(self._feasible(totals), objective, HARD_REJECT)
         over = totals - self._budget
-        surcharge = np.where(over > 0.0, pen.lambda_ * over * over, 0.0)
+        surcharge = np.where(over > 0.0, pen.lambda_ * over * over, np.isnan(over) * HARD_REJECT)
         for i in range(self._V):
             objective = objective + surcharge[..., i]
         return objective
@@ -560,18 +543,19 @@ class Evaluator:
 
     def _slot_matrix(self, population) -> np.ndarray:
         """population as an intp array; ValueError unless it is an (N, M)
-        matrix of slots in [1, V]. Neither kernel checks its indices (the
-        scalar one would read a 0 slot as the last UAV), so this check
-        is what keeps a bad slot from scoring as some other decision."""
-        pop = np.asarray(population, dtype=np.intp)
-        if pop.ndim != 2 or pop.shape[1] != self._m or (
+        integer matrix of slots in [1, V]. Neither kernel checks its
+        indices (the scalar one would read a 0 slot as the last UAV), so
+        this check is what keeps a bad slot from scoring as some other
+        decision."""
+        pop = np.asarray(population)
+        if pop.dtype.kind not in "iu" or pop.ndim != 2 or pop.shape[1] != self._m or (
             pop.size and (pop.min() < 1 or pop.max() > self._V)
         ):
             raise ValueError(
                 f"decisions must be length-{self._m} vectors, or an (N, {self._m}) "
                 f"matrix of them, of slots in [1, {self._V}]"
             )
-        return pop
+        return pop.astype(np.intp, copy=False)
 
     def _score_many(self, pop: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Population kernel over an (N, M) intp slot matrix: (N,)
@@ -587,14 +571,13 @@ class Evaluator:
         which does not depend on order. Both returned arrays are fresh.
         """
         t = self._tables if self._tables is not None else self._compile()
-        n = len(pop)
-        if self._scratch is None or n > self._scratch.n_max:
-            self._scratch = _Scratch(t, n, self._V, len(self._users))
-        s = self._scratch.rows(n)
+        s = self._scratch
+        if s is None or s.n != len(pop):
+            s = self._scratch = _Scratch(t, len(pop), self._V, len(self._users))
         totals = self._energy_many(t, s, pop)
         return self._objective_many(t, s), totals
 
-    def _energy_many(self, t: _BatchTables, s: SimpleNamespace, pop) -> np.ndarray:
+    def _energy_many(self, t: _BatchTables, s: _Scratch, pop) -> np.ndarray:
         """Writes the per-node execution and forwarding times (visiting
         order) into s.exec_t and s.fwd_t and the 0-based slots into s.sv;
         returns fresh (N, V) per-UAV energy totals."""
@@ -650,7 +633,7 @@ class Evaluator:
         totals += hover_t
         return totals
 
-    def _objective_many(self, t: _BatchTables, s: SimpleNamespace) -> np.ndarray:
+    def _objective_many(self, t: _BatchTables, s: _Scratch) -> np.ndarray:
         """Ready and finish times level by level, then the fresh (N,) mean
         of makespan plus upload time over users."""
         N = s.n
@@ -762,9 +745,6 @@ class Evaluator:
             user_rows.extend(ft_row[i] for i in range(u["offset"], u["offset"] + u["n"]))
             user_bounds.append((lo, len(user_rows)))
 
-        h = np.empty(M)
-        h[cols] = h_visit
-
         def column(values, dtype=float):
             return np.array(values, dtype=dtype).reshape(-1, 1)
 
@@ -774,7 +754,6 @@ class Evaluator:
             hover_p=np.array(self._hover_p, dtype=float),
             inv_uu=np.array(self._inv_uu, dtype=float).ravel(),
             kappa=self.scenario.physics.effective_switched_capacitance,
-            h=column(h),
             cols=np.array(cols, dtype=np.intp),
             h_visit=column(h_visit),
             cycles=column(cycles),

@@ -9,6 +9,7 @@ import dataclasses
 from uavmec import (
     HARD_REJECT,
     BandwidthAllocation,
+    DwoaConfig,
     Evaluator,
     OffloadDecision,
     PenaltyConfig,
@@ -16,8 +17,11 @@ from uavmec import (
     TaskGraph,
     alloc_equal,
     alloc_optimal,
+    associated_decision,
     decision_latency_breakdown,
+    dwoa_solve,
     evaluate,
+    exhaustive_solve,
     generate_scenario,
     schedule_to_csv,
     validate_scenario,
@@ -407,9 +411,9 @@ def test_population_kernel_equals_scalar_kernel(upload_model, allocator, penalty
 @pytest.mark.parametrize("upload_model", ["cumulative", "independent"])
 @pytest.mark.parametrize("penalty", PENALTIES[:2] + PENALTIES[3:], ids=["off", "lam0.1", "hard"])
 def test_population_scratch_reuse_keeps_results(upload_model, penalty):
-    # the scratch grows to the largest row count seen and serves every
-    # count from views of the same memory, refilled when the count
-    # changes; no returned array may share its memory
+    # the scratch holds arrays for exactly the last row count and is
+    # built again whenever the count changes; no returned array may
+    # share its memory
     s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
     ev = Evaluator(s, alloc_equal(s), penalty, upload_model)
     rng = np.random.default_rng(5)
@@ -540,18 +544,86 @@ def _feasible_on_every_path(ev, row):
     ]
 
 
-def test_hard_mode_rejects_a_nan_energy_total_on_every_path():
+def _nan_report_scenario():
     # a NaN status report power makes UAV 2's energy total NaN, which is
-    # not at most its budget: infeasible, so hard mode must reject it
+    # not at most its budget: infeasible
     s = desk_scenario(17, uav_count=3, subtasks=6, active=2)
-    s = dataclasses.replace(s, uavs=tuple(
+    return dataclasses.replace(s, uavs=tuple(
         dataclasses.replace(v, tx_power_to_bs_dbm=math.nan) if v.id == 2 else v for v in s.uavs
     ))
+
+
+def test_hard_mode_rejects_a_nan_energy_total_on_every_path():
+    s = _nan_report_scenario()
     ev = Evaluator(s, alloc_equal(s), PenaltyConfig(mode="hard"))
     row = [1] * ev.vector_length
     assert math.isnan(ev.result(decision_from_vector(s, row)).energy.total_j[2])
     assert set(_feasible_on_every_path(ev, row)) == {False}
     assert set(_penalized_on_every_path(ev, row)) == {HARD_REJECT}
+
+
+def test_penalty_mode_charges_a_nan_energy_total_hard_reject_on_every_path():
+    # a NaN total has no excess to square; it must not score as free
+    s = _nan_report_scenario()
+    ev = Evaluator(s, alloc_equal(s), PenaltyConfig(lambda_=0.1))
+    assert set(_penalized_on_every_path(ev, [1] * ev.vector_length)) == {HARD_REJECT}
+
+
+@pytest.mark.parametrize("n", [1, 2, BATCH_MIN_ROWS])
+def test_fractional_slots_are_rejected(n):
+    # a cast to integers would score 1.7 as slot 1
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2)
+    ev = Evaluator(s, alloc_equal(s), PenaltyConfig())
+    P = [[1.7] * ev.vector_length] * n
+    for method in (ev.fitness_many, ev.objective_and_feasible_many):
+        with pytest.raises(ValueError, match=r"slots in \[1, 3\]"):
+            method(P)
+    if n == 1:
+        for method in (ev.fitness, ev.objective_and_feasible):
+            with pytest.raises(ValueError, match=r"slots in \[1, 3\]"):
+                method(P[0])
+
+
+def test_bandwidth_split_is_checked_at_construction():
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2)
+    over = BandwidthAllocation({k: 5.0 for k in alloc_equal(s).fractions})
+    assert over.check(s)
+    with pytest.raises(ValueError, match=r"bandwidth fractions sum to .* outside \[0, 1\]"):
+        Evaluator(s, over)
+    with pytest.raises(ValueError, match="outside"):
+        evaluate(associated_decision(s), over, s)
+
+
+def _without_subtasks(task):
+    return dataclasses.replace(task, sub_tasks=tuple(x for x in task.sub_tasks if x.is_dummy))
+
+
+def test_task_with_no_subtask_is_scored_and_solved():
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2)
+    s = dataclasses.replace(s, tasks=(_without_subtasks(s.tasks[0]),) + s.tasks[1:])
+    assert validate_scenario(s) == []
+    empty_user = s.tasks[0].owner_user
+    beta = alloc_equal(s)
+    ev = Evaluator(s, beta, PenaltyConfig())
+    assert ev.vector_length == 6
+    P = np.random.default_rng(2).integers(1, 4, size=(BATCH_MIN_ROWS, 6))
+    fit = ev.fitness_many(P)
+    obj, totals = ev._score_many(P)
+    for i, row in enumerate(P.tolist()):
+        assert fit[i] == ev.fitness(row)
+        assert (obj[i], totals[i].tolist()) == ev._core(row)[:2]
+    assert decision_from_vector(s, [1] * 6).x[empty_user] == ()
+    for run in (exhaustive_solve(s, beta),
+                dwoa_solve(s, beta, DwoaConfig(agents=BATCH_MIN_ROWS, seed=3))):
+        assert run.decision.x[empty_user] == ()
+        assert run.objective_s == evaluate(run.decision, beta, s).objective_s
+
+
+def test_scenario_with_no_subtask_is_rejected():
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2)
+    s = dataclasses.replace(s, tasks=tuple(_without_subtasks(t) for t in s.tasks))
+    with pytest.raises(ValueError, match="no sub-task"):
+        Evaluator(s, alloc_equal(s))
 
 
 @pytest.mark.parametrize("penalty", [PenaltyConfig(mode="hard"), PenaltyConfig(lambda_=0.1)],
