@@ -15,14 +15,25 @@ every upload at the release time instead) plus the forwarding hop when
 the executor is not the associated UAV; start time equals ready time, the
 earliest instant at which the input has arrived and every predecessor
 has finished and shipped its dependency payload.
+
+Evaluator.__init__ plans each sub-task once, in visiting order (users by
+ascending id, then each task's topological order): its decision column,
+input bits, cycles per bit, arrival before the forwarding hop, upload
+time, forwarding time per executor, and its predecessors, each marked
+once as carrying a UAV-to-UAV transfer or not. The scalar kernel loops
+over these plans, the population kernel compiles them into arrays and
+result() reads its upload times from them. Both kernels add each UAV's
+input bits in decision-column order and all else in visiting order. A
+child may have a lower index than its parent, so the orders can differ,
+and so can the last bits of a sum taken in the other order.
 """
 from __future__ import annotations
 
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,6 +140,9 @@ def decision_from_vector(scenario: Scenario, values: Sequence[int]) -> OffloadDe
     # an entry per active user, also for a task with no sub-task to place
     x: Dict[int, List[int]] = {u: [] for u in sorted(t.owner_user for t in scenario.tasks)}
     for (u, j), val in zip(order, values):
+        # the rule of Evaluator._slot_matrix: 1.7 is not read as slot 1
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+            raise ValueError(f"slot value {val!r} is not an integer")
         k = int(val)
         if not 1 <= k <= len(uav_ids):
             raise ValueError(f"slot value {k} outside [1, {len(uav_ids)}]")
@@ -139,6 +153,35 @@ def decision_from_vector(scenario: Scenario, values: Sequence[int]) -> OffloadDe
 def decision_to_vector(scenario: Scenario, decision: OffloadDecision) -> Tuple[int, ...]:
     uav_slot = {v: i + 1 for i, v in enumerate(sorted(v.id for v in scenario.uavs))}
     return tuple(uav_slot[decision.x[u][j - 1]] for u, j in decision_order(scenario))
+
+
+class _Node(NamedTuple):
+    """The plan of one non-dummy sub-task: everything both kernels read
+    about it that no decision changes."""
+
+    col: int                # decision column
+    h: float                # input bits
+    cycles: float           # cycles per bit
+    arrival: float          # arrival before the forwarding hop
+    upload: float           # upload time
+    fwd: List[float]        # forwarding time per executor slot
+    # (position, payload) per predecessor: position 0 is the dummy root,
+    # i + 1 the user's i-th node in visiting order; payload holds the
+    # bits the edge carries from UAV to UAV, None when it carries none
+    preds: List[Tuple[int, Optional[float]]]
+    index: int              # sub-task index
+
+
+class _User(NamedTuple):
+    """One active user and the plans of its sub-tasks."""
+
+    user_id: int
+    assoc: int              # slot of the associated UAV
+    release: float
+    task_upload: float
+    span_base: float        # task upload plus the status report
+    uplink_j: float
+    nodes: Tuple[_Node, ...]  # in visiting order
 
 
 @dataclass(frozen=True)
@@ -230,11 +273,14 @@ class Evaluator:
     (scenario, bandwidth allocation) pair, then maps decision vectors to
     objectives.
 
-    The upload model is applied here, at construction: each node's
-    arrival before the forwarding hop is computed once, so neither
-    kernel reads the model.
+    Construction plans each sub-task once (see the module docstring),
+    applying the upload model to its arrival and the payload rule (an
+    edge from a non-dummy parent with bits > 0 carries a UAV-to-UAV
+    transfer) to its predecessors, so neither kernel reads either.
 
-    Two kernels give bit-identical numbers. The scalar kernel scores one
+    Two kernels read the plans and give bit-identical numbers: both add
+    each UAV's input bits in decision-column order and every energy,
+    span and finish time in visiting order. The scalar kernel scores one
     vector; result uses it. fitness_many and objective_and_feasible_many
     score an (N, M) matrix of 1-based slots, one decision per row, in
     one array pass whose numpy call count grows with DAG depth, not with
@@ -304,72 +350,62 @@ class Evaluator:
                 if a != b:
                     self._inv_uu[a][b] = 1.0 / channel.u2u_rate(uavs[a], uavs[b], ph)
 
-        # per active user: static uploads and arrivals, forward-time
-        # table, DAG shape
+        # per active user, a plan of its sub-tasks in visiting order
         cumulative = upload_model == "cumulative"
-        self._users = []
-        offset = 0
+        self._users: List[_User] = []
+        self._h_cols: List[float] = []  # input bits per decision column
         for t in sorted(scenario.tasks, key=lambda t: t.owner_user):
             user = scenario.user_by_id(t.owner_user)
             assoc = slot[user.associated_uav]
             rate_up = channel.user_uplink_rate(
                 user, uavs[assoc], beta.fraction(user.associated_uav, user.id), ph
             )
-            n = len(t.sub_tasks) - 1
             subs = {s.index: s for s in t.sub_tasks}
-            if rate_up <= 0 and any(subs[j].input_size_bits > 0 for j in range(1, n + 1)):
+            offset = len(self._h_cols)
+            self._h_cols.extend(subs[j].input_size_bits for j in range(1, len(subs)))
+            if rate_up <= 0 and any(h > 0 for h in self._h_cols[offset:]):
                 raise ValueError(f"user {user.id}: zero uplink rate on a required link")
-            up_t = [0.0] * (n + 1)
-            h_bits = [0.0] * (n + 1)
-            cycles = [0.0] * (n + 1)
-            preds: List[Tuple[Tuple[int, float], ...]] = [()] * (n + 1)
-            for j in range(1, n + 1):
-                s = subs[j]
-                h_bits[j] = s.input_size_bits
-                cycles[j] = s.cycles_per_bit
-                up_t[j] = s.input_size_bits / rate_up
-                preds[j] = tuple(s.predecessors)
-            topo = [j for j in topological_order(t) if j != 0]
-            # arrival before the forwarding hop: the cumulative model
-            # uploads the inputs one after another in visiting order
-            arrival = [0.0] * (n + 1)
+            inv_row = self._inv_uu[assoc]
+            pos = {0: 0}
+            nodes: List[_Node] = []
+            # the cumulative model uploads the inputs one after another
+            # in visiting order
             cum = t.release_time_s
-            for j in topo:
-                cum += up_t[j]
-                arrival[j] = cum if cumulative else t.release_time_s + up_t[j]
-            fwd = []
-            for j in range(1, n + 1):
-                row = [0.0] * V
-                for b in range(V):
-                    if b != assoc:
-                        row[b] = h_bits[j] * self._inv_uu[assoc][b]
-                fwd.append(row)
-            task_upload = math.fsum(up_t)
-            self._users.append(
-                dict(
-                    user_id=user.id,
-                    assoc=assoc,
-                    trel=t.release_time_s,
-                    n=n,
-                    offset=offset,
-                    cycles_per_bit=cycles,
-                    h_bits=h_bits,
-                    up_t=up_t,
-                    arrival=arrival,
-                    task_upload=task_upload,
-                    # a hover span is this plus the longer of the
-                    # user's local and remote execution spans
-                    span_base=task_upload + report_t[assoc],
-                    uplink_j=channel.dbm_to_watts(user.tx_power_dbm) * task_upload,
-                    preds=preds,
-                    topo=topo,
-                    fwd=fwd,
-                )
-            )
-            offset += n
-        if offset == 0:
+            for j in topological_order(t):
+                if j == 0:
+                    continue
+                s = subs[j]
+                up = s.input_size_bits / rate_up
+                cum += up
+                fwd = [s.input_size_bits * r for r in inv_row]
+                fwd[assoc] = 0.0
+                # positional: keywords double the cost of building a _Node
+                nodes.append(_Node(
+                    offset + j - 1,
+                    s.input_size_bits,
+                    s.cycles_per_bit,
+                    cum if cumulative else t.release_time_s + up,
+                    up,
+                    fwd,
+                    # the dummy root's edges carry nothing between UAVs
+                    [(pos[p], bits if bits > 0.0 and p != 0 else None)
+                     for p, bits in s.predecessors],
+                    j,
+                ))
+                pos[j] = len(nodes)
+            task_upload = math.fsum(node.upload for node in nodes)
+            self._users.append(_User(
+                user_id=user.id,
+                assoc=assoc,
+                release=t.release_time_s,
+                task_upload=task_upload,
+                span_base=task_upload + report_t[assoc],
+                uplink_j=channel.dbm_to_watts(user.tx_power_dbm) * task_upload,
+                nodes=tuple(nodes),
+            ))
+        self._m = len(self._h_cols)
+        if self._m == 0:
             raise ValueError("scenario has no sub-task to place")
-        self._m = offset
 
         self._tables: Optional[_BatchTables] = None
         self._scratch: Optional[_Scratch] = None
@@ -381,111 +417,79 @@ class Evaluator:
     def _core(self, vec, collect: bool = False):
         """The scalar kernel over one vector of 1-based slots, with no
         state kept between calls. Returns (objective, per-UAV energy
-        totals, detail): detail is None unless collect is set, then a
-        dict of the schedule and of the energy parts for result()."""
+        totals, detail). detail, for result(), holds per node in visiting
+        order its (arrival, ready, finish, execution and forwarding times,
+        0-based executor slot), per user its makespan, then the per-UAV
+        execution energy, forwarding energy and hover time; the first two
+        lists are filled only when collect is set."""
         V = self._V
         tot = [0.0] * V  # input bits per UAV
         exec_e = [0.0] * V
         fwd_e = [0.0] * V
         hov_t = [0.0] * V
 
-        for u in self._users:
-            off = u["offset"]
-            h = u["h_bits"]
-            for j in range(1, u["n"] + 1):
-                tot[vec[off + j - 1] - 1] += h[j]
+        # in column order, the order np.bincount adds them in _energy_many
+        for v, h in zip(vec, self._h_cols):
+            tot[v - 1] += h
         fmax_arr = self._fmax
         exec_unit = [tot[i] / fmax_arr[i] for i in range(V)]
 
         inv_uu = self._inv_uu
         kappa = self.scenario.physics.effective_switched_capacitance
-        detail = (
-            dict(arrival={}, ready={}, start={}, finish={}, exec={}, upload={},
-                 forward={}, executor={}, makespan={}, task_upload={})
-            if collect
-            else None
-        )
+        times, makespans = [], []
 
         obj_sum = 0.0
-        for u in self._users:
-            off = u["offset"]
-            uid = u["user_id"]
-            trel = u["trel"]
-            assoc = u["assoc"]
-            arrival = u["arrival"]
-            h = u["h_bits"]
-            preds = u["preds"]
-            fwd = u["fwd"]
-            cpb = u["cycles_per_bit"]
-            ft = [0.0] * (u["n"] + 1)  # finish time per sub-task
-            ft[0] = trel
+        for _, assoc, trel, task_upload, span_base, _, nodes in self._users:
+            p_fwd = self._p_fwd_w[assoc]
+            # finish time and 0-based executor slot per position
+            ft = [trel]
+            sv = [assoc]
             f_last = trel
             loc_span = 0.0
             rem_span = 0.0
-            for j in u["topo"]:
-                v = vec[off + j - 1]
-                v0 = v - 1
-                fwd_t = fwd[j - 1][v0]
-                at = arrival[j] + fwd_t
+            for col, h, cu, arrival, _, fwd, preds, _ in nodes:
+                v0 = vec[col] - 1
+                fwd_t = fwd[v0]
+                at = arrival + fwd_t
                 rt = at
-                for p, bits in preds[j]:
-                    tp = ft[p]
-                    if bits > 0.0 and p != 0:
-                        vp = vec[off + p - 1]
-                        if vp != v:
-                            tp += bits * inv_uu[vp - 1][v0]
+                for q, pay in preds:
+                    tp = ft[q]
+                    if pay is not None:
+                        vp = sv[q]
+                        if vp != v0:
+                            tp += pay * inv_uu[vp][v0]
                     if tp > rt:
                         rt = tp
-                cu = cpb[j]
                 exec_t = cu * exec_unit[v0]
                 fin = rt + exec_t
-                ft[j] = fin
+                ft.append(fin)
+                sv.append(v0)
                 if fin > f_last:
                     f_last = fin
 
-                f_share = h[j] * fmax_arr[v0] / tot[v0]
-                exec_e[v0] += kappa * f_share * f_share * cu * h[j]
+                f_share = h * fmax_arr[v0] / tot[v0]
+                exec_e[v0] += kappa * f_share * f_share * cu * h
                 if v0 == assoc:
                     loc_span += exec_t
                 else:
-                    fwd_e[assoc] += self._p_fwd_w[assoc] * fwd_t
+                    fwd_e[assoc] += p_fwd * fwd_t
                     rem_span += fwd_t + exec_t
                 if collect:
-                    key = (uid, j)
-                    detail["arrival"][key] = at
-                    detail["ready"][key] = rt
-                    detail["start"][key] = rt
-                    detail["finish"][key] = fin
-                    detail["exec"][key] = exec_t
-                    detail["upload"][key] = u["up_t"][j]
-                    detail["forward"][key] = fwd_t
-                    detail["executor"][key] = self._uav_ids[v0]
+                    times.append((at, rt, fin, exec_t, fwd_t, v0))
             makespan = f_last - trel
-            obj_sum += makespan + u["task_upload"]
-            span = u["span_base"] + (loc_span if loc_span >= rem_span else rem_span)
+            obj_sum += makespan + task_upload
+            span = span_base + (loc_span if loc_span >= rem_span else rem_span)
             if span > hov_t[assoc]:
                 hov_t[assoc] = span
             if collect:
-                key = (uid, 0)
-                detail["arrival"][key] = trel
-                detail["ready"][key] = trel
-                detail["start"][key] = trel
-                detail["finish"][key] = trel
-                detail["exec"][key] = 0.0
-                detail["upload"][key] = 0.0
-                detail["forward"][key] = 0.0
-                detail["executor"][key] = self._uav_ids[assoc]
-                detail["makespan"][uid] = makespan
-                detail["task_upload"][uid] = u["task_upload"]
+                makespans.append(makespan)
 
         objective = obj_sum / len(self._users)
         totals = [
             exec_e[i] + fwd_e[i] + self._report_e[i] + self._hover_p[i] * hov_t[i]
             for i in range(V)
         ]
-        if collect:
-            detail.update(exec_e=exec_e, fwd_e=fwd_e, hover_t=hov_t)
-        return objective, totals, detail
+        return objective, totals, (times, makespans, exec_e, fwd_e, hov_t)
 
     def fitness(self, vec) -> float:
         """Penalized objective of an integer decision vector (1-based slots)."""
@@ -677,35 +681,21 @@ class Evaluator:
         """Lays the scenario out as the arrays of _BatchTables, once."""
         V = self._V
         M = self._m
-        cols, h_visit, cycles, h_fmax, fwd, user, assoc = [], [], [], [], [], [], []
-        arrival, depth, parents = [], [], []
-        release, task_upload, span_base = [], [], []
+        U = len(self._users)
+        nodes, user, depth, parents, user_pos = [], [], [], [], []
         for ui, u in enumerate(self._users):
-            a = u["assoc"]
-            trel = u["trel"]
-            release.append(trel)
-            task_upload.append(u["task_upload"])
-            span_base.append(u["span_base"])
-            visit = {}
-            for j in u["topo"]:
-                visit[j] = len(cols)
-                cols.append(u["offset"] + j - 1)
-                h = u["h_bits"][j]
-                h_visit.append(h)
-                cycles.append(u["cycles_per_bit"][j])
-                h_fmax.extend(h * f for f in self._fmax)
-                fwd.extend(u["fwd"][j - 1])
-                user.append(ui)
-                assoc.append(a)
-                arrival.append(u["arrival"][j])
+            first = len(nodes)  # visit position of the user's first node
+            user_pos.append(range(first, first + len(u.nodes)))
+            for node in u.nodes:
                 # parent visit position, or None for the dummy root
-                ins = [(visit[p] if p != 0 else None, bits) for p, bits in u["preds"][j]]
-                depth.append(max((depth[q] + 1 for q, _ in ins if q is not None), default=0))
+                ins = [(first + q - 1 if q else None, pay) for q, pay in node.preds]
+                depth.append(max((depth[p] + 1 for p, _ in ins if p is not None), default=0))
                 parents.append(ins)
+                nodes.append(node)
+                user.append(ui)
 
         # finish table: nodes by (level, visit position), then the dummies,
         # then the landing time of each payload edge
-        U = len(self._users)
         order = sorted(range(M), key=lambda i: (depth[i], i))
         ft_row = {i: r for r, i in enumerate(order)}
         levels = []
@@ -722,59 +712,59 @@ class Evaluator:
             gather = np.tile(np.arange(lo, hi, dtype=np.intp), (k, 1))
             src = []  # finish-table rows of the level's payload senders
             for r, i in enumerate(level):
-                for e, (q, bits) in enumerate(parents[i], start=1):
-                    if q is None:
+                for e, (p, pay) in enumerate(parents[i], start=1):
+                    if p is None:
                         gather[e, r] = M + user[i]
-                    elif bits > 0.0:
+                    elif pay is not None:
                         gather[e, r] = M + U + len(pay_bits)
-                        src.append(ft_row[q])
-                        pay_src.append(q)
+                        src.append(ft_row[p])
+                        pay_src.append(p)
                         pay_dst.append(i)
-                        pay_bits.append(bits)
+                        pay_bits.append(pay)
                     else:
-                        gather[e, r] = ft_row[q]
+                        gather[e, r] = ft_row[p]
             e1 = len(pay_bits)
             levels.append((lo, hi, gather.ravel(), k, np.array(src, dtype=np.intp), e0, e1))
             lo = hi
             e0 = e1
-        # a user's nodes hold visit positions offset .. offset + n - 1
         user_rows, user_bounds = [], []
-        for ui, u in enumerate(self._users):
+        for ui, positions in enumerate(user_pos):
             lo = len(user_rows)
             user_rows.append(M + ui)
-            user_rows.extend(ft_row[i] for i in range(u["offset"], u["offset"] + u["n"]))
+            user_rows.extend(ft_row[i] for i in positions)
             user_bounds.append((lo, len(user_rows)))
 
         def column(values, dtype=float):
             return np.array(values, dtype=dtype).reshape(-1, 1)
 
+        assoc = [self._users[ui].assoc for ui in user]
         self._tables = _BatchTables(
             fmax=np.array(self._fmax, dtype=float),
             report_e=np.array(self._report_e, dtype=float),
             hover_p=np.array(self._hover_p, dtype=float),
             inv_uu=np.array(self._inv_uu, dtype=float).ravel(),
             kappa=self.scenario.physics.effective_switched_capacitance,
-            cols=np.array(cols, dtype=np.intp),
-            h_visit=column(h_visit),
-            cycles=column(cycles),
-            h_fmax=np.array(h_fmax, dtype=float),
-            fwd=np.array(fwd, dtype=float),
+            cols=np.array([node.col for node in nodes], dtype=np.intp),
+            h_visit=column([node.h for node in nodes]),
+            cycles=column([node.cycles for node in nodes]),
+            h_fmax=np.array([node.h * f for node in nodes for f in self._fmax], dtype=float),
+            fwd=np.array([node.fwd for node in nodes], dtype=float).ravel(),
             fwd_row=column(range(0, M * V, V), np.intp),
             user=column(user, np.intp),
             assoc=column(assoc, np.intp),
             p_fwd=column([self._p_fwd_w[a] for a in assoc]),
             level_order=np.array(order, dtype=np.intp),
-            arrival=column([arrival[i] for i in order]),
+            arrival=column([nodes[i].arrival for i in order]),
             pay_src=np.array(pay_src, dtype=np.intp),
             pay_dst=np.array(pay_dst, dtype=np.intp),
             pay_bits=column(pay_bits),
             levels=tuple(levels),
             user_rows=np.array(user_rows, dtype=np.intp),
             user_bounds=tuple(user_bounds),
-            release=column(release),
-            task_upload=column(task_upload),
-            span_base=np.array(span_base, dtype=float),
-            user_assoc=tuple(u["assoc"] for u in self._users),
+            release=column([u.release for u in self._users]),
+            task_upload=column([u.task_upload for u in self._users]),
+            span_base=np.array([u.span_base for u in self._users], dtype=float),
+            user_assoc=tuple(u.assoc for u in self._users),
         )
         return self._tables
 
@@ -783,19 +773,31 @@ class Evaluator:
         if problems:
             raise ValueError("; ".join(problems))
         slot_of = self._slot_of
-        vec = [slot_of[v] for u in self._users for v in decision.x[u["user_id"]]]
-        objective, totals, detail = self._core(vec, collect=True)
+        vec = [slot_of[v] for u in self._users for v in decision.x[u.user_id]]
+        objective, totals, (times, makespans, exec_e, fwd_e, hov_t) = self._core(vec, collect=True)
 
         uav_ids = self._uav_ids
-        exec_e, fwd_e, hov_t = detail["exec_e"], detail["fwd_e"], detail["hover_t"]
-        exec_j = {uav_ids[i]: exec_e[i] for i in range(self._V)}
-        fwd_j = {uav_ids[i]: fwd_e[i] for i in range(self._V)}
-        report_j = {uav_ids[i]: self._report_e[i] for i in range(self._V)}
-        hover_time = {uav_ids[i]: hov_t[i] for i in range(self._V)}
-        hover_j = {uav_ids[i]: self._hover_p[i] * hov_t[i] for i in range(self._V)}
-        total_j = {uav_ids[i]: totals[i] for i in range(self._V)}
-        uplink = {u["user_id"]: u["uplink_j"] for u in self._users}
-        ledger = EnergyLedger(exec_j, fwd_j, report_j, hover_j, total_j, hover_time, uplink)
+        arrival, ready, finish, exec_s, upload, forward, executor = ({} for _ in range(7))
+        times = iter(times)
+        for u in self._users:
+            for node in u.nodes:
+                key = (u.user_id, node.index)
+                arrival[key], ready[key], finish[key], exec_s[key], forward[key], v0 = next(times)
+                upload[key] = node.upload
+                executor[key] = uav_ids[v0]
+            key = (u.user_id, 0)  # the dummy root, at the user
+            arrival[key] = ready[key] = finish[key] = u.release
+            exec_s[key] = upload[key] = forward[key] = 0.0
+            executor[key] = uav_ids[u.assoc]
+        ledger = EnergyLedger(
+            exec_j=dict(zip(uav_ids, exec_e)),
+            forward_j=dict(zip(uav_ids, fwd_e)),
+            report_j=dict(zip(uav_ids, self._report_e)),
+            hover_j={v: p * t for v, p, t in zip(uav_ids, self._hover_p, hov_t)},
+            total_j=dict(zip(uav_ids, totals)),
+            hover_time_s=dict(zip(uav_ids, hov_t)),
+            uplink_user_j={u.user_id: u.uplink_j for u in self._users},
+        )
 
         totals_v = np.array(totals)
         feasible = bool(self._feasible(totals_v))
@@ -803,16 +805,16 @@ class Evaluator:
         if self.penalty is not None:
             penalized = float(self._penalize(objective, totals_v))
         return ScheduleResult(
-            arrival_s=detail["arrival"],
-            ready_s=detail["ready"],
-            start_s=detail["start"],
-            finish_s=detail["finish"],
-            exec_s=detail["exec"],
-            upload_s=detail["upload"],
-            forward_s=detail["forward"],
-            executor=detail["executor"],
-            makespan_s=detail["makespan"],
-            task_upload_s=detail["task_upload"],
+            arrival_s=arrival,
+            ready_s=ready,
+            start_s=dict(ready),
+            finish_s=finish,
+            exec_s=exec_s,
+            upload_s=upload,
+            forward_s=forward,
+            executor=executor,
+            makespan_s={u.user_id: m for u, m in zip(self._users, makespans)},
+            task_upload_s={u.user_id: u.task_upload for u in self._users},
             energy=ledger,
             objective_s=objective,
             penalized_s=penalized,
@@ -834,10 +836,7 @@ def evaluate(
 def decision_latency_breakdown(result: ScheduleResult) -> Dict[str, float]:
     """Split the objective into forwarding (distributed) and the rest
     (computation); the parts sum to the total by construction."""
-    users = list(result.makespan_s)
-    dist = math.fsum(
-        t for (u, _j), t in result.forward_s.items()
-    ) / len(users)
+    dist = math.fsum(result.forward_s.values()) / len(result.makespan_s)
     return {
         "computation": result.objective_s - dist,
         "distributed": dist,

@@ -391,11 +391,12 @@ def validate_scenario(scenario: Scenario) -> List[str]:
         for name in ("tx_power_u2u_dbm", "tx_power_to_bs_dbm"):
             if not math.isfinite(getattr(v, name)):
                 out.append(f"{tag}: {name} must be finite")
-        # +inf is a valid budget: unlimited energy
+        # +inf is a valid budget: unlimited energy; so is 0 J, under
+        # which no decision is feasible
         if math.isnan(v.energy_budget_j):
             out.append(f"{tag}: energy_budget_j must not be NaN")
-        elif v.energy_budget_j <= 0:
-            out.append(f"{tag}: energy_budget_j must be positive")
+        elif v.energy_budget_j < 0:
+            out.append(f"{tag}: energy_budget_j must not be negative")
         if not (0 < v.hover.power_efficiency <= 1):
             out.append(f"{tag}: hover power_efficiency must be in (0, 1]")
         if v.hover.rotor_count < 1 or v.hover.rotor_diameter_m <= 0 or v.hover.thrust_n <= 0:

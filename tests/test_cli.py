@@ -99,6 +99,13 @@ def test_solve_infeasible_exits_two(tmp_path, capsys):
     assert "feasible=false" in capsys.readouterr().out
 
 
+def test_solve_zero_budget_file_exits_two(tmp_path, capsys):
+    # a 0 J budget is valid, and no decision is feasible under it
+    scen = _scenario_file(tmp_path, name="zero.json", budget_j=0.0)
+    assert main(["solve", "--scenario", scen, "--solver", "exhaustive"]) == 2
+    assert "infeasible" in capsys.readouterr().err
+
+
 def test_solve_invalid_scenario_file_exits_one(tmp_path, capsys):
     scen = write_nan_uav_scenario(tmp_path / "nan.json")
     rc = main(["solve", "--scenario", scen, "--solver", "dwoa", "--agents", "4", "--iters", "1"])

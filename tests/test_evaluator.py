@@ -33,6 +33,7 @@ from uavmec.evaluator import (
     decision_order,
     decision_to_vector,
 )
+from uavmec.scenario import topological_order
 
 import oracles
 from conftest import desk_scenario, hand_scenario, random_decision
@@ -51,6 +52,8 @@ def _instances():
             active=1 + seed % 2,
         )
         cases.append((s, random_decision(s, rng)))
+    relabelled = _relabelled_scenario()
+    cases.extend((relabelled, random_decision(relabelled, rng)) for _ in range(5))
     return cases
 
 
@@ -143,8 +146,13 @@ def test_decision_vector_slot_mapping():
     s = hand_scenario()
     dec = decision_from_vector(s, (1, 2, 1))
     assert dec.x == {1: (1, 2, 1)}
+    assert decision_from_vector(s, np.array([1, 2, 1])).x == {1: (1, 2, 1)}
     with pytest.raises(ValueError, match="outside"):
         decision_from_vector(s, (0, 1, 1))
+    # 1.7 is not read as slot 1, nor 2.0 as slot 2
+    for bad in ([1.7] * 3, (1, 2.0, 1), (1, np.float64(2.0), 1), (True, 1, 1)):
+        with pytest.raises(ValueError, match="not an integer"):
+            decision_from_vector(s, bad)
     with pytest.raises(ValueError, match="length"):
         decision_from_vector(s, (1, 1))
 
@@ -370,6 +378,28 @@ def _shaped_scenario(lengths, chain):
     return dataclasses.replace(s, tasks=tuple(tasks))
 
 
+def _relabelled_scenario():
+    """Three users on two shared UAVs, each task's sub-task j renamed
+    n + 1 - j with its payloads kept: every child now has a smaller index
+    than its parents, so each task's visiting order runs against its
+    column order."""
+    s = desk_scenario(8, uav_count=2, subtasks=7, active=3, budget_j=2500.0,
+                      users_per_uav=(2, 3))
+    tasks = []
+    for t in s.tasks:
+        n = len(t.sub_tasks) - 1
+        rename = {j: n + 1 - j if j else 0 for j in range(n + 1)}
+        subs = sorted((dataclasses.replace(
+            st, index=rename[st.index],
+            predecessors=tuple((rename[p], bits) for p, bits in st.predecessors),
+        ) for st in t.sub_tasks), key=lambda st: st.index)
+        tasks.append(dataclasses.replace(t, sub_tasks=tuple(subs)))
+    s = dataclasses.replace(s, tasks=tuple(tasks))
+    assert validate_scenario(s) == []
+    assert all(topological_order(t) != list(range(len(t.sub_tasks))) for t in s.tasks)
+    return s
+
+
 def _kernel_cases():
     shared = dict(users_per_uav=(2, 3))
     yield "odd-dag", _odd_dag_scenario()
@@ -381,6 +411,7 @@ def _kernel_cases():
     yield "unlimited", with_unlimited_energy(
         desk_scenario(8, uav_count=2, subtasks=7, active=3, budget_j=2500.0, **shared)
     )
+    yield "relabelled", _relabelled_scenario()
 
 
 PENALTIES = [None, PenaltyConfig(lambda_=0.1), PenaltyConfig(lambda_=1e-3),

@@ -219,6 +219,18 @@ def test_validate_energy_budget_nan_rejected_inf_allowed():
     assert validate_scenario(with_unlimited_energy(s)) == []
 
 
+def test_zero_budget_loads_back_negative_rejected(tmp_path):
+    # 0 J is a valid budget under which no decision is feasible
+    s = generate_scenario(3, uav_count=3, active_users=1, subtasks_per_task=4,
+                          energy_per_subtask_j=0.0)
+    assert {v.energy_budget_j for v in s.uavs} == {0.0}
+    path = tmp_path / "zero.json"
+    save_scenario(s, path)
+    assert load_scenario(path) == s
+    problems = validate_scenario(_with_uav(hand_scenario(), energy_budget_j=-1.0))
+    assert problems == ["uav[1]: energy_budget_j must not be negative"]
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 
