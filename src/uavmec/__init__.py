@@ -63,6 +63,7 @@ from .solvers import (
     NoFeasibleDecisionError,
     SolverRun,
     StateSpaceCapError,
+    WoaCoefficients,
     WoaState,
     alloc_equal,
     alloc_optimal,

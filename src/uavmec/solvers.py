@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -63,11 +64,23 @@ class DwoaConfig:
     upload_model: str = "cumulative"
 
     def __post_init__(self):
-        if self.agents < 1:
-            raise ValueError("agents must be >= 1")
+        for name in ("agents", "max_iterations", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                # plain int, so numpy integers serialize like any other
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        # the swarm draws agent indices with 32-bit bounded draws
+        if not 1 <= self.agents < 2**32:
+            raise ValueError("agents must be >= 1 and < 2**32")
         # 0 is allowed and degenerates to random search over the initial pool
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -179,13 +192,198 @@ def discretize_population(positions: np.ndarray, v_count: int) -> np.ndarray:
     return np.clip(np.ceil(positions - 0.5), 1, v_count).astype(np.intp)
 
 
+def _exploration_weight(iteration: int, max_iterations: int) -> float:
+    """The whale search's exploration weight a at an iteration: 2 at the
+    start, falling linearly to 0 at max_iterations and staying 0 after
+    (0 from the first step on when max_iterations is 0)."""
+    if max_iterations > 0:
+        return max(0.0, 2.0 * (1.0 - iteration / max_iterations))
+    return 2.0 if iteration == 0 else 0.0
+
+
+# Generator.random() maps a PCG64 word w to (w >> 11) * 2**-53.
+_UNIT = 2.0**-53
+_LOW32 = 0xFFFFFFFF
+
+
+def _bounded(n: int, words: Sequence[int], at: int, spare: Optional[int]) -> Tuple[int, int, Optional[int]]:
+    """Generator.integers(n) for 1 <= n < 2**32, read from PCG64 words
+    words[at:] and the spare 32-bit half a previous draw left (None when
+    there is none). Returns the integer, the next unread word and the
+    spare half left after it.
+
+    Lemire's method (Lemire 2019, "Fast random integer generation in an
+    interval"), as numpy applies it: a 32-bit draw x maps to x*n >> 32
+    unless the low 32 bits of x*n fall below (2**32 - n) % n, in which
+    case it draws again. A 32-bit draw is the spare half when there is
+    one, else the low half of the next word, whose high half becomes the
+    spare. n == 1 reads nothing. IndexError when the words run out."""
+    if n == 1:
+        return 0, at, spare
+    floor = (2**32 - n) % n
+    while True:
+        if spare is None:
+            word = int(words[at])
+            at += 1
+            x, spare = word & _LOW32, word >> 32
+        else:
+            x, spare = spare, None
+        m = x * n
+        if m & _LOW32 >= floor:
+            return m >> 32, at, spare
+
+
+class _AgentStream:
+    """What is left of one agent's PCG64 stream: the words drawn but
+    not read yet, then its bit generator, plus the spare 32-bit half its
+    last bounded draw left."""
+
+    __slots__ = ("_bits", "_words", "spare")
+
+    def __init__(self, bits: np.random.BitGenerator):
+        self._bits = bits
+        self._words = np.empty(0, dtype=np.uint64)
+        self.spare: Optional[int] = None
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next count unread words, left unread."""
+        short = count - len(self._words)
+        if short == count:
+            self._words = self._bits.random_raw(count)
+        elif short > 0:
+            self._words = np.concatenate((self._words, self._bits.random_raw(short)))
+        return self._words[:count]
+
+    def read(self, count: int) -> None:
+        """Marks the next count words read."""
+        self._words = self._words[count:]
+
+
+@dataclass
+class WoaCoefficients:
+    """Every agent's move coefficients for a run of whale steps: row t
+    holds iteration t's, column i agent i's. coef_a and coef_c are A and
+    C of the encircle / random-search move T - A * |C * T - X|, where T
+    is agent target's snapshot position or, when target is the agent
+    count, the incumbent. Where spiral is set the agent takes the
+    bubble-net move instead, with spiral_e = e^(b*l) and
+    spiral_c = cos(2*pi*l) (0 elsewhere).
+
+    streams holds each agent's stream after the decoded rows, which
+    extend decodes more rows from (woa_init's tables come with streams,
+    hand-built ones may have none)."""
+
+    coef_a: np.ndarray
+    coef_c: np.ndarray
+    target: np.ndarray
+    spiral: np.ndarray
+    spiral_e: np.ndarray
+    spiral_c: np.ndarray
+    streams: List[_AgentStream] = field(default_factory=list, repr=False)
+
+    def extend(self, rows: int, max_iterations: int) -> None:
+        """Decodes rows from the streams until there are `rows`, under
+        the exploration weights of a max_iterations run."""
+        if not self.streams:
+            raise IndexError("no streams to decode further coefficient rows from")
+        have = len(self.coef_a)
+        more = _decode(self.streams, have, rows - have, max_iterations)
+        for name in ("coef_a", "coef_c", "target", "spiral", "spiral_e", "spiral_c"):
+            setattr(self, name, np.concatenate((getattr(self, name), getattr(more, name))))
+
+
+def _decode(streams: List[_AgentStream], first: int, count: int, max_iterations: int) -> WoaCoefficients:
+    """Rows first .. first+count-1 of the agents' coefficient tables,
+    read from their streams as the whale step's draws were defined: per
+    agent and iteration, random() three times (r, p and u), then, when
+    p < 0.5 and |A| >= 1, integers(N) for the target agent, with
+    A = 2*a*r - a, C = 2*r and l = -1 + 2*u. Reads exactly the words
+    and spare halves those Generator calls would, so the tables equal
+    theirs bit for bit. Advances the streams past the rows."""
+    n = len(streams)
+    weights = [_exploration_weight(t, max_iterations) for t in range(first, first + count)]
+    # |A| <= a, so only rows with a >= 1 can draw a target; a never
+    # rises, so those rows come first and every later row reads 3 words
+    drawing = sum(a >= 1.0 for a in weights)
+    tail = 3 * (count - drawing)
+    width = 4 * drawing + tail  # enough unless Lemire's method redraws
+    while True:
+        end = width - tail
+        words = np.array([s.peek(width) for s in streams], dtype=np.uint64)
+        unit = (words >> np.uint64(11)) * _UNIT
+        try:
+            scans = [
+                _scan(unit[i, :end].tolist(), words[i], weights[:drawing], n, s.spare)
+                for i, s in enumerate(streams)
+            ]
+            break
+        except IndexError:
+            width *= 2
+    starts: List[int] = []
+    drawn: List[List[int]] = []
+    for s, (at, targets, c, spare) in zip(streams, scans):
+        starts += at
+        starts += range(c, c + tail, 3)
+        drawn.append(targets)
+        s.read(c + tail)
+        s.spare = spare
+    target = np.full((count, n), n, dtype=np.intp)
+    target[:drawing] = np.array(drawn, dtype=np.intp).reshape(n, drawing).T
+
+    # flat index of each row's r in unit, shaped (count, n)
+    at = np.array(starts, dtype=np.intp).reshape(n, count).T + np.arange(n) * width
+    flat = unit.ravel()
+    r = flat.take(at)
+    spiral = flat.take(at + 1) >= 0.5
+    l = -1.0 + 2.0 * flat.take(at + 2)
+    a = np.array(weights)[:, None]
+    spiral_e = np.zeros_like(l)
+    spiral_c = np.zeros_like(l)
+    # math.exp and math.cos, not numpy's SIMD loops, whose last bit can differ
+    ls = l[spiral]
+    spiral_e[spiral] = list(map(math.exp, (SPIRAL_B * ls).tolist()))
+    spiral_c[spiral] = list(map(math.cos, (2.0 * math.pi * ls).tolist()))
+    return WoaCoefficients(
+        coef_a=2.0 * a * r - a,
+        coef_c=2.0 * r,
+        target=target,
+        spiral=spiral,
+        spiral_e=spiral_e,
+        spiral_c=spiral_c,
+        streams=streams,
+    )
+
+
+def _scan(
+    unit: List[float], words: np.ndarray, weights: List[float], n: int, spare: Optional[int],
+) -> Tuple[List[int], List[int], int, Optional[int]]:
+    """One agent's pass over the rows that can draw a target: the word
+    each row's r sits at, each row's target, where the rows after them
+    start and the spare half then. unit[k] is word k as random() reads
+    it; IndexError when the rows read past its end."""
+    at: List[int] = []
+    drawn: List[int] = []
+    c = 0
+    for a in weights:
+        at.append(c)
+        c += 3
+        j = n
+        if unit[c - 2] < 0.5 and abs(2.0 * a * unit[c - 3] - a) >= 1.0:
+            j, c, spare = _bounded(n, words, c, spare)
+        drawn.append(j)
+    if c > len(unit):
+        raise IndexError("rows read past the peeked words")
+    return at, drawn, c, spare
+
+
 @dataclass
 class WoaState:
     """Population state of the whale search.
 
     Positions stay continuous in [1, V]^M; best_value is the penalized
     fitness of the best discretized position ever seen and never rises.
-    The exploration weight a holds the value the next step will use.
+    coefficients holds every agent's move coefficients, row `iteration`
+    being the next step's; a the exploration weight that step uses.
     """
 
     positions: np.ndarray
@@ -193,9 +391,12 @@ class WoaState:
     best_value: float
     iteration: int
     max_iterations: int
-    a: float
     v_count: int
-    rngs: List[np.random.Generator] = field(default_factory=list, repr=False)
+    coefficients: WoaCoefficients = field(repr=False)
+
+    @property
+    def a(self) -> float:
+        return _exploration_weight(self.iteration, self.max_iterations)
 
 
 # Scores a whole population: (N, M) slot matrix -> (N,) fitness values.
@@ -219,15 +420,20 @@ def woa_init(
     max_iterations: int,
     seed: int,
 ) -> WoaState:
-    """Uniform random population in [1, V]^M, one independent stream per
-    agent (so a population prefix is reproducible regardless of N)."""
-    rngs = [
-        np.random.Generator(np.random.PCG64(ss))
-        for ss in np.random.SeedSequence(seed).spawn(agents)
-    ]
+    """Uniform random population in [1, V]^M, one independent PCG64
+    stream per agent (so a population prefix, and its coefficient
+    columns, are reproducible regardless of N). Each agent draws its
+    initial position with Generator.uniform, then the coefficients of
+    all max_iterations steps are decoded from the rest of its stream."""
+    if not 1 <= agents < 2**32:
+        raise ValueError("agents must be in [1, 2**32)")
     pos = np.empty((agents, m))
-    for i, rng in enumerate(rngs):
+    streams = []
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(agents)):
+        rng = np.random.Generator(np.random.PCG64(ss))
         pos[i] = rng.uniform(1.0, v_count, m)
+        streams.append(_AgentStream(rng.bit_generator))
+    coefficients = _decode(streams, 0, max_iterations, max_iterations)
     values = fitness(discretize_population(pos, v_count))
     best_i = _first_min(values)
     return WoaState(
@@ -236,45 +442,27 @@ def woa_init(
         best_value=float(values[best_i]) if best_i >= 0 else math.inf,
         iteration=0,
         max_iterations=max_iterations,
-        a=2.0,
         v_count=v_count,
-        rngs=rngs,
+        coefficients=coefficients,
     )
 
 
 def _moved_positions(state: WoaState) -> np.ndarray:
-    """Every agent's next position, clipped to the box. Each agent draws
-    its coefficients from its own stream, agent by agent; the moves then
-    run as whole-matrix operations on the snapshot of the population
-    and the incumbent."""
-    a = state.a
+    """Every agent's next position, clipped to the box: row
+    state.iteration of the coefficient tables applied to the snapshot of
+    the population and the incumbent, as whole-matrix operations. Rows
+    past the decoded ones are decoded from the agents' streams first."""
+    co = state.coefficients
+    t = state.iteration
+    if t >= len(co.coef_a):
+        co.extend(t + max(1, state.max_iterations), state.max_iterations)
+    coef_a, coef_c, target = co.coef_a[t], co.coef_c[t], co.target[t]
+    spiral, spiral_e, spiral_c = co.spiral[t], co.spiral_e[t], co.spiral_c[t]
     old = state.positions
     best_pos = state.best_position
-    n = len(state.rngs)
+
     # encircle and random search both move to T - A * |C * T - X|, with
     # T the incumbent or a random agent's snapshot position
-    coef_a = np.empty(n)
-    coef_c = np.empty(n)
-    target = np.empty(n, dtype=np.intp)  # agent index, or n for the incumbent
-    spiral = np.zeros(n, dtype=bool)
-    spiral_e = np.empty(n)
-    spiral_c = np.empty(n)
-    for i, rng in enumerate(state.rngs):
-        # the bits of random(), random() and uniform(-1.0, 1.0) in turn
-        r, p, u = rng.random(3).tolist()
-        l = -1.0 + 2.0 * u
-        A = 2.0 * a * r - a
-        coef_a[i] = A
-        coef_c[i] = 2.0 * r
-        target[i] = n
-        if p < 0.5:
-            if abs(A) >= 1.0:
-                target[i] = int(rng.integers(n))
-        else:
-            spiral[i] = True
-            spiral_e[i] = math.exp(SPIRAL_B * l)
-            spiral_c[i] = math.cos(2.0 * math.pi * l)
-
     move = ~spiral
     T = np.vstack((old, best_pos))[target[move]]
     pos = np.empty_like(old)
@@ -290,9 +478,10 @@ def woa_step(state: WoaState, fitness: FitnessFn) -> WoaState:
     incumbent updated on strict improvement.
 
     All agents move relative to a snapshot of the population and the
-    incumbent taken at iteration entry, and each draws from its own
-    stream, so the result does not depend on evaluation order; the whole
-    population is scored in one fitness call. Mutates and returns state.
+    incumbent taken at iteration entry, with coefficients decoded from
+    each agent's own stream, so the result does not depend on evaluation
+    order; the whole population is scored in one fitness call. Mutates
+    and returns state.
     """
     state.positions = pos = _moved_positions(state)
     values = fitness(discretize_population(pos, state.v_count))
@@ -301,10 +490,6 @@ def woa_step(state: WoaState, fitness: FitnessFn) -> WoaState:
         state.best_value = float(values[cand_i])
         state.best_position = pos[cand_i].copy()
     state.iteration += 1
-    if state.max_iterations > 0:
-        state.a = max(0.0, 2.0 * (1.0 - state.iteration / state.max_iterations))
-    else:
-        state.a = 0.0
     return state
 
 

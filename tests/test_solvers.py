@@ -16,6 +16,7 @@ from uavmec import (
     PenaltyConfig,
     SolverRun,
     StateSpaceCapError,
+    WoaCoefficients,
     WoaState,
     alloc_equal,
     alloc_optimal,
@@ -41,6 +42,7 @@ from uavmec.scenario import (
     UserNode,
 )
 from uavmec.evaluator import decision_to_vector
+from uavmec.solvers import _AgentStream, _bounded, _decode
 from uavmec.solvers import discretize, discretize_population, discretize_slot
 
 import oracles
@@ -89,39 +91,38 @@ def test_discretize_covers_all_slots_uniformly():
 
 # ------------------------------------------------------------ woa mechanics
 
-class ScriptedRng:
-    """Stand-in generator yielding scripted draws for one whale step:
-    random(3) gives r, p and the unit draw that maps to l = -1 + 2u."""
-
-    def __init__(self, r, p, l=0.0, j=0):
-        self._draws = [r, p, (l + 1.0) / 2.0]
-        self._j = j
-
-    def random(self, size):
-        assert size == len(self._draws)
-        return np.array(self._draws)
-
-    def integers(self, n):
-        return self._j
+def _move(A, C, target=None):
+    """One agent's encircle / random-search coefficients; target None
+    moves it toward the incumbent."""
+    return dict(coef_a=A, coef_c=C, target=target, spiral=False, spiral_e=0.0, spiral_c=0.0)
 
 
-def _state(positions, best, v_count, rngs, best_value=5.0):
-    pos = np.array(positions, dtype=float)
+def _spiral(l):
+    """One agent's bubble-net coefficients at spiral position l."""
+    return dict(coef_a=0.0, coef_c=0.0, target=None, spiral=True,
+                spiral_e=math.exp(l), spiral_c=math.cos(2.0 * math.pi * l))
+
+
+def _state(positions, best, v_count, agents, best_value=5.0):
+    """A state at iteration 0 of 10 whose coefficient tables hold one
+    hand-set row, one column per agent."""
+    n = len(agents)
+    rows = {k: [[ag[k] for ag in agents]] for k in agents[0]}
+    rows["target"] = [[n if ag["target"] is None else ag["target"] for ag in agents]]
     return WoaState(
-        positions=pos,
+        positions=np.array(positions, dtype=float),
         best_position=np.array(best, dtype=float),
         best_value=best_value,
         iteration=0,
         max_iterations=10,
-        a=2.0,
         v_count=v_count,
-        rngs=rngs,
+        coefficients=WoaCoefficients(**{k: np.array(v) for k, v in rows.items()}),
     )
 
 
 def test_step_encircle_with_zero_coefficient_lands_on_best():
-    # r = 0.5 makes A = 0, so the encircling move collapses onto X*
-    st = _state([[3.0, 1.0, 2.0]], [2.0, 4.0, 1.5], 4, [ScriptedRng(0.5, 0.4)])
+    # A = 0 collapses the encircling move onto X*
+    st = _state([[3.0, 1.0, 2.0]], [2.0, 4.0, 1.5], 4, [_move(0.0, 1.0)])
     woa_step(st, lambda P: np.full(len(P), 100.0))
     assert np.allclose(st.positions[0], [2.0, 4.0, 1.5])
     assert st.best_value == 5.0  # worse fitness must not replace the incumbent
@@ -130,14 +131,14 @@ def test_step_encircle_with_zero_coefficient_lands_on_best():
 
 
 def test_step_spiral_from_best_stays_at_best():
-    st = _state([[2.0, 3.0]], [2.0, 3.0], 4, [ScriptedRng(0.3, 0.9, l=0.37)])
+    st = _state([[2.0, 3.0]], [2.0, 3.0], 4, [_spiral(0.37)])
     woa_step(st, lambda P: np.full(len(P), 100.0))
     assert np.allclose(st.positions[0], [2.0, 3.0])
 
 
 def test_step_spiral_zero_angle_adds_distance():
     # l = 0 gives X* + |X* - X| elementwise, then the clamp bites
-    st = _state([[1.0, 1.0]], [3.0, 2.5], 4, [ScriptedRng(0.3, 0.9, l=0.0)])
+    st = _state([[1.0, 1.0]], [3.0, 2.5], 4, [_spiral(0.0)])
     woa_step(st, lambda P: np.full(len(P), 100.0))
     assert np.allclose(st.positions[0], [4.0, 4.0])  # 5.0 clamped to V, 4.0 kept
 
@@ -146,9 +147,9 @@ def test_step_search_branch_uses_snapshot_of_neighbor():
     # agent 0 teleports onto X*; agent 1 must still see agent 0's OLD spot
     old0 = [3.0, 1.0]
     best = [2.0, 4.0]
-    rng0 = ScriptedRng(0.5, 0.4)            # A=0 encircle -> moves to best
-    rng1 = ScriptedRng(1.0, 0.4, j=0)       # A=2, C=2 -> random search vs agent 0
-    st = _state([old0, [1.5, 2.0]], best, 4, [rng0, rng1])
+    agent0 = _move(0.0, 1.0)            # A=0 encircle -> moves to best
+    agent1 = _move(2.0, 2.0, target=0)  # A=2, C=2 -> random search vs agent 0
+    st = _state([old0, [1.5, 2.0]], best, 4, [agent0, agent1])
     woa_step(st, lambda P: np.full(len(P), 100.0))
     d = np.abs(2.0 * np.array(old0) - np.array([1.5, 2.0]))
     expected = np.clip(np.array(old0) - 2.0 * d, 1.0, 4.0)
@@ -157,14 +158,21 @@ def test_step_search_branch_uses_snapshot_of_neighbor():
 
 
 def test_step_incumbent_updates_only_on_strict_improvement():
-    st = _state([[3.0, 3.0]], [2.0, 2.0], 4, [ScriptedRng(0.5, 0.4)], best_value=7.0)
+    st = _state([[3.0, 3.0]], [2.0, 2.0], 4, [_move(0.0, 1.0)], best_value=7.0)
     woa_step(st, lambda P: np.full(len(P), 7.0))  # tie: keep the old best position
     assert st.best_value == 7.0
     assert np.allclose(st.best_position, [2.0, 2.0])
 
-    st2 = _state([[3.0, 3.0]], [2.0, 2.0], 4, [ScriptedRng(0.5, 0.4)], best_value=7.0)
+    st2 = _state([[3.0, 3.0]], [2.0, 2.0], 4, [_move(0.0, 1.0)], best_value=7.0)
     woa_step(st2, lambda P: np.full(len(P), 6.5))
     assert st2.best_value == 6.5
+
+
+def test_step_past_hand_set_rows_without_streams_raises():
+    st = _state([[3.0, 3.0]], [2.0, 2.0], 4, [_move(0.0, 1.0)])
+    woa_step(st, lambda P: np.full(len(P), 100.0))
+    with pytest.raises(IndexError):
+        woa_step(st, lambda P: np.full(len(P), 100.0))
 
 
 def test_step_positions_stay_in_box():
@@ -182,6 +190,137 @@ def test_woa_population_prefix_is_seed_stable():
     large = woa_init(fit, m=5, v_count=4, agents=40, max_iterations=5, seed=42)
     assert np.array_equal(small.positions, large.positions[:10])
     assert large.best_value <= small.best_value
+
+
+def test_woa_coefficient_prefix_is_seed_stable():
+    # integers(N) depends on N, so only whether an agent drew a target
+    # agent, not which one, carries over
+    fit = lambda P: P.sum(axis=1).astype(float)
+    small = woa_init(fit, m=5, v_count=4, agents=10, max_iterations=30, seed=42).coefficients
+    large = woa_init(fit, m=5, v_count=4, agents=40, max_iterations=30, seed=42).coefficients
+    for name in ("coef_a", "coef_c", "spiral", "spiral_e", "spiral_c"):
+        assert np.array_equal(getattr(small, name), getattr(large, name)[:, :10]), name
+    assert np.array_equal(small.target == 10, large.target[:, :10] == 40)
+    assert (small.target < 10).any()
+
+
+# ------------------------------------------------------- coefficient decode
+
+def _generator_tables(agents, max_iterations, seed, rows, m=3, v_count=4):
+    """The coefficient tables the whale step drew with Generator calls,
+    agent by agent: random(3) for r, p and u, then integers(N) when
+    p < 0.5 and |A| >= 1, after each agent's uniform initial position."""
+    rngs = [np.random.Generator(np.random.PCG64(ss))
+            for ss in np.random.SeedSequence(seed).spawn(agents)]
+    for rng in rngs:
+        rng.uniform(1.0, v_count, m)
+    tables = {k: np.zeros((rows, agents)) for k in ("coef_a", "coef_c", "spiral_e", "spiral_c")}
+    tables["target"] = np.full((rows, agents), agents, dtype=np.intp)
+    tables["spiral"] = np.zeros((rows, agents), dtype=bool)
+    for t in range(rows):
+        a = 2.0 if t == 0 else (
+            max(0.0, 2.0 * (1.0 - t / max_iterations)) if max_iterations > 0 else 0.0)
+        for i, rng in enumerate(rngs):
+            r, p, u = rng.random(3).tolist()
+            l = -1.0 + 2.0 * u
+            A = 2.0 * a * r - a
+            tables["coef_a"][t, i] = A
+            tables["coef_c"][t, i] = 2.0 * r
+            if p < 0.5:
+                if abs(A) >= 1.0:
+                    tables["target"][t, i] = int(rng.integers(agents))
+            else:
+                tables["spiral"][t, i] = True
+                tables["spiral_e"][t, i] = math.exp(l)
+                tables["spiral_c"][t, i] = math.cos(2.0 * math.pi * l)
+    return tables
+
+
+def _assert_tables_equal(co, expected, rows):
+    for name, want in expected.items():
+        got = getattr(co, name)[:rows]
+        assert got.shape == want.shape, name
+        if want.dtype == float:  # bit for bit
+            got, want = got.view(np.uint64), want.view(np.uint64)
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("agents", [1, 2, 5, 100])
+@pytest.mark.parametrize("iters", [0, 1, 50])
+def test_decoded_coefficients_match_generator_draws(agents, iters):
+    fit = lambda P: np.zeros(len(P))
+    for seed in (0, 7):
+        co = woa_init(fit, m=3, v_count=4, agents=agents, max_iterations=iters, seed=seed).coefficients
+        assert len(co.coef_a) == iters
+        _assert_tables_equal(co, _generator_tables(agents, iters, seed, iters), iters)
+
+
+@pytest.mark.parametrize("agents,iters", [(1, 0), (2, 1), (5, 3), (100, 4)])
+def test_steps_past_max_iterations_decode_on(agents, iters):
+    fit = lambda P: np.zeros(len(P))
+    state = woa_init(fit, m=3, v_count=4, agents=agents, max_iterations=iters, seed=11)
+    rows = iters + 7
+    for _ in range(rows):
+        woa_step(state, fit)
+    _assert_tables_equal(state.coefficients, _generator_tables(agents, iters, 11, rows), rows)
+
+
+@pytest.mark.parametrize("n", [1, 3, 100, 2**31 + 1, 2**32 - 1])
+def test_bounded_matches_generator_integers(n):
+    # interleaved random() / integers(n): the spare half of a word must
+    # survive random() calls; near n = 2**31 about half the 32-bit draws
+    # are rejected and redrawn
+    redrawn = 0
+    for seed in range(20):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        words = np.random.PCG64(seed).random_raw(1500).tolist()
+        at, spare = 0, None
+        for k in np.random.default_rng(seed).integers(0, 3, 300).tolist():
+            if k:
+                had_spare = spare is not None
+                before = at
+                j, at, spare = _bounded(n, words, at, spare)
+                assert j == gen.integers(n)
+                redrawn += had_spare and at > before
+            else:
+                assert (words[at] >> 11) * 2.0**-53 == gen.random()
+                at += 1
+    assert (redrawn > 0) == (n == 2**31 + 1)
+
+
+class _FixedThenPcg:
+    """Bit-generator stand-in: the given words, then PCG64(seed)'s."""
+
+    def __init__(self, words, seed):
+        self._head = list(words)
+        self._rest = np.random.PCG64(seed)
+
+    def random_raw(self, count):
+        head, self._head = self._head[:count], self._head[count:]
+        return np.array(head + self._rest.random_raw(count - len(head)).tolist(), dtype=np.uint64)
+
+
+def test_decode_reads_on_past_a_long_lemire_redraw():
+    # with N = 3, Lemire's method rejects a zero 32-bit draw, so a run of
+    # zero words after r = p = 0 keeps agent 0's first target draw going
+    # well past the words set aside for two rows
+    head = [0] * 23
+    words = head + np.random.PCG64(5).random_raw(30).tolist()
+    streams = [_AgentStream(_FixedThenPcg(head, 5))] + [
+        _AgentStream(np.random.PCG64(seed)) for seed in (1, 2)]
+    co = _decode(streams, 0, 2, 2)
+    j, at, _ = _bounded(3, words, 3, None)
+    assert at > 23
+    assert co.target[0, 0] == j
+    assert co.coef_c[1, 0] == 2.0 * ((words[at] >> 11) * 2.0**-53)
+    assert co.spiral[1, 0] == ((words[at + 1] >> 11) * 2.0**-53 >= 0.5)
+    for i, seed in ((1, 1), (2, 2)):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        r, p, _ = gen.random(3).tolist()
+        assert co.coef_a[0, i] == 2.0 * 2.0 * r - 2.0
+        drawn = p < 0.5 and abs(co.coef_a[0, i]) >= 1.0
+        assert co.target[0, i] == (gen.integers(3) if drawn else 3)
+        assert co.coef_c[1, i] == 2.0 * gen.random()
 
 
 # ------------------------------------------------------------------- d-woa
@@ -243,6 +382,25 @@ def test_dwoa_config_validation():
     with pytest.raises(ValueError):
         DwoaConfig(max_iterations=-1)
     DwoaConfig(max_iterations=0)  # explicitly allowed
+
+
+@pytest.mark.parametrize("kw", [
+    dict(agents=2.5), dict(agents=True), dict(max_iterations=False), dict(seed=1.0),
+    dict(seed=-1), dict(agents=2**32), dict(agents="4"),
+])
+def test_dwoa_config_rejects_bad_settings_at_construction(kw):
+    with pytest.raises(ValueError):
+        DwoaConfig(**kw)
+
+
+def test_dwoa_config_stores_numpy_integers_as_plain_ints():
+    cfg = DwoaConfig(agents=np.int64(3), max_iterations=np.int64(2), seed=np.int64(5))
+    assert [type(x) for x in (cfg.agents, cfg.max_iterations, cfg.seed)] == [int, int, int]
+    s = desk_scenario(2, uav_count=3, subtasks=4)
+    run = dwoa_solve(s, alloc_equal(s), cfg)
+    assert json.loads(run.to_json())["config"]["agents"] == 3
+    plain = dwoa_solve(s, alloc_equal(s), DwoaConfig(agents=3, max_iterations=2, seed=5))
+    assert (run.decision, run.trace) == (plain.decision, plain.trace)
 
 
 # -------------------------------------------------------------- exhaustive
