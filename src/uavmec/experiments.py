@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__
 from . import channel
 from .channel import BandwidthAllocation
-from .evaluator import Evaluator, PenaltyConfig, decision_latency_breakdown
+from .evaluator import UPLOAD_MODELS, Evaluator, PenaltyConfig, decision_latency_breakdown
 from .scenario import (
     MB_BITS,
     PhysicsConstants,
@@ -62,6 +62,7 @@ from .solvers import (
     ALLOCATORS,
     SOLVERS as SOLVER_FNS,
     DwoaConfig,
+    _integer,
     dwoa_solve,  # noqa: F401 - kept importable from this module
     exhaustive_solve,  # noqa: F401
     solver_seed,
@@ -131,6 +132,19 @@ class ExperimentSpec:
                 out.append(f"{name} must be distinct, got {list(entries)}")
         if self.penalty_mode not in ("penalty", "hard"):
             out.append(f"unknown penalty mode {self.penalty_mode!r}")
+        if self.upload_model not in UPLOAD_MODELS:
+            out.append(f"unknown upload model {self.upload_model!r}")
+        # whole numbers, by DwoaConfig's rule: never truncated to one
+        counts = [("agents", self.agents), ("max_iterations", self.max_iterations)]
+        counts += [("seed", s) for s in self.seeds]
+        if self.axis in ("agents", "users", "subtasks"):
+            counts += [(f"{self.axis} value", v) for v in self.values]
+        for name, v in counts:
+            try:
+                if _integer(name, v) < 0 and name == "seed":
+                    out.append(f"seed must be >= 0, got {v!r}")
+            except ValueError as exc:
+                out.append(str(exc))
         if self.axis in ("users", "subtasks") and self.scenario_file:
             out.append(f"axis {self.axis} regenerates scenarios; scenario_file unsupported")
         if self.scenario_file and self.generator:
@@ -174,13 +188,11 @@ class ExperimentSpec:
 # params come back as lists, so they are re-tupled for spec equality
 _SPEC_DECODE = {
     "values": tuple,
-    "seeds": lambda v: tuple(int(s) for s in v),
+    "seeds": tuple,
     "generator": lambda g: {k: tuple(v) if isinstance(v, list) else v for k, v in dict(g).items()},
     "solvers": tuple,
     "allocators": tuple,
     "energy_modes": tuple,
-    "agents": int,
-    "max_iterations": int,
     "penalty_lambda": float,
 }
 
@@ -371,10 +383,10 @@ def _build_scenario(spec: ExperimentSpec, seed: int, value) -> Scenario:
     if spec.scenario_file:
         return load_scenario(spec.scenario_file)
     if spec.axis == "users":
-        return generate_user_sweep_family(seed, int(value), **spec.generator)
+        return generate_user_sweep_family(seed, value, **spec.generator)
     params = dict(spec.generator)
     if spec.axis == "subtasks":
-        params["subtasks_per_task"] = int(value)
+        params["subtasks_per_task"] = value
     return generate_scenario(np.random.SeedSequence([int(seed), 0]), **params)
 
 
@@ -473,7 +485,7 @@ def _run_cell(
 ) -> Tuple[Dict[str, object], Optional[List[float]]]:
     scenario = inputs.scenario(key, seed, value)
     penalty = _penalty_for(spec, value)
-    agents = int(value) if spec.axis == "agents" else spec.agents
+    agents = value if spec.axis == "agents" else spec.agents
     cfg = DwoaConfig(
         agents=agents,
         max_iterations=spec.max_iterations,

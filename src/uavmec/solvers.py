@@ -55,6 +55,17 @@ class StateSpaceCapError(Exception):
     """Raised when the exhaustive space V**M exceeds the configured cap."""
 
 
+def _integer(name: str, value) -> int:
+    """value as a plain int, numpy integers included; ValueError for a
+    bool or anything operator.index refuses."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class DwoaConfig:
     agents: int = 100
@@ -65,14 +76,8 @@ class DwoaConfig:
 
     def __post_init__(self):
         for name in ("agents", "max_iterations", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                # plain int, so numpy integers serialize like any other
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            # plain int, so numpy integers serialize like any other
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         # the swarm draws agent indices with 32-bit bounded draws
         if not 1 <= self.agents < 2**32:
             raise ValueError("agents must be >= 1 and < 2**32")
@@ -233,32 +238,6 @@ def _bounded(n: int, words: Sequence[int], at: int, spare: Optional[int]) -> Tup
             return m >> 32, at, spare
 
 
-class _AgentStream:
-    """What is left of one agent's PCG64 stream: the words drawn but
-    not read yet, then its bit generator, plus the spare 32-bit half its
-    last bounded draw left."""
-
-    __slots__ = ("_bits", "_words", "spare")
-
-    def __init__(self, bits: np.random.BitGenerator):
-        self._bits = bits
-        self._words = np.empty(0, dtype=np.uint64)
-        self.spare: Optional[int] = None
-
-    def peek(self, count: int) -> np.ndarray:
-        """The next count unread words, left unread."""
-        short = count - len(self._words)
-        if short == count:
-            self._words = self._bits.random_raw(count)
-        elif short > 0:
-            self._words = np.concatenate((self._words, self._bits.random_raw(short)))
-        return self._words[:count]
-
-    def read(self, count: int) -> None:
-        """Marks the next count words read."""
-        self._words = self._words[count:]
-
-
 @dataclass
 class WoaCoefficients:
     """Every agent's move coefficients for a run of whale steps: row t
@@ -267,11 +246,8 @@ class WoaCoefficients:
     is agent target's snapshot position or, when target is the agent
     count, the incumbent. Where spiral is set the agent takes the
     bubble-net move instead, with spiral_e = e^(b*l) and
-    spiral_c = cos(2*pi*l) (0 elsewhere).
-
-    streams holds each agent's stream after the decoded rows, which
-    extend decodes more rows from (woa_init's tables come with streams,
-    hand-built ones may have none)."""
+    spiral_c = cos(2*pi*l) (0 elsewhere). woa_init decodes exactly
+    max_iterations rows."""
 
     coef_a: np.ndarray
     coef_c: np.ndarray
@@ -279,59 +255,45 @@ class WoaCoefficients:
     spiral: np.ndarray
     spiral_e: np.ndarray
     spiral_c: np.ndarray
-    streams: List[_AgentStream] = field(default_factory=list, repr=False)
-
-    def extend(self, rows: int, max_iterations: int) -> None:
-        """Decodes rows from the streams until there are `rows`, under
-        the exploration weights of a max_iterations run."""
-        if not self.streams:
-            raise IndexError("no streams to decode further coefficient rows from")
-        have = len(self.coef_a)
-        more = _decode(self.streams, have, rows - have, max_iterations)
-        for name in ("coef_a", "coef_c", "target", "spiral", "spiral_e", "spiral_c"):
-            setattr(self, name, np.concatenate((getattr(self, name), getattr(more, name))))
 
 
-def _decode(streams: List[_AgentStream], first: int, count: int, max_iterations: int) -> WoaCoefficients:
-    """Rows first .. first+count-1 of the agents' coefficient tables,
-    read from their streams as the whale step's draws were defined: per
-    agent and iteration, random() three times (r, p and u), then, when
-    p < 0.5 and |A| >= 1, integers(N) for the target agent, with
-    A = 2*a*r - a, C = 2*r and l = -1 + 2*u. Reads exactly the words
-    and spare halves those Generator calls would, so the tables equal
-    theirs bit for bit. Advances the streams past the rows."""
-    n = len(streams)
-    weights = [_exploration_weight(t, max_iterations) for t in range(first, first + count)]
+def _decode(
+    bits: Sequence[np.random.BitGenerator], m: int, v_count: int, max_iterations: int,
+) -> Tuple[np.ndarray, WoaCoefficients]:
+    """Every agent's start position in [1, V]^m and its coefficient
+    tables for max_iterations steps, read from one block of raw words
+    per agent's bit generator as the whale search's draws were defined:
+    uniform(1, V, m) for the position, then per iteration random()
+    three times (r, p and u) and, when p < 0.5 and |A| >= 1,
+    integers(N) for the target agent, with A = 2*a*r - a, C = 2*r and
+    l = -1 + 2*u. Reads exactly the words and spare halves those
+    Generator calls would, so both equal theirs bit for bit; when a
+    Lemire redraw runs past the block, every agent draws one more."""
+    n = len(bits)
+    weights = [_exploration_weight(t, max_iterations) for t in range(max_iterations)]
     # |A| <= a, so only rows with a >= 1 can draw a target; a never
     # rises, so those rows come first and every later row reads 3 words
     drawing = sum(a >= 1.0 for a in weights)
-    tail = 3 * (count - drawing)
-    width = 4 * drawing + tail  # enough unless Lemire's method redraws
+    tail = 3 * (max_iterations - drawing)
+    block = m + 4 * drawing + tail  # enough unless Lemire's method redraws
+    words = np.array([b.random_raw(block) for b in bits], dtype=np.uint64)
     while True:
-        end = width - tail
-        words = np.array([s.peek(width) for s in streams], dtype=np.uint64)
+        width = words.shape[1]
         unit = (words >> np.uint64(11)) * _UNIT
         try:
             scans = [
-                _scan(unit[i, :end].tolist(), words[i], weights[:drawing], n, s.spare)
-                for i, s in enumerate(streams)
+                _scan(unit[i, m:width - tail].tolist(), words[i, m:], weights[:drawing], tail, n)
+                for i in range(n)
             ]
             break
         except IndexError:
-            width *= 2
-    starts: List[int] = []
-    drawn: List[List[int]] = []
-    for s, (at, targets, c, spare) in zip(streams, scans):
-        starts += at
-        starts += range(c, c + tail, 3)
-        drawn.append(targets)
-        s.read(c + tail)
-        s.spare = spare
-    target = np.full((count, n), n, dtype=np.intp)
-    target[:drawing] = np.array(drawn, dtype=np.intp).reshape(n, drawing).T
+            words = np.hstack((words, [b.random_raw(block) for b in bits]))
+    starts, drawn = zip(*scans)
+    target = np.full((max_iterations, n), n, dtype=np.intp)
+    target[:drawing] = np.array(drawn, dtype=np.intp).T
 
-    # flat index of each row's r in unit, shaped (count, n)
-    at = np.array(starts, dtype=np.intp).reshape(n, count).T + np.arange(n) * width
+    # flat index of each row's r in unit, shaped (max_iterations, n)
+    at = np.array(starts, dtype=np.intp).T + (m + np.arange(n) * width)
     flat = unit.ravel()
     r = flat.take(at)
     spiral = flat.take(at + 1) >= 0.5
@@ -343,27 +305,29 @@ def _decode(streams: List[_AgentStream], first: int, count: int, max_iterations:
     ls = l[spiral]
     spiral_e[spiral] = list(map(math.exp, (SPIRAL_B * ls).tolist()))
     spiral_c[spiral] = list(map(math.cos, (2.0 * math.pi * ls).tolist()))
-    return WoaCoefficients(
+    coefficients = WoaCoefficients(
         coef_a=2.0 * a * r - a,
         coef_c=2.0 * r,
         target=target,
         spiral=spiral,
         spiral_e=spiral_e,
         spiral_c=spiral_c,
-        streams=streams,
     )
+    return 1.0 + (v_count - 1.0) * unit[:, :m], coefficients
 
 
 def _scan(
-    unit: List[float], words: np.ndarray, weights: List[float], n: int, spare: Optional[int],
-) -> Tuple[List[int], List[int], int, Optional[int]]:
-    """One agent's pass over the rows that can draw a target: the word
-    each row's r sits at, each row's target, where the rows after them
-    start and the spare half then. unit[k] is word k as random() reads
-    it; IndexError when the rows read past its end."""
+    unit: List[float], words: np.ndarray, weights: List[float], tail: int, n: int,
+) -> Tuple[List[int], List[int]]:
+    """One agent's pass over its rows: the word each row's r sits at,
+    and the target of each row in weights, which holds the a of the rows
+    that can draw one. The other rows follow them, 3 of the tail words
+    each. unit[k] is word k as random() reads it, up to the tail;
+    IndexError when the rows read past its end."""
     at: List[int] = []
     drawn: List[int] = []
     c = 0
+    spare = None
     for a in weights:
         at.append(c)
         c += 3
@@ -372,8 +336,8 @@ def _scan(
             j, c, spare = _bounded(n, words, c, spare)
         drawn.append(j)
     if c > len(unit):
-        raise IndexError("rows read past the peeked words")
-    return at, drawn, c, spare
+        raise IndexError("rows read past the drawn words")
+    return at + list(range(c, c + tail, 3)), drawn
 
 
 @dataclass
@@ -422,18 +386,13 @@ def woa_init(
 ) -> WoaState:
     """Uniform random population in [1, V]^M, one independent PCG64
     stream per agent (so a population prefix, and its coefficient
-    columns, are reproducible regardless of N). Each agent draws its
-    initial position with Generator.uniform, then the coefficients of
-    all max_iterations steps are decoded from the rest of its stream."""
+    columns, are reproducible regardless of N). Each agent's stream is
+    read once, as raw words: its initial position, then the
+    coefficients of all max_iterations steps (see _decode)."""
     if not 1 <= agents < 2**32:
         raise ValueError("agents must be in [1, 2**32)")
-    pos = np.empty((agents, m))
-    streams = []
-    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(agents)):
-        rng = np.random.Generator(np.random.PCG64(ss))
-        pos[i] = rng.uniform(1.0, v_count, m)
-        streams.append(_AgentStream(rng.bit_generator))
-    coefficients = _decode(streams, 0, max_iterations, max_iterations)
+    bits = [np.random.PCG64(ss) for ss in np.random.SeedSequence(seed).spawn(agents)]
+    pos, coefficients = _decode(bits, m, v_count, max_iterations)
     values = fitness(discretize_population(pos, v_count))
     best_i = _first_min(values)
     return WoaState(
@@ -450,12 +409,10 @@ def woa_init(
 def _moved_positions(state: WoaState) -> np.ndarray:
     """Every agent's next position, clipped to the box: row
     state.iteration of the coefficient tables applied to the snapshot of
-    the population and the incumbent, as whole-matrix operations. Rows
-    past the decoded ones are decoded from the agents' streams first."""
+    the population and the incumbent, as whole-matrix operations.
+    IndexError past the last row."""
     co = state.coefficients
     t = state.iteration
-    if t >= len(co.coef_a):
-        co.extend(t + max(1, state.max_iterations), state.max_iterations)
     coef_a, coef_c, target = co.coef_a[t], co.coef_c[t], co.target[t]
     spiral, spiral_e, spiral_c = co.spiral[t], co.spiral_e[t], co.spiral_c[t]
     old = state.positions

@@ -116,6 +116,39 @@ def test_spec_rejects_unknown_penalty_mode(tmp_path):
     assert _spec(tmp_path, penalty_mode="hrad").validate() == ["unknown penalty mode 'hrad'"]
 
 
+def test_spec_rejects_unknown_upload_model(tmp_path):
+    assert _spec(tmp_path, upload_model="independent").validate() == []
+    assert _spec(tmp_path, upload_model="cumulatve").validate() == [
+        "unknown upload model 'cumulatve'"]
+
+
+@pytest.mark.parametrize(
+    "kw, problem",
+    [
+        (dict(values=(3.7, 5)), "agents value must be an integer, got 3.7"),
+        (dict(values=(True, 5)), "agents value must be an integer, got True"),
+        (dict(axis="users", values=(2.5,)), "users value must be an integer, got 2.5"),
+        (dict(axis="subtasks", values=(4, 2.5)), "subtasks value must be an integer, got 2.5"),
+        (dict(agents=3.9), "agents must be an integer, got 3.9"),
+        (dict(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
+        (dict(seeds=[0, 1.7]), "seed must be an integer, got 1.7"),
+        (dict(seeds=[True]), "seed must be an integer, got True"),
+        (dict(seeds=[0, -1]), "seed must be >= 0, got -1"),
+    ],
+    ids=["agents-float", "agents-bool", "users-float", "subtasks-float", "agents-field",
+         "max-iterations", "seed-float", "seed-bool", "seed-negative"],
+)
+def test_spec_rejects_non_integer_counts(tmp_path, kw, problem):
+    # read as JSON would give them, none truncated to an integer
+    spec = ExperimentSpec.from_dict(dict(_spec(tmp_path).to_dict(), **kw))
+    assert spec.validate() == [problem]
+
+
+def test_spec_takes_numpy_integer_counts(tmp_path):
+    spec = _spec(tmp_path, values=(np.int64(5), 10), seeds=(np.uint32(0), 1), agents=np.int8(3))
+    assert spec.validate() == []
+
+
 def test_spec_rejects_generator_next_to_scenario_file(tmp_path):
     problems = _spec(tmp_path, scenario_file="scen.json").validate()
     assert "generator parameters are unused next to scenario_file" in problems

@@ -42,7 +42,7 @@ from uavmec.scenario import (
     UserNode,
 )
 from uavmec.evaluator import decision_to_vector
-from uavmec.solvers import _AgentStream, _bounded, _decode
+from uavmec.solvers import _bounded, _decode
 from uavmec.solvers import discretize, discretize_population, discretize_slot
 
 import oracles
@@ -206,20 +206,20 @@ def test_woa_coefficient_prefix_is_seed_stable():
 
 # ------------------------------------------------------- coefficient decode
 
-def _generator_tables(agents, max_iterations, seed, rows, m=3, v_count=4):
+def _generator_tables(agents, max_iterations, seed, m=3, v_count=4):
     """The coefficient tables the whale step drew with Generator calls,
     agent by agent: random(3) for r, p and u, then integers(N) when
-    p < 0.5 and |A| >= 1, after each agent's uniform initial position."""
+    p < 0.5 and |A| >= 1, after each agent's uniform initial position;
+    and those positions."""
     rngs = [np.random.Generator(np.random.PCG64(ss))
             for ss in np.random.SeedSequence(seed).spawn(agents)]
-    for rng in rngs:
-        rng.uniform(1.0, v_count, m)
+    positions = np.array([rng.uniform(1.0, v_count, m) for rng in rngs])
+    rows = max_iterations
     tables = {k: np.zeros((rows, agents)) for k in ("coef_a", "coef_c", "spiral_e", "spiral_c")}
     tables["target"] = np.full((rows, agents), agents, dtype=np.intp)
     tables["spiral"] = np.zeros((rows, agents), dtype=bool)
     for t in range(rows):
-        a = 2.0 if t == 0 else (
-            max(0.0, 2.0 * (1.0 - t / max_iterations)) if max_iterations > 0 else 0.0)
+        a = 2.0 * (1.0 - t / max_iterations)
         for i, rng in enumerate(rngs):
             r, p, u = rng.random(3).tolist()
             l = -1.0 + 2.0 * u
@@ -233,36 +233,43 @@ def _generator_tables(agents, max_iterations, seed, rows, m=3, v_count=4):
                 tables["spiral"][t, i] = True
                 tables["spiral_e"][t, i] = math.exp(l)
                 tables["spiral_c"][t, i] = math.cos(2.0 * math.pi * l)
-    return tables
+    return tables, positions
 
 
-def _assert_tables_equal(co, expected, rows):
+def _assert_bits_equal(got, want, name):
+    assert got.shape == want.shape, name
+    if want.dtype == float:  # bit for bit
+        got, want = got.view(np.uint64), want.view(np.uint64)
+    assert np.array_equal(got, want), name
+
+
+def _assert_tables_equal(co, expected):
     for name, want in expected.items():
-        got = getattr(co, name)[:rows]
-        assert got.shape == want.shape, name
-        if want.dtype == float:  # bit for bit
-            got, want = got.view(np.uint64), want.view(np.uint64)
-        assert np.array_equal(got, want), name
+        _assert_bits_equal(getattr(co, name), want, name)
 
 
 @pytest.mark.parametrize("agents", [1, 2, 5, 100])
 @pytest.mark.parametrize("iters", [0, 1, 50])
 def test_decoded_coefficients_match_generator_draws(agents, iters):
+    # start positions over every (m, V) too, looped like the seeds
     fit = lambda P: np.zeros(len(P))
-    for seed in (0, 7):
-        co = woa_init(fit, m=3, v_count=4, agents=agents, max_iterations=iters, seed=seed).coefficients
-        assert len(co.coef_a) == iters
-        _assert_tables_equal(co, _generator_tables(agents, iters, seed, iters), iters)
+    for seed, m, v_count in itertools.product((0, 7), (1, 3, 30), (2, 4, 9)):
+        state = woa_init(fit, m=m, v_count=v_count, agents=agents, max_iterations=iters, seed=seed)
+        tables, positions = _generator_tables(agents, iters, seed, m, v_count)
+        assert len(state.coefficients.coef_a) == iters
+        _assert_tables_equal(state.coefficients, tables)
+        _assert_bits_equal(state.positions, positions, "positions")
 
 
 @pytest.mark.parametrize("agents,iters", [(1, 0), (2, 1), (5, 3), (100, 4)])
-def test_steps_past_max_iterations_decode_on(agents, iters):
+def test_step_past_max_iterations_raises(agents, iters):
     fit = lambda P: np.zeros(len(P))
     state = woa_init(fit, m=3, v_count=4, agents=agents, max_iterations=iters, seed=11)
-    rows = iters + 7
-    for _ in range(rows):
+    for _ in range(iters):
         woa_step(state, fit)
-    _assert_tables_equal(state.coefficients, _generator_tables(agents, iters, 11, rows), rows)
+    _assert_tables_equal(state.coefficients, _generator_tables(agents, iters, 11)[0])
+    with pytest.raises(IndexError):
+        woa_step(state, fit)
 
 
 @pytest.mark.parametrize("n", [1, 3, 100, 2**31 + 1, 2**32 - 1])
@@ -303,12 +310,13 @@ class _FixedThenPcg:
 def test_decode_reads_on_past_a_long_lemire_redraw():
     # with N = 3, Lemire's method rejects a zero 32-bit draw, so a run of
     # zero words after r = p = 0 keeps agent 0's first target draw going
-    # well past the words set aside for two rows
+    # well past the block drawn for two start words and two rows
+    lead = np.random.PCG64(9).random_raw(2).tolist()
     head = [0] * 23
     words = head + np.random.PCG64(5).random_raw(30).tolist()
-    streams = [_AgentStream(_FixedThenPcg(head, 5))] + [
-        _AgentStream(np.random.PCG64(seed)) for seed in (1, 2)]
-    co = _decode(streams, 0, 2, 2)
+    bits = [_FixedThenPcg(lead + head, 5)] + [np.random.PCG64(seed) for seed in (1, 2)]
+    pos, co = _decode(bits, 2, 4, 2)
+    assert pos[0].tolist() == [1.0 + 3.0 * ((w >> 11) * 2.0**-53) for w in lead]
     j, at, _ = _bounded(3, words, 3, None)
     assert at > 23
     assert co.target[0, 0] == j
@@ -316,6 +324,7 @@ def test_decode_reads_on_past_a_long_lemire_redraw():
     assert co.spiral[1, 0] == ((words[at + 1] >> 11) * 2.0**-53 >= 0.5)
     for i, seed in ((1, 1), (2, 2)):
         gen = np.random.Generator(np.random.PCG64(seed))
+        assert np.array_equal(pos[i], gen.uniform(1.0, 4.0, 2))
         r, p, _ = gen.random(3).tolist()
         assert co.coef_a[0, i] == 2.0 * 2.0 * r - 2.0
         drawn = p < 0.5 and abs(co.coef_a[0, i]) >= 1.0
