@@ -6,7 +6,11 @@ among it, is settled when an Evaluator is built. The scalar kernel keeps
 no state between calls; the population kernel scores N decisions at
 once, writing its intermediates node-major, one contiguous row of N per
 sub-task, into scratch arrays kept on the Evaluator, and returns fresh
-arrays.
+arrays. Its scratch also holds every decision-independent operand as
+full rows of N, filled once per N, so no ufunc broadcasts a column, and
+it walks the DAG one level at a time in four numpy calls per level:
+gather the ready-time candidates from the finish table, add the payload
+transfers, take the max, add the execution times.
 
 Timing rules: sub-tasks are processed in topological order; arrival time
 accumulates the task's uploads over the shared uplink (so one channel
@@ -191,15 +195,21 @@ class _BatchTables:
     per decision. Node rows run over the M sub-tasks in visiting order:
     users ascending, then each task's topological order (the order the
     scalar kernel accumulates energy and spans in); slots index the
-    decision column of each node. Per-node and per-user tables are
-    (M, 1) and (U, 1) columns, so they broadcast across the decisions.
+    decision column of each node. The per-node, per-edge and per-user
+    values here are flat; _Scratch spreads each one a ufunc reads over
+    a full row of N.
 
-    Ready times live in an (M + U + E, N) finish-time table: the nodes
+    Ready times live in an (M + U, N) finish-time table: the nodes
     grouped by level, then one row per user holding the release time
-    of its dummy root, then one row per payload edge holding the time
-    its payload lands (sender's finish plus transfer). A node's level
-    is one more than its deepest non-dummy parent's, so the ready times
-    of one level need only the finish times of earlier levels.
+    of its dummy root. A node's level is one more than its deepest
+    non-dummy parent's, so the ready times of one level need only the
+    finish times of earlier levels. Each level gathers a (k, width)
+    block of finish-table rows: its nodes' own rows, holding their
+    arrival, then per node the rows of its parents, those whose edge
+    carries a payload first, padded with the node's own row. A payload
+    parent's finish time still lacks the transfer, which a per-call
+    block adds: one row per payload slot of a level, 0.0 at the slots
+    of parents that send nothing.
     """
 
     fmax: np.ndarray         # (V,) per slot: max compute
@@ -208,64 +218,103 @@ class _BatchTables:
     inv_uu: np.ndarray       # (V*V,) inverse inter-UAV rate, row = sender
     kappa: float
     cols: np.ndarray         # (M,) decision column of each visited node
-    h_visit: np.ndarray      # (M, 1) input bits
-    cycles: np.ndarray       # (M, 1) cycles per bit
+    h_visit: np.ndarray      # (M,) input bits
+    cycles: np.ndarray       # (M,) cycles per bit
     h_fmax: np.ndarray       # (M*V,) h times each slot's max compute
     fwd: np.ndarray          # (M*V,) forwarding time per (node, slot)
-    fwd_row: np.ndarray      # (M, 1) node * V: row start in h_fmax / fwd
-    user: np.ndarray         # (M, 1) user index of each node
-    assoc: np.ndarray        # (M, 1) associated slot of the node's user
-    p_fwd: np.ndarray        # (M, 1) forwarding power of that slot
+    user: np.ndarray         # (M,) user index of each node
+    assoc: np.ndarray        # (M,) associated slot of the node's user
+    p_fwd: np.ndarray        # (M,) forwarding power of that slot
     level_order: np.ndarray  # (M,) visit position of each finish-table node
-    arrival: np.ndarray      # (M, 1) arrival before the forwarding hop,
+    arrival: np.ndarray      # (M,) arrival before the forwarding hop,
                              # finish-table order
     pay_src: np.ndarray      # (E,) per payload edge: parent visit position
     pay_dst: np.ndarray      # (E,) child visit position
-    pay_bits: np.ndarray     # (E, 1) dependency payload
-    # per level (lo, hi, gather, k, src, e0, e1): its nodes are finish-table
-    # rows lo:hi; gather is a (k, hi - lo) block of rows, flattened; src
-    # holds the sender rows of its payload edges e0:e1
+    pay_bits: np.ndarray     # (E,) dependency payload
+    pay_slot: np.ndarray     # (E,) row of the edge in the transfer block
+    # per level (lo, hi, gather, k, pay): its nodes are finish-table rows
+    # lo:hi; gather is a (k, hi - lo) block of rows, flattened; pay is
+    # None, or the transfer-block rows (g0, g1) that the gathered rows
+    # from hi - lo on take, one row per payload slot
     levels: Tuple[tuple, ...]
+    pay_rows: int            # rows of the transfer block
     user_rows: np.ndarray    # finish-table rows per user: dummy, nodes
     user_bounds: Tuple[Tuple[int, int], ...]  # (U,) each user's entries
                              # lo:hi in user_rows
-    release: np.ndarray      # (U, 1) release time per user
-    task_upload: np.ndarray  # (U, 1) task upload time per user
+    release: np.ndarray      # (U,) release time per user
+    task_upload: np.ndarray  # (U,) task upload time per user
     span_base: np.ndarray    # (U,) task upload plus the status report
     user_assoc: Tuple[int, ...]  # (U,) associated slot of each user
 
 
 class _Scratch:
     """Work arrays of the population kernel for exactly n decisions, each
-    its own C-contiguous (width, n) array, one row per node, payload edge
-    or user, so every per-node gather and every level's max moves whole
-    contiguous rows. The decision-independent rows are filled here, once:
-    the decision-order input bits h, the release-time rows of the finish
-    table ft and the flat cell offsets."""
+    a C-contiguous (width, n) block of rows, one row per node, payload
+    edge, transfer slot or user, so every per-node gather and every
+    level's max moves whole contiguous rows. The decision-independent
+    rows are filled here, once: every per-node and per-edge operand a
+    ufunc reads, each repeated over a full row of n (a ufunc that
+    broadcasts a column or a row runs through numpy's buffered iterator,
+    at about twice the cost), the release-time rows of the finish table
+    ft, the 0.0 rows of the transfer block pay, and the flat cell
+    offsets.
+
+    All of them are rows of one allocation. glibc maps a large block
+    fresh and, once it has unmapped one, keeps blocks up to that size
+    on its heap; so the scratch of each later Evaluator reuses pages
+    already touched, where one allocation per array faulted in several
+    hundred pages per Evaluator, at about 2 us each on a 2-vCPU VM."""
 
     def __init__(self, t: _BatchTables, n: int, V: int, U: int):
-        M = len(t.cols)
-        E = len(t.pay_bits)
-        # one level's gathered rows, or its payload senders
-        tp = max(max(k * (hi - lo), e1 - e0) for lo, hi, _, k, _, e0, e1 in t.levels)
+        M, E = len(t.cols), len(t.pay_bits)
+        G = max(len(gather) for _, _, gather, _, _ in t.levels)  # gathered rows
+        floats = dict(
+            exec_t=M, fwd_t=M, share=M, work=M, h=M, h_visit=M, cycles=M, p_fwd=M,
+            arrival=M, ft=M + U, by_user=M + U, last=U, release=U, task_upload=U,
+            edge=E, pay_bits=E, pay=t.pay_rows, tp=G,
+        )
+        ints = dict(cells=M, cellv=M, sv=M, fwd_row=M, cell=M, fwd_cell=M, ucell=M,
+                    src=E, dst=E, row_of=U)
+        block = np.empty((sum(floats.values()) + sum(ints.values()), n))
+        at = 0
+        for name, width in [*floats.items(), *ints.items()]:
+            rows = block[at:at + width]
+            setattr(self, name, rows if name in floats else rows.view(np.intp))
+            at += width
         self.n = n
 
-        def rows(width, dtype=float):
-            return np.empty((width, n), dtype=dtype)
-
-        self.h, self.exec_t, self.fwd_t, self.share, self.work = (rows(M) for _ in range(5))
-        self.ft, self.by_user, self.last = rows(M + U + E), rows(M + U), rows(U)
-        self.edge, self.tp = rows(E), rows(tp)
-        self.cells, self.cellv, self.sv = (rows(M, np.intp) for _ in range(3))
-        self.src, self.dst = rows(E, np.intp), rows(E, np.intp)
-        self.h[t.cols] = t.h_visit
-        self.ft[M:M + U] = t.release
+        for rows, values in (
+            (self.h_visit, t.h_visit), (self.cycles, t.cycles), (self.p_fwd, t.p_fwd),
+            (self.arrival, t.arrival), (self.pay_bits, t.pay_bits),
+            (self.release, t.release), (self.task_upload, t.task_upload),
+        ):
+            rows[:] = values.reshape(-1, 1)
+        self.h[t.cols] = self.h_visit  # decision order
+        self.ft[M:] = self.release
+        self.pay.fill(0.0)
         col = np.arange(n, dtype=np.intp)
-        self.cell = (col * V).reshape(1, n)
-        self.cell0 = self.cell - 1
-        self.fwd_cell = self.cell + t.assoc
-        self.ucell = col * U + t.user
-        self.row_of = np.tile(col, (U, 1))
+        self.fwd_row[:] = np.arange(0, M * V, V).reshape(-1, 1)
+        self.cell[:] = col * V
+        np.add(self.cell, t.assoc.reshape(-1, 1), out=self.fwd_cell)
+        np.add(col * U, t.user.reshape(-1, 1), out=self.ucell)
+        self.row_of[:] = col
+        # per level, every view its step reads and writes: the gathered
+        # rows, those that take a transfer and the transfers, the
+        # gathered rows as (k, width, n), the level's finish-table rows
+        # and their execution times (level order, in share)
+        self.levels = []
+        for lo, hi, gather, k, pay in t.levels:
+            g = self.tp[:len(gather)]
+            landed = sent = None
+            if pay is not None:
+                g0, g1 = pay
+                landed, sent = g[hi - lo:hi - lo + g1 - g0], self.pay[g0:g1]
+            self.levels.append((
+                gather, g, landed, sent, g.reshape(k, hi - lo, n),
+                self.ft[lo:hi], self.share[lo:hi],
+            ))
+        # per user, its rows of by_user and of last
+        self.users = [(self.by_user[lo:hi], self.last[u]) for u, (lo, hi) in enumerate(t.user_bounds)]
 
 
 class Evaluator:
@@ -590,18 +639,18 @@ class Evaluator:
         U = len(self._users)
         # _slot_matrix keeps every index in range, so no take needs the
         # default mode="raise", which would copy its output. pop is read
-        # once, into sv as its transpose (sv is rewritten below): a ufunc
-        # that broadcasts buffers each strided operand
-        np.copyto(s.sv, pop.T)
-        np.add(s.sv, s.cell0, out=s.cells)  # flat (decision, slot) cell per column
+        # once, into sv as its transpose, 0-based (sv is rewritten below),
+        # so no later ufunc reads a strided operand
+        np.subtract(pop.T, 1, out=s.sv)
+        np.add(s.sv, s.cell, out=s.cells)  # flat (decision, slot) cell per column
         tot = np.bincount(s.cells.ravel(), s.h.ravel(), N * V).reshape(N, V)
 
         np.take(s.cells, t.cols, axis=0, out=s.cellv, mode="clip")
         np.subtract(s.cellv, s.cell, out=s.sv)  # 0-based slots in visiting order
         np.take((tot / t.fmax).ravel(), s.cellv, out=s.exec_t, mode="clip")
-        s.exec_t *= t.cycles
+        s.exec_t *= s.cycles
         node = s.cells  # (node, slot) entry of fwd and h_fmax; cells is spent
-        np.add(s.sv, t.fwd_row, out=node)
+        np.add(s.sv, s.fwd_row, out=node)
         np.take(t.fwd, node, out=s.fwd_t, mode="clip")
         share, work = s.share, s.work
         np.take(t.h_fmax, node, out=share, mode="clip")
@@ -610,19 +659,20 @@ class Evaluator:
         share /= work
         np.multiply(t.kappa, share, out=work)  # the energy of each node
         work *= share
-        work *= t.cycles
-        work *= t.h_visit
+        work *= s.cycles
+        work *= s.h_visit
         totals = np.bincount(s.cellv.ravel(), work.ravel(), N * V).reshape(N, V)
-        np.multiply(t.p_fwd, s.fwd_t, out=work)
+        np.multiply(s.p_fwd, s.fwd_t, out=work)
         totals += np.bincount(s.fwd_cell.ravel(), work.ravel(), N * V).reshape(N, V)
         totals += t.report_e
 
         # the local execution times, then the remote hop-plus-execution
         # times, each 0.0 elsewhere as np.where would give: times are
         # finite and >= 0 and a local node's forwarding time is 0.0, so
-        # exec * (slot == assoc) and (fwd + exec) minus that are exact
+        # exec * (slot == assoc) and (fwd + exec) minus that are exact;
+        # a node runs at its associated slot where its cell is fwd_cell
         local = share
-        np.equal(s.sv, t.assoc, out=local)
+        np.equal(s.cellv, s.fwd_cell, out=local)
         np.multiply(s.exec_t, local, out=work)
         span = np.bincount(s.ucell.ravel(), work.ravel(), N * U)
         remote = np.add(s.fwd_t, s.exec_t, out=share)
@@ -642,100 +692,93 @@ class Evaluator:
         of makespan plus upload time over users."""
         N = s.n
         M = len(t.cols)
-        U = len(self._users)
-        ft = s.ft  # rows M:M + U hold the release times
+        ft = s.ft  # rows M: hold the release times
         np.take(s.fwd_t, t.level_order, axis=0, out=s.work, mode="clip")
-        np.add(t.arrival, s.work, out=ft[:M])
-        exec_l = s.share
-        np.take(s.exec_t, t.level_order, axis=0, out=exec_l, mode="clip")
+        np.add(s.arrival, s.work, out=ft[:M])
+        # the execution times in level order, which s.levels reads
+        np.take(s.exec_t, t.level_order, axis=0, out=s.share, mode="clip")
+        # each payload edge's transfer time, into its slot of s.pay
         np.take(s.sv, t.pay_src, axis=0, out=s.src, mode="clip")
         s.src *= self._V
         np.take(s.sv, t.pay_dst, axis=0, out=s.dst, mode="clip")
         s.src += s.dst
-        edge_t = s.edge
-        np.take(t.inv_uu, s.src, out=edge_t, mode="clip")
-        edge_t *= t.pay_bits
-        landed = ft[M + U:]
-        for lo, hi, gather, k, src, e0, e1 in t.levels:
-            # gathers go through s.tp: a take whose output overlaps its
-            # input copies the output
-            if e1 > e0:
-                sent = s.tp[:e1 - e0]
-                np.take(ft, src, axis=0, out=sent, mode="clip")
-                np.add(sent, edge_t[e0:e1], out=landed[e0:e1])
-            tp = s.tp[:len(gather)]
-            np.take(ft, gather, axis=0, out=tp, mode="clip")
-            np.maximum.reduce(tp.reshape(k, hi - lo, N), axis=0, out=ft[lo:hi])
-            ft[lo:hi] += exec_l[lo:hi]
+        np.take(t.inv_uu, s.src, out=s.edge, mode="clip")
+        s.edge *= s.pay_bits
+        s.pay[t.pay_slot] = s.edge
+        # the gathers go through scratch: a take whose output overlaps
+        # its input copies the output
+        for gather, g, landed, sent, block, fin, exec_t in s.levels:
+            np.take(ft, gather, axis=0, out=g, mode="clip")
+            if landed is not None:
+                # x + 0.0 == x, so the slots of parents that send nothing
+                # keep their finish times exactly
+                np.add(landed, sent, out=landed)
+            np.maximum.reduce(block, axis=0, out=fin)
+            np.add(fin, exec_t, out=fin)
         np.take(ft, t.user_rows, axis=0, out=s.by_user, mode="clip")
         # one reduce per user: np.maximum.reduceat along axis 0 costs
         # about ten times as much
         f_last = s.last
-        for u, (lo, hi) in enumerate(t.user_bounds):
-            np.maximum.reduce(s.by_user[lo:hi], axis=0, out=f_last[u])
-        f_last -= t.release
-        f_last += t.task_upload
-        return np.bincount(s.row_of.ravel(), f_last.ravel(), N) / U
+        for rows, last in s.users:
+            np.maximum.reduce(rows, axis=0, out=last)
+        f_last -= s.release
+        f_last += s.task_upload
+        return np.bincount(s.row_of.ravel(), f_last.ravel(), N) / len(self._users)
 
     def _compile(self) -> _BatchTables:
         """Lays the scenario out as the arrays of _BatchTables, once."""
         V = self._V
         M = self._m
-        U = len(self._users)
         nodes, user, depth, parents, user_pos = [], [], [], [], []
         for ui, u in enumerate(self._users):
             first = len(nodes)  # visit position of the user's first node
             user_pos.append(range(first, first + len(u.nodes)))
             for node in u.nodes:
-                # parent visit position, or None for the dummy root
+                # parent visit position, or None for the dummy root; the
+                # parents whose edge carries a payload first
                 ins = [(first + q - 1 if q else None, pay) for q, pay in node.preds]
+                ins.sort(key=lambda edge: edge[1] is None)
                 depth.append(max((depth[p] + 1 for p, _ in ins if p is not None), default=0))
                 parents.append(ins)
                 nodes.append(node)
                 user.append(ui)
 
-        # finish table: nodes by (level, visit position), then the dummies,
-        # then the landing time of each payload edge
+        # finish table: nodes by (level, visit position), then the dummies
         order = sorted(range(M), key=lambda i: (depth[i], i))
         ft_row = {i: r for r, i in enumerate(order)}
         levels = []
-        pay_src, pay_dst, pay_bits = [], [], []
-        lo = e0 = 0
+        pay_src, pay_dst, pay_bits, pay_slot = [], [], [], []
+        lo = g0 = 0
         for _, level in itertools.groupby(order, key=depth.__getitem__):
             level = list(level)
             n = len(level)
             hi = lo + n
             k = 1 + max(len(parents[i]) for i in level)
-            # row 0 is each node's own row, holding its arrival; then
-            # per parent its finish time, or the landing time of a
-            # payload edge; padded with the node's own row
+            # row 0 is each node's own row, holding its arrival; then per
+            # parent its finish time, or the release time of the dummy
+            # root; padded with the node's own row
             gather = np.tile(np.arange(lo, hi, dtype=np.intp), (k, 1))
-            src = []  # finish-table rows of the level's payload senders
             for r, i in enumerate(level):
                 for e, (p, pay) in enumerate(parents[i], start=1):
-                    if p is None:
-                        gather[e, r] = M + user[i]
-                    elif pay is not None:
-                        gather[e, r] = M + U + len(pay_bits)
-                        src.append(ft_row[p])
+                    gather[e, r] = M + user[i] if p is None else ft_row[p]
+                    if pay is not None:
+                        # transfer-block row of gathered row e * n + r
+                        pay_slot.append(g0 + (e - 1) * n + r)
                         pay_src.append(p)
                         pay_dst.append(i)
                         pay_bits.append(pay)
-                    else:
-                        gather[e, r] = ft_row[p]
-            e1 = len(pay_bits)
-            levels.append((lo, hi, gather.ravel(), k, np.array(src, dtype=np.intp), e0, e1))
+            # payload parents come first, so the slots fill rows 1:1 + kp
+            kp = max(sum(pay is not None for _, pay in parents[i]) for i in level)
+            pay = (g0, g0 + kp * n) if kp else None
+            levels.append((lo, hi, gather.ravel(), k, pay))
             lo = hi
-            e0 = e1
+            g0 += kp * n
         user_rows, user_bounds = [], []
         for ui, positions in enumerate(user_pos):
             lo = len(user_rows)
             user_rows.append(M + ui)
             user_rows.extend(ft_row[i] for i in positions)
             user_bounds.append((lo, len(user_rows)))
-
-        def column(values, dtype=float):
-            return np.array(values, dtype=dtype).reshape(-1, 1)
 
         assoc = [self._users[ui].assoc for ui in user]
         self._tables = _BatchTables(
@@ -745,24 +788,25 @@ class Evaluator:
             inv_uu=np.array(self._inv_uu, dtype=float).ravel(),
             kappa=self.scenario.physics.effective_switched_capacitance,
             cols=np.array([node.col for node in nodes], dtype=np.intp),
-            h_visit=column([node.h for node in nodes]),
-            cycles=column([node.cycles for node in nodes]),
+            h_visit=np.array([node.h for node in nodes], dtype=float),
+            cycles=np.array([node.cycles for node in nodes], dtype=float),
             h_fmax=np.array([node.h * f for node in nodes for f in self._fmax], dtype=float),
             fwd=np.array([node.fwd for node in nodes], dtype=float).ravel(),
-            fwd_row=column(range(0, M * V, V), np.intp),
-            user=column(user, np.intp),
-            assoc=column(assoc, np.intp),
-            p_fwd=column([self._p_fwd_w[a] for a in assoc]),
+            user=np.array(user, dtype=np.intp),
+            assoc=np.array(assoc, dtype=np.intp),
+            p_fwd=np.array([self._p_fwd_w[a] for a in assoc], dtype=float),
             level_order=np.array(order, dtype=np.intp),
-            arrival=column([nodes[i].arrival for i in order]),
+            arrival=np.array([nodes[i].arrival for i in order], dtype=float),
             pay_src=np.array(pay_src, dtype=np.intp),
             pay_dst=np.array(pay_dst, dtype=np.intp),
-            pay_bits=column(pay_bits),
+            pay_bits=np.array(pay_bits, dtype=float),
+            pay_slot=np.array(pay_slot, dtype=np.intp),
             levels=tuple(levels),
+            pay_rows=g0,
             user_rows=np.array(user_rows, dtype=np.intp),
             user_bounds=tuple(user_bounds),
-            release=column([u.release for u in self._users]),
-            task_upload=column([u.task_upload for u in self._users]),
+            release=np.array([u.release for u in self._users], dtype=float),
+            task_upload=np.array([u.task_upload for u in self._users], dtype=float),
             span_base=np.array([u.span_base for u in self._users], dtype=float),
             user_assoc=tuple(u.assoc for u in self._users),
         )

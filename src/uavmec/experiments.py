@@ -134,17 +134,33 @@ class ExperimentSpec:
             out.append(f"unknown penalty mode {self.penalty_mode!r}")
         if self.upload_model not in UPLOAD_MODELS:
             out.append(f"unknown upload model {self.upload_model!r}")
-        # whole numbers, by DwoaConfig's rule: never truncated to one
-        counts = [("agents", self.agents), ("max_iterations", self.max_iterations)]
-        counts += [("seed", s) for s in self.seeds]
-        if self.axis in ("agents", "users", "subtasks"):
-            counts += [(f"{self.axis} value", v) for v in self.values]
-        for name, v in counts:
+        # whole numbers, by DwoaConfig's rule: never truncated to one; and
+        # in the ranges DwoaConfig and the scenario generators enforce, so
+        # no cell can only record their ValueError. (name, value, low,
+        # high), None for no upper bound
+        agents = (1, 2**32 - 1)
+        counts = [("agents", self.agents, *agents), ("max_iterations", self.max_iterations, 0, None)]
+        counts += [("seed", s, 0, None) for s in self.seeds]
+        axis_range = {"agents": agents, "subtasks": (1, None)}.get(self.axis)
+        if self.axis == "users":
+            # generate_user_sweep_family's range
             try:
-                if _integer(name, v) < 0 and name == "seed":
-                    out.append(f"seed must be >= 0, got {v!r}")
+                axis_range = (1, _integer("generator max_users", self.generator.get("max_users", 10)))
             except ValueError as exc:
                 out.append(str(exc))
+                axis_range = (1, None)
+        if axis_range:
+            counts += [(f"{self.axis} value", v, *axis_range) for v in self.values]
+        for name, v, low, high in counts:
+            try:
+                k = _integer(name, v)
+            except ValueError as exc:
+                out.append(str(exc))
+                continue
+            if k < low:
+                out.append(f"{name} must be >= {low}, got {v!r}")
+            elif high is not None and k > high:
+                out.append(f"{name} must be <= {high}, got {v!r}")
         if self.axis in ("users", "subtasks") and self.scenario_file:
             out.append(f"axis {self.axis} regenerates scenarios; scenario_file unsupported")
         if self.scenario_file and self.generator:

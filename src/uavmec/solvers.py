@@ -413,19 +413,24 @@ def _moved_positions(state: WoaState) -> np.ndarray:
     IndexError past the last row."""
     co = state.coefficients
     t = state.iteration
-    coef_a, coef_c, target = co.coef_a[t], co.coef_c[t], co.target[t]
-    spiral, spiral_e, spiral_c = co.spiral[t], co.spiral_e[t], co.spiral_c[t]
+    spiral, target = co.spiral[t], co.target[t]
     old = state.positions
-    best_pos = state.best_position
+    n = len(old)
 
-    # encircle and random search both move to T - A * |C * T - X|, with
-    # T the incumbent or a random agent's snapshot position
-    move = ~spiral
-    T = np.vstack((old, best_pos))[target[move]]
-    pos = np.empty_like(old)
-    pos[move] = T - coef_a[move, None] * np.abs(coef_c[move, None] * T - old[move])
-    d = np.abs(best_pos - old[spiral])
-    pos[spiral] = d * spiral_e[spiral, None] * spiral_c[spiral, None] + best_pos
+    # encircle and random search move to T - A * |C * T - X|, with T the
+    # incumbent or a random agent's snapshot position; the spiral moves
+    # to |T - X| * e * c + T, with T the incumbent. Both are
+    # T + |C * T - X| * B * D, with (C, B, D) = (C, -A, 1.0) or
+    # (1.0, e, c): 1.0 * x == x, -(A * x) == (-A) * x and y - x ==
+    # y + (-x), so every agent gets its own formula's bits
+    T = old.take(target, axis=0, mode="clip")  # target n, the incumbent, is set next
+    T[spiral | (target == n)] = state.best_position
+    pos = np.multiply(np.where(spiral, 1.0, co.coef_c[t])[:, None], T)
+    pos -= old
+    np.abs(pos, out=pos)
+    pos *= np.where(spiral, co.spiral_e[t], -co.coef_a[t])[:, None]
+    pos *= np.where(spiral, co.spiral_c[t], 1.0)[:, None]
+    pos += T
     return np.clip(pos, 1.0, state.v_count, out=pos)
 
 

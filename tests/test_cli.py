@@ -185,6 +185,16 @@ def test_sweep_unknown_spec_key_exits_one(tmp_path, capsys):
     assert not os.path.exists(str(tmp_path / "out"))
 
 
+def test_sweep_agents_out_of_range_exits_one(tmp_path, capsys):
+    spec = dict(DESK_SPEC, output_dir=str(tmp_path / "out"), values=[0, 3])
+    spec_file = str(tmp_path / "s.json")
+    with open(spec_file, "w") as f:
+        json.dump(spec, f)
+    assert main(["sweep", spec_file]) == 1
+    assert "agents value must be >= 1, got 0" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "out"))
+
+
 def test_sweep_generator_next_to_scenario_file_exits_one(tmp_path, capsys):
     scen = _scenario_file(tmp_path)
     gen = dict(DESK_SPEC["generator"], uav_count=9)

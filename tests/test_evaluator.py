@@ -439,6 +439,29 @@ def test_population_kernel_equals_scalar_kernel(upload_model, allocator, penalty
                 assert totals[i].tolist() == ev._core(row)[1]
 
 
+@pytest.mark.parametrize("penalty", [PenaltyConfig(lambda_=0.1), PenaltyConfig(mode="hard")],
+                         ids=["penalty", "hard"])
+def test_population_kernel_is_exact_past_eight_subtasks_per_user(penalty):
+    # the dwoa-large shape: 40 sub-tasks per user, past numpy's
+    # 8-element pairwise-summation block, which the _kernel_cases (at
+    # most 7 per user) stay below; a budget near the median total makes
+    # about half the rows infeasible, so hard mode rejects some
+    s = desk_scenario(4, uav_count=9, subtasks=40, active=5, users_per_uav=(1, 2),
+                      budget_j=1.6e5)
+    ev = Evaluator(s, alloc_equal(s), penalty)
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 8, 100):
+        P = rng.integers(1, len(s.uavs) + 1, size=(n, ev.vector_length))
+        obj, totals = ev._score_many(P)
+        fit = ev._penalize(obj, totals)
+        for i, row in enumerate(P.tolist()):
+            objective, scalar_totals, _ = ev._core(row)
+            assert obj[i] == objective
+            assert totals[i].tolist() == scalar_totals
+            assert fit[i] == ev.fitness(row)
+    assert 0 < ev._feasible(totals).sum() < len(P)
+
+
 @pytest.mark.parametrize("upload_model", ["cumulative", "independent"])
 @pytest.mark.parametrize("penalty", PENALTIES[:2] + PENALTIES[3:], ids=["off", "lam0.1", "hard"])
 def test_population_scratch_reuse_keeps_results(upload_model, penalty):

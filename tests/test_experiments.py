@@ -144,6 +144,38 @@ def test_spec_rejects_non_integer_counts(tmp_path, kw, problem):
     assert spec.validate() == [problem]
 
 
+@pytest.mark.parametrize(
+    "kw, problems",
+    [
+        (dict(values=(0, 3)), ["agents value must be >= 1, got 0"]),
+        (dict(values=(3, 2**32)), [f"agents value must be <= {2**32 - 1}, got {2**32}"]),
+        (dict(agents=0), ["agents must be >= 1, got 0"]),
+        (dict(max_iterations=-2), ["max_iterations must be >= 0, got -2"]),
+        (dict(axis="subtasks", values=(0, 4)), ["subtasks value must be >= 1, got 0"]),
+        (dict(axis="users", values=(0, 99), generator={}),
+         ["users value must be >= 1, got 0", "users value must be <= 10, got 99"]),
+        (dict(axis="users", values=(4, 5), generator=dict(max_users=4)),
+         ["users value must be <= 4, got 5"]),
+        (dict(axis="users", values=(4,), generator=dict(max_users=4.5)),
+         ["generator max_users must be an integer, got 4.5"]),
+    ],
+    ids=["agents-axis-zero", "agents-axis-past-u32", "agents-field-zero", "max-iterations-negative",
+         "subtasks-zero", "users-outside-default", "users-past-max-users", "max-users-float"],
+)
+def test_spec_rejects_counts_out_of_range(tmp_path, kw, problems):
+    # the ranges DwoaConfig and the scenario generators enforce, so no
+    # cell of the sweep can only record their ValueError
+    spec = ExperimentSpec.from_dict(dict(_spec(tmp_path).to_dict(), **kw))
+    assert spec.validate() == problems
+
+
+def test_spec_takes_counts_at_their_range_ends(tmp_path):
+    assert _spec(tmp_path, values=(1, 2**32 - 1), max_iterations=0).validate() == []
+    assert _spec(tmp_path, axis="subtasks", values=(1, 4)).validate() == []
+    assert _spec(tmp_path, axis="users", values=(1, 10), generator={}).validate() == []
+    assert _spec(tmp_path, axis="users", values=(12,), generator=dict(max_users=12)).validate() == []
+
+
 def test_spec_takes_numpy_integer_counts(tmp_path):
     spec = _spec(tmp_path, values=(np.int64(5), 10), seeds=(np.uint32(0), 1), agents=np.int8(3))
     assert spec.validate() == []

@@ -42,7 +42,7 @@ from uavmec.scenario import (
     UserNode,
 )
 from uavmec.evaluator import decision_to_vector
-from uavmec.solvers import _bounded, _decode
+from uavmec.solvers import SPIRAL_B, _bounded, _decode, _moved_positions
 from uavmec.solvers import discretize, discretize_population, discretize_slot
 
 import oracles
@@ -173,6 +173,73 @@ def test_step_past_hand_set_rows_without_streams_raises():
     woa_step(st, lambda P: np.full(len(P), 100.0))
     with pytest.raises(IndexError):
         woa_step(st, lambda P: np.full(len(P), 100.0))
+
+
+def _masked_moved_positions(state):
+    """The swarm move written branch by branch with boolean masks: the
+    reference the one-formula _moved_positions must equal bit for bit."""
+    co = state.coefficients
+    t = state.iteration
+    coef_a, coef_c, target = co.coef_a[t], co.coef_c[t], co.target[t]
+    spiral, spiral_e, spiral_c = co.spiral[t], co.spiral_e[t], co.spiral_c[t]
+    old = state.positions
+    best_pos = state.best_position
+    move = ~spiral
+    T = np.vstack((old, best_pos))[target[move]]
+    pos = np.empty_like(old)
+    pos[move] = T - coef_a[move, None] * np.abs(coef_c[move, None] * T - old[move])
+    d = np.abs(best_pos - old[spiral])
+    pos[spiral] = d * spiral_e[spiral, None] * spiral_c[spiral, None] + best_pos
+    return np.clip(pos, 1.0, state.v_count, out=pos)
+
+
+def _random_rows(rng, n, rows, spiral_share):
+    """Coefficient tables of rows steps: A in [-2, 2], C in [0, 2],
+    targets over every agent and the incumbent (n), spirals (whose
+    target the move ignores) with the share given."""
+    l = rng.uniform(-1.0, 1.0, (rows, n))
+    spiral = rng.random((rows, n)) < spiral_share
+    return WoaCoefficients(
+        coef_a=rng.uniform(-2.0, 2.0, (rows, n)),
+        coef_c=rng.uniform(0.0, 2.0, (rows, n)),
+        target=rng.integers(0, n + 1, (rows, n)),
+        spiral=spiral,
+        spiral_e=np.where(spiral, np.exp(SPIRAL_B * l), 0.0),
+        spiral_c=np.where(spiral, np.cos(2.0 * np.pi * l), 0.0),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 5, 17, 100])
+@pytest.mark.parametrize("spiral_share", [0.0, 0.5, 1.0], ids=["none", "mixed", "all"])
+def test_moved_positions_equal_the_masked_formula(n, spiral_share):
+    rng = np.random.default_rng(n)
+    m, v_count, rows = 30, 5, 12
+    co = _random_rows(rng, n, rows, spiral_share)
+    state = WoaState(
+        positions=rng.uniform(1.0, v_count, (n, m)),
+        best_position=rng.uniform(1.0, v_count, m),
+        best_value=0.0, iteration=0, max_iterations=rows, v_count=v_count,
+        coefficients=co,
+    )
+    assert (co.target == n).any() and (co.target < n).any()
+    for t in range(rows):
+        state.iteration = t
+        got = _moved_positions(state)
+        assert np.array_equal(got, _masked_moved_positions(state))
+        # the next step starts from the moved swarm and a moved incumbent
+        state.positions = got
+        state.best_position = got[t % n].copy()
+
+
+@pytest.mark.parametrize("n", [1, 5, 17, 100])
+def test_moved_positions_equal_the_masked_formula_on_decoded_rows(n):
+    fit = lambda P: P.sum(axis=1).astype(float)
+    state = woa_init(fit, m=40, v_count=9, agents=n, max_iterations=50, seed=n)
+    for t in range(50):
+        state.iteration = t
+        got = _moved_positions(state)
+        assert np.array_equal(got, _masked_moved_positions(state))
+        state.positions = got
 
 
 def test_step_positions_stay_in_box():
