@@ -1,16 +1,17 @@
 """Turns (decision, bandwidth allocation, scenario) into a full schedule:
 dependency-respecting start/finish times, per-task makespan, objective,
 penalty, and energy feasibility. This is the fitness function behind
-every solver. Whatever depends on the scenario alone, the upload model
-among it, is settled when an Evaluator is built. The scalar kernel keeps
-no state between calls; the population kernel scores N decisions at
-once, writing its intermediates node-major, one contiguous row of N per
-sub-task, into scratch arrays kept on the Evaluator, and returns fresh
-arrays. Its scratch also holds every decision-independent operand as
-full rows of N, filled once per N, so no ufunc broadcasts a column, and
-it walks the DAG one level at a time in four numpy calls per level:
-gather the ready-time candidates from the finish table, add the payload
-transfers, take the max, add the execution times.
+every solver. Whatever depends on the scenario alone is planned once per
+scenario, and validated then; an Evaluator adds what its bandwidth
+split, upload model, energy budgets and penalty settle. The scalar
+kernel keeps no state between calls; the population kernel scores N
+decisions at once, writing its intermediates node-major, one contiguous
+row of N per sub-task, into scratch arrays kept on the Evaluator, and
+returns fresh arrays. Its scratch also holds every decision-independent
+operand as full rows of N, filled once per N, so no ufunc broadcasts a
+column, and it walks the DAG one level at a time in four numpy calls
+per level: gather the ready-time candidates from the finish table, add
+the payload transfers, take the max, add the execution times.
 
 Timing rules: sub-tasks are processed in topological order; arrival time
 accumulates the task's uploads over the shared uplink (so one channel
@@ -20,11 +21,12 @@ the executor is not the associated UAV; start time equals ready time, the
 earliest instant at which the input has arrived and every predecessor
 has finished and shipped its dependency payload.
 
-Evaluator.__init__ plans each sub-task once, in visiting order (users by
-ascending id, then each task's topological order): its decision column,
-input bits, cycles per bit, arrival before the forwarding hop, upload
-time, forwarding time per executor, and its predecessors, each marked
-once as carrying a UAV-to-UAV transfer or not. The scalar kernel loops
+The plan of a scenario (_Plan) holds each sub-task once, in visiting
+order (users by ascending id, then each task's topological order): its
+decision column, input bits, cycles per bit, forwarding time per
+executor, and its predecessors, each marked once as carrying a
+UAV-to-UAV transfer or not. An Evaluator adds each sub-task's upload
+time and its arrival before the forwarding hop. The scalar kernel loops
 over these plans, the population kernel compiles them into arrays and
 result() reads its upload times from them. Both kernels add each UAV's
 input bits in decision-column order and all else in visiting order. A
@@ -43,7 +45,7 @@ import numpy as np
 
 from . import channel
 from .channel import BandwidthAllocation
-from .scenario import Scenario, topological_order
+from .scenario import Scenario, UserNode, topological_order, validate_scenario
 from .timing import EnergyLedger, hover_power_w
 
 # Sentinel fitness for decisions rejected outright in hard mode; larger
@@ -161,13 +163,11 @@ def decision_to_vector(scenario: Scenario, decision: OffloadDecision) -> Tuple[i
 
 class _Node(NamedTuple):
     """The plan of one non-dummy sub-task: everything both kernels read
-    about it that no decision changes."""
+    about it that neither the decision nor the uplink split changes."""
 
     col: int                # decision column
     h: float                # input bits
     cycles: float           # cycles per bit
-    arrival: float          # arrival before the forwarding hop
-    upload: float           # upload time
     fwd: List[float]        # forwarding time per executor slot
     # (position, payload) per predecessor: position 0 is the dummy root,
     # i + 1 the user's i-th node in visiting order; payload holds the
@@ -179,13 +179,76 @@ class _Node(NamedTuple):
 class _User(NamedTuple):
     """One active user and the plans of its sub-tasks."""
 
-    user_id: int
+    user: UserNode
     assoc: int              # slot of the associated UAV
     release: float
+    nodes: Tuple[_Node, ...]  # in visiting order
+
+
+class _Uplink(NamedTuple):
+    """What one active user's share of the uplink sets; per node means
+    per node of its plan, in visiting order."""
+
+    arrival: List[float]    # per node: arrival before the forwarding hop
+    upload: List[float]     # per node: upload time
     task_upload: float
     span_base: float        # task upload plus the status report
-    uplink_j: float
-    nodes: Tuple[_Node, ...]  # in visiting order
+
+
+class _Plan:
+    """Everything an Evaluator reads of its scenario that no bandwidth
+    split, upload model, energy budget or penalty changes: the UAV ids
+    in slot order (slot i + 1 is uav_ids[i]), per-UAV constants, the
+    inverse inter-UAV rates and each active user's sub-task plans. It
+    holds no budget, so the Evaluators of scenarios that differ only in
+    energy budgets can share one. Building it validates the scenario:
+    ValueError lists every violation validate_scenario reports."""
+
+    def __init__(self, scenario: Scenario):
+        problems = validate_scenario(scenario)
+        if problems:
+            raise ValueError("invalid scenario: " + "; ".join(problems))
+        ph = scenario.physics
+        uavs = sorted(scenario.uavs, key=lambda v: v.id)
+        self.uav_ids = [v.id for v in uavs]
+        self.slot_of = {v.id: i + 1 for i, v in enumerate(uavs)}
+        self.fmax = [v.max_compute_hz for v in uavs]
+        self.p_fwd_w = [channel.dbm_to_watts(v.tx_power_u2u_dbm) for v in uavs]
+        self.hover_p = [hover_power_w(v, ph) for v in uavs]
+        self.report_t = [v.info_payload_bits / channel.u2b_rate(v, scenario.bs_position_m, ph)
+                         for v in uavs]
+        self.report_e = [channel.dbm_to_watts(v.tx_power_to_bs_dbm) * t_b
+                         for v, t_b in zip(uavs, self.report_t)]
+
+        # inverse inter-UAV rates; diagonal zero makes co-located transfers free
+        self.inv_uu = [[0.0 if a == b else 1.0 / channel.u2u_rate(va, vb, ph)
+                        for b, vb in enumerate(uavs)] for a, va in enumerate(uavs)]
+
+        # per active user, a plan of its sub-tasks in visiting order
+        self.users: List[_User] = []
+        self.h_cols: List[float] = []  # input bits per decision column
+        for t in sorted(scenario.tasks, key=lambda t: t.owner_user):
+            user = scenario.user_by_id(t.owner_user)
+            assoc = self.slot_of[user.associated_uav] - 1
+            subs = {s.index: s for s in t.sub_tasks}
+            offset = len(self.h_cols)
+            self.h_cols.extend(subs[j].input_size_bits for j in range(1, len(subs)))
+            inv_row = self.inv_uu[assoc]
+            pos = {0: 0}
+            nodes: List[_Node] = []
+            # the dummy root, 0, comes first: it is the smallest index and
+            # has no predecessor
+            for j in topological_order(t)[1:]:
+                s = subs[j]
+                fwd = [s.input_size_bits * r for r in inv_row]
+                fwd[assoc] = 0.0
+                # positional: keywords double the cost of building a _Node;
+                # the dummy root's edges carry nothing between UAVs
+                nodes.append(_Node(offset + j - 1, s.input_size_bits, s.cycles_per_bit, fwd, [
+                    (pos[p], bits if bits > 0.0 and p != 0 else None) for p, bits in s.predecessors
+                ], j))
+                pos[j] = len(nodes)
+            self.users.append(_User(user, assoc, t.release_time_s, tuple(nodes)))
 
 
 @dataclass(frozen=True)
@@ -318,14 +381,15 @@ class _Scratch:
 
 
 class Evaluator:
-    """Precomputes every decision-independent quantity for one
-    (scenario, bandwidth allocation) pair, then maps decision vectors to
-    objectives.
+    """The plan of a scenario (see the module docstring) plus what one
+    bandwidth allocation, upload model, set of energy budgets and
+    penalty settle; maps decision vectors to objectives.
 
-    Construction plans each sub-task once (see the module docstring),
-    applying the upload model to its arrival and the payload rule (an
-    edge from a non-dummy parent with bits > 0 carries a UAV-to-UAV
-    transfer) to its predecessors, so neither kernel reads either.
+    Construction builds the scenario's plan, which validates it, unless
+    it is handed one, then applies the allocation and the upload model
+    to each sub-task's upload time and arrival, so neither kernel reads
+    either. The plan already applies the payload rule (an edge from a
+    non-dummy parent with bits > 0 carries a UAV-to-UAV transfer).
 
     Two kernels read the plans and give bit-identical numbers: both add
     each UAV's input bits in decision-column order and every energy,
@@ -345,8 +409,9 @@ class Evaluator:
     user or payload edge, so its gathers and per-level maxima move
     whole rows. Every method rejects a vector that is not M integer
     slots in [1, V], and a matrix whose rows are not. Construction
-    rejects a bandwidth split that BandwidthAllocation.check faults and
-    a scenario with no sub-task to place.
+    rejects a scenario that validate_scenario faults, a bandwidth split
+    that BandwidthAllocation.check faults and a scenario with no
+    sub-task to place.
 
     Only the population kernel reuses scratch held by the Evaluator:
     work arrays for exactly the N of the last array pass, built again
@@ -361,10 +426,14 @@ class Evaluator:
         beta: BandwidthAllocation,
         penalty: Optional[PenaltyConfig] = None,
         upload_model: str = "cumulative",
+        *,
+        _plan: Optional[_Plan] = None,
     ):
         if upload_model not in UPLOAD_MODELS:
             raise ValueError(f"unknown upload model {upload_model!r}")
-        if not scenario.tasks:
+        # _plan: the plan of scenario, or of one differing only in budgets
+        plan = self._plan = _Plan(scenario) if _plan is None else _plan
+        if not plan.users:
             raise ValueError("scenario has no active users")
         problems = beta.check(scenario)
         if problems:
@@ -373,88 +442,30 @@ class Evaluator:
         self.beta = beta
         self.penalty = penalty
         self.upload_model = upload_model
-        ph = scenario.physics
-
-        uavs = sorted(scenario.uavs, key=lambda v: v.id)
-        self._uav_ids = [v.id for v in uavs]
-        slot = {v.id: i for i, v in enumerate(uavs)}
-        self._slot_of = {v: i + 1 for v, i in slot.items()}
-        V = len(uavs)
-        self._V = V
-        self._fmax = [v.max_compute_hz for v in uavs]
-        self._budget = np.array([v.energy_budget_j for v in uavs], dtype=float)
-        self._p_fwd_w = [channel.dbm_to_watts(v.tx_power_u2u_dbm) for v in uavs]
-        self._hover_p = [hover_power_w(v, ph) for v in uavs]
-        report_t = []
-        self._report_e = []
-        for v in uavs:
-            t_b = v.info_payload_bits / channel.u2b_rate(v, scenario.bs_position_m, ph)
-            report_t.append(t_b)
-            self._report_e.append(channel.dbm_to_watts(v.tx_power_to_bs_dbm) * t_b)
-
-        # inverse inter-UAV rates; diagonal zero makes co-located transfers free
-        self._inv_uu = [[0.0] * V for _ in range(V)]
-        for a in range(V):
-            for b in range(V):
-                if a != b:
-                    self._inv_uu[a][b] = 1.0 / channel.u2u_rate(uavs[a], uavs[b], ph)
-
-        # per active user, a plan of its sub-tasks in visiting order
-        cumulative = upload_model == "cumulative"
-        self._users: List[_User] = []
-        self._h_cols: List[float] = []  # input bits per decision column
-        for t in sorted(scenario.tasks, key=lambda t: t.owner_user):
-            user = scenario.user_by_id(t.owner_user)
-            assoc = slot[user.associated_uav]
-            rate_up = channel.user_uplink_rate(
-                user, uavs[assoc], beta.fraction(user.associated_uav, user.id), ph
-            )
-            subs = {s.index: s for s in t.sub_tasks}
-            offset = len(self._h_cols)
-            self._h_cols.extend(subs[j].input_size_bits for j in range(1, len(subs)))
-            if rate_up <= 0 and any(h > 0 for h in self._h_cols[offset:]):
-                raise ValueError(f"user {user.id}: zero uplink rate on a required link")
-            inv_row = self._inv_uu[assoc]
-            pos = {0: 0}
-            nodes: List[_Node] = []
-            # the cumulative model uploads the inputs one after another
-            # in visiting order
-            cum = t.release_time_s
-            for j in topological_order(t):
-                if j == 0:
-                    continue
-                s = subs[j]
-                up = s.input_size_bits / rate_up
-                cum += up
-                fwd = [s.input_size_bits * r for r in inv_row]
-                fwd[assoc] = 0.0
-                # positional: keywords double the cost of building a _Node
-                nodes.append(_Node(
-                    offset + j - 1,
-                    s.input_size_bits,
-                    s.cycles_per_bit,
-                    cum if cumulative else t.release_time_s + up,
-                    up,
-                    fwd,
-                    # the dummy root's edges carry nothing between UAVs
-                    [(pos[p], bits if bits > 0.0 and p != 0 else None)
-                     for p, bits in s.predecessors],
-                    j,
-                ))
-                pos[j] = len(nodes)
-            task_upload = math.fsum(node.upload for node in nodes)
-            self._users.append(_User(
-                user_id=user.id,
-                assoc=assoc,
-                release=t.release_time_s,
-                task_upload=task_upload,
-                span_base=task_upload + report_t[assoc],
-                uplink_j=channel.dbm_to_watts(user.tx_power_dbm) * task_upload,
-                nodes=tuple(nodes),
-            ))
-        self._m = len(self._h_cols)
+        self._V = len(plan.uav_ids)
+        self._m = len(plan.h_cols)
         if self._m == 0:
             raise ValueError("scenario has no sub-task to place")
+        uavs = sorted(scenario.uavs, key=lambda v: v.id)  # in slot order
+        self._budget = np.array([v.energy_budget_j for v in uavs], dtype=float)
+
+        # per active user, what its share of the uplink sets
+        self._uplinks: List[_Uplink] = []
+        for user, assoc, release, nodes in plan.users:
+            share = beta.fraction(user.associated_uav, user.id)
+            rate_up = channel.user_uplink_rate(user, uavs[assoc], share, scenario.physics)
+            if rate_up <= 0 and nodes:
+                raise ValueError(f"user {user.id}: zero uplink rate on a required link")
+            upload = [node.h / rate_up for node in nodes]
+            if upload_model == "cumulative":
+                # the inputs go up one after another in visiting order
+                arrival = list(itertools.accumulate(upload, initial=release))[1:]
+            else:
+                arrival = [release + up for up in upload]
+            task_upload = math.fsum(upload)
+            self._uplinks.append(
+                _Uplink(arrival, upload, task_upload, task_upload + plan.report_t[assoc])
+            )
 
         self._tables: Optional[_BatchTables] = None
         self._scratch: Optional[_Scratch] = None
@@ -472,31 +483,34 @@ class Evaluator:
         execution energy, forwarding energy and hover time; the first two
         lists are filled only when collect is set."""
         V = self._V
+        plan = self._plan
         tot = [0.0] * V  # input bits per UAV
         exec_e = [0.0] * V
         fwd_e = [0.0] * V
         hov_t = [0.0] * V
 
         # in column order, the order np.bincount adds them in _energy_many
-        for v, h in zip(vec, self._h_cols):
+        for v, h in zip(vec, plan.h_cols):
             tot[v - 1] += h
-        fmax_arr = self._fmax
+        fmax_arr = plan.fmax
         exec_unit = [tot[i] / fmax_arr[i] for i in range(V)]
 
-        inv_uu = self._inv_uu
+        inv_uu = plan.inv_uu
         kappa = self.scenario.physics.effective_switched_capacitance
         times, makespans = [], []
 
         obj_sum = 0.0
-        for _, assoc, trel, task_upload, span_base, _, nodes in self._users:
-            p_fwd = self._p_fwd_w[assoc]
+        for (_, assoc, trel, nodes), (arrivals, _, task_upload, span_base) in zip(
+            plan.users, self._uplinks
+        ):
+            p_fwd = plan.p_fwd_w[assoc]
             # finish time and 0-based executor slot per position
             ft = [trel]
             sv = [assoc]
             f_last = trel
             loc_span = 0.0
             rem_span = 0.0
-            for col, h, cu, arrival, _, fwd, preds, _ in nodes:
+            for (col, h, cu, fwd, preds, _), arrival in zip(nodes, arrivals):
                 v0 = vec[col] - 1
                 fwd_t = fwd[v0]
                 at = arrival + fwd_t
@@ -533,9 +547,9 @@ class Evaluator:
             if collect:
                 makespans.append(makespan)
 
-        objective = obj_sum / len(self._users)
+        objective = obj_sum / len(self._uplinks)
         totals = [
-            exec_e[i] + fwd_e[i] + self._report_e[i] + self._hover_p[i] * hov_t[i]
+            exec_e[i] + fwd_e[i] + plan.report_e[i] + plan.hover_p[i] * hov_t[i]
             for i in range(V)
         ]
         return objective, totals, (times, makespans, exec_e, fwd_e, hov_t)
@@ -568,7 +582,9 @@ class Evaluator:
     def _penalize(self, objective, totals: np.ndarray):
         """The objective under the penalty: hard mode rejects exactly the
         infeasible decisions; penalty mode adds lambda * excess^2 UAV by
-        UAV in slot order, and HARD_REJECT for a NaN excess. objective is
+        UAV in slot order, and HARD_REJECT for a NaN total (an infinite
+        total under an unlimited budget is feasible, so it costs
+        nothing). objective is
         (N,) or a scalar, totals (N, V) or (V,)."""
         pen = self.penalty
         if pen is None:
@@ -576,7 +592,7 @@ class Evaluator:
         if pen.mode == "hard":
             return np.where(self._feasible(totals), objective, HARD_REJECT)
         over = totals - self._budget
-        surcharge = np.where(over > 0.0, pen.lambda_ * over * over, np.isnan(over) * HARD_REJECT)
+        surcharge = np.where(over > 0.0, pen.lambda_ * over * over, np.isnan(totals) * HARD_REJECT)
         for i in range(self._V):
             objective = objective + surcharge[..., i]
         return objective
@@ -626,7 +642,7 @@ class Evaluator:
         t = self._tables if self._tables is not None else self._compile()
         s = self._scratch
         if s is None or s.n != len(pop):
-            s = self._scratch = _Scratch(t, len(pop), self._V, len(self._users))
+            s = self._scratch = _Scratch(t, len(pop), self._V, len(self._uplinks))
         totals = self._energy_many(t, s, pop)
         return self._objective_many(t, s), totals
 
@@ -636,7 +652,7 @@ class Evaluator:
         returns fresh (N, V) per-UAV energy totals."""
         N = s.n
         V = self._V
-        U = len(self._users)
+        U = len(self._uplinks)
         # _slot_matrix keeps every index in range, so no take needs the
         # default mode="raise", which would copy its output. pop is read
         # once, into sv as its transpose, 0-based (sv is rewritten below),
@@ -723,14 +739,15 @@ class Evaluator:
             np.maximum.reduce(rows, axis=0, out=last)
         f_last -= s.release
         f_last += s.task_upload
-        return np.bincount(s.row_of.ravel(), f_last.ravel(), N) / len(self._users)
+        return np.bincount(s.row_of.ravel(), f_last.ravel(), N) / len(self._uplinks)
 
     def _compile(self) -> _BatchTables:
         """Lays the scenario out as the arrays of _BatchTables, once."""
         V = self._V
         M = self._m
+        plan = self._plan
         nodes, user, depth, parents, user_pos = [], [], [], [], []
-        for ui, u in enumerate(self._users):
+        for ui, u in enumerate(plan.users):
             first = len(nodes)  # visit position of the user's first node
             user_pos.append(range(first, first + len(u.nodes)))
             for node in u.nodes:
@@ -780,23 +797,24 @@ class Evaluator:
             user_rows.extend(ft_row[i] for i in positions)
             user_bounds.append((lo, len(user_rows)))
 
-        assoc = [self._users[ui].assoc for ui in user]
+        assoc = [plan.users[ui].assoc for ui in user]
+        arrival = [a for link in self._uplinks for a in link.arrival]  # visiting order
         self._tables = _BatchTables(
-            fmax=np.array(self._fmax, dtype=float),
-            report_e=np.array(self._report_e, dtype=float),
-            hover_p=np.array(self._hover_p, dtype=float),
-            inv_uu=np.array(self._inv_uu, dtype=float).ravel(),
+            fmax=np.array(plan.fmax, dtype=float),
+            report_e=np.array(plan.report_e, dtype=float),
+            hover_p=np.array(plan.hover_p, dtype=float),
+            inv_uu=np.array(plan.inv_uu, dtype=float).ravel(),
             kappa=self.scenario.physics.effective_switched_capacitance,
             cols=np.array([node.col for node in nodes], dtype=np.intp),
             h_visit=np.array([node.h for node in nodes], dtype=float),
             cycles=np.array([node.cycles for node in nodes], dtype=float),
-            h_fmax=np.array([node.h * f for node in nodes for f in self._fmax], dtype=float),
+            h_fmax=np.array([node.h * f for node in nodes for f in plan.fmax], dtype=float),
             fwd=np.array([node.fwd for node in nodes], dtype=float).ravel(),
             user=np.array(user, dtype=np.intp),
             assoc=np.array(assoc, dtype=np.intp),
-            p_fwd=np.array([self._p_fwd_w[a] for a in assoc], dtype=float),
+            p_fwd=np.array([plan.p_fwd_w[a] for a in assoc], dtype=float),
             level_order=np.array(order, dtype=np.intp),
-            arrival=np.array([nodes[i].arrival for i in order], dtype=float),
+            arrival=np.array([arrival[i] for i in order], dtype=float),
             pay_src=np.array(pay_src, dtype=np.intp),
             pay_dst=np.array(pay_dst, dtype=np.intp),
             pay_bits=np.array(pay_bits, dtype=float),
@@ -805,10 +823,10 @@ class Evaluator:
             pay_rows=g0,
             user_rows=np.array(user_rows, dtype=np.intp),
             user_bounds=tuple(user_bounds),
-            release=np.array([u.release for u in self._users], dtype=float),
-            task_upload=np.array([u.task_upload for u in self._users], dtype=float),
-            span_base=np.array([u.span_base for u in self._users], dtype=float),
-            user_assoc=tuple(u.assoc for u in self._users),
+            release=np.array([u.release for u in plan.users], dtype=float),
+            task_upload=np.array([link.task_upload for link in self._uplinks], dtype=float),
+            span_base=np.array([link.span_base for link in self._uplinks], dtype=float),
+            user_assoc=tuple(u.assoc for u in plan.users),
         )
         return self._tables
 
@@ -816,31 +834,33 @@ class Evaluator:
         problems = decision.validate(self.scenario)
         if problems:
             raise ValueError("; ".join(problems))
-        slot_of = self._slot_of
-        vec = [slot_of[v] for u in self._users for v in decision.x[u.user_id]]
+        plan = self._plan
+        slot_of = plan.slot_of
+        vec = [slot_of[v] for u in plan.users for v in decision.x[u.user.id]]
         objective, totals, (times, makespans, exec_e, fwd_e, hov_t) = self._core(vec, collect=True)
 
-        uav_ids = self._uav_ids
+        uav_ids = plan.uav_ids
         arrival, ready, finish, exec_s, upload, forward, executor = ({} for _ in range(7))
         times = iter(times)
-        for u in self._users:
-            for node in u.nodes:
-                key = (u.user_id, node.index)
+        for u, link in zip(plan.users, self._uplinks):
+            for node, up in zip(u.nodes, link.upload):
+                key = (u.user.id, node.index)
                 arrival[key], ready[key], finish[key], exec_s[key], forward[key], v0 = next(times)
-                upload[key] = node.upload
+                upload[key] = up
                 executor[key] = uav_ids[v0]
-            key = (u.user_id, 0)  # the dummy root, at the user
+            key = (u.user.id, 0)  # the dummy root, at the user
             arrival[key] = ready[key] = finish[key] = u.release
             exec_s[key] = upload[key] = forward[key] = 0.0
             executor[key] = uav_ids[u.assoc]
         ledger = EnergyLedger(
             exec_j=dict(zip(uav_ids, exec_e)),
             forward_j=dict(zip(uav_ids, fwd_e)),
-            report_j=dict(zip(uav_ids, self._report_e)),
-            hover_j={v: p * t for v, p, t in zip(uav_ids, self._hover_p, hov_t)},
+            report_j=dict(zip(uav_ids, plan.report_e)),
+            hover_j={v: p * t for v, p, t in zip(uav_ids, plan.hover_p, hov_t)},
             total_j=dict(zip(uav_ids, totals)),
             hover_time_s=dict(zip(uav_ids, hov_t)),
-            uplink_user_j={u.user_id: u.uplink_j for u in self._users},
+            uplink_user_j={u.user.id: channel.dbm_to_watts(u.user.tx_power_dbm) * link.task_upload
+                           for u, link in zip(plan.users, self._uplinks)},
         )
 
         totals_v = np.array(totals)
@@ -857,8 +877,8 @@ class Evaluator:
             upload_s=upload,
             forward_s=forward,
             executor=executor,
-            makespan_s={u.user_id: m for u, m in zip(self._users, makespans)},
-            task_upload_s={u.user_id: u.task_upload for u in self._users},
+            makespan_s={u.user.id: m for u, m in zip(plan.users, makespans)},
+            task_upload_s={u.user.id: link.task_upload for u, link in zip(plan.users, self._uplinks)},
             energy=ledger,
             objective_s=objective,
             penalized_s=penalized,

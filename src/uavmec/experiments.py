@@ -19,12 +19,14 @@ never share a stream.
 Each input a cell reads is built once and shared by every cell that
 reads the same input: one scenario per generator input (the seed, plus
 the axis value on the users and subtasks axes; the unlimited energy mode
-is that scenario with infinite budgets), one allocation per (scenario,
-energy mode, allocator) and one Evaluator per (scenario, energy mode,
-allocator, penalty), which every cell runs its solver on (through
-solvers.SOLVERS); each row is read from the schedule the run returns.
-Alternating starts from that Evaluator too, and builds one closed-form
-split Evaluator only when the cell's split differs. Cells run grouped
+is that scenario with infinite budgets), one validated evaluator plan
+per generator input, which both energy modes share since it holds no
+budget, one allocation per (scenario, energy mode, allocator) and one
+Evaluator per (scenario, energy mode, allocator, penalty), which every
+cell runs its solver on (through solvers.SOLVERS); each row is read from
+the schedule the run returns. Alternating starts from that Evaluator
+too, and builds one closed-form split Evaluator on the same plan only
+when the cell's split differs. Cells run grouped
 by these keys, holding one input of each kind at a time. results.csv
 stays byte-identical to building every input per cell: each input is a
 pure function of its key, and an Evaluator's only state between calls
@@ -35,6 +37,7 @@ the end.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -47,7 +50,7 @@ import numpy as np
 from . import __version__
 from . import channel
 from .channel import BandwidthAllocation
-from .evaluator import UPLOAD_MODELS, Evaluator, PenaltyConfig, decision_latency_breakdown
+from .evaluator import UPLOAD_MODELS, Evaluator, PenaltyConfig, _Plan, decision_latency_breakdown
 from .scenario import (
     MB_BITS,
     PhysicsConstants,
@@ -141,6 +144,8 @@ class ExperimentSpec:
         agents = (1, 2**32 - 1)
         counts = [("agents", self.agents, *agents), ("max_iterations", self.max_iterations, 0, None)]
         counts += [("seed", s, 0, None) for s in self.seeds]
+        counts += [(f"generator {k}", self.generator[k], 1, None) for k in _GENERATOR_COUNTS
+                   if k in self.generator]
         axis_range = {"agents": agents, "subtasks": (1, None)}.get(self.axis)
         if self.axis == "users":
             # generate_user_sweep_family's range
@@ -165,6 +170,16 @@ class ExperimentSpec:
             out.append(f"axis {self.axis} regenerates scenarios; scenario_file unsupported")
         if self.scenario_file and self.generator:
             out.append("generator parameters are unused next to scenario_file")
+        # keyword parameters of the generator this axis calls, bar the
+        # seed and users, which the sweep sets itself; the subtasks axis
+        # overrides subtasks_per_task too, but takes it, so that spec
+        # files written for the other axes run on it unchanged
+        takes = _FAMILY_KEYS if self.axis == "users" else _SCENARIO_KEYS
+        for k in sorted(self.generator, key=str):
+            if k in ("seed", "users"):
+                out.append(f"generator key {k!r} is set by the sweep")
+            elif k not in takes:
+                out.append(f"unknown generator key {k!r}")
         if self.axis == "agents":
             bad = [s for s in solvers if s not in SEARCHING_SOLVERS]
             if bad:
@@ -382,6 +397,17 @@ def generate_user_sweep_family(
     )
 
 
+def _keywords(fn) -> frozenset:
+    return frozenset(inspect.signature(fn).parameters)
+
+
+# the generator's keyword parameters on the users axis and on the others;
+# the counts among them, which must be whole numbers >= 1
+_FAMILY_KEYS = _keywords(generate_user_sweep_family)
+_SCENARIO_KEYS = _keywords(generate_scenario)
+_GENERATOR_COUNTS = ("uav_count", "active_users", "subtasks_per_task", "subtasks")
+
+
 def mean_uplink_rate(scenario: Scenario, beta) -> float:
     rates = []
     for t in scenario.tasks:
@@ -447,7 +473,7 @@ def _cells(spec: ExperimentSpec) -> List[Tuple[Tuple, object, int, str, str, str
 
 
 class _SharedInputs:
-    """The scenario, allocation and Evaluator of the current cell.
+    """The scenario, plan, allocation and Evaluator of the current cell.
 
     Each is built on first use and held until a cell asks for it under
     another key. Cells run sorted by _input_key, so each is built once
@@ -478,16 +504,22 @@ class _SharedInputs:
             return scen
         return self._get("unlimited", key[:2], lambda: with_unlimited_energy(scen))
 
+    def plan(self, key: Tuple, scenario: Scenario) -> _Plan:
+        """The plan of the generator input, which validates it; the
+        energy modes differ only in budgets, which no plan holds."""
+        return self._get("plan", key[:1], lambda: _Plan(scenario))
+
     def allocation(self, key: Tuple, scenario: Scenario) -> BandwidthAllocation:
         return self._get("allocation", key[:3], lambda: ALLOCATORS[key[2]](scenario))
 
     def evaluator(
-        self, key: Tuple, scenario: Scenario, beta: BandwidthAllocation, penalty: PenaltyConfig
+        self, key: Tuple, scenario: Scenario, plan: _Plan, beta: BandwidthAllocation,
+        penalty: PenaltyConfig,
     ) -> Evaluator:
         return self._get(
             "evaluator",
             key,
-            lambda: Evaluator(scenario, beta, penalty, self.spec.upload_model),
+            lambda: Evaluator(scenario, beta, penalty, self.spec.upload_model, _plan=plan),
         )
 
 
@@ -500,6 +532,7 @@ def _run_cell(
     solver: str,
 ) -> Tuple[Dict[str, object], Optional[List[float]]]:
     scenario = inputs.scenario(key, seed, value)
+    plan = inputs.plan(key, scenario)
     penalty = _penalty_for(spec, value)
     agents = value if spec.axis == "agents" else spec.agents
     cfg = DwoaConfig(
@@ -509,7 +542,7 @@ def _run_cell(
         seed=solver_seed(seed),
         upload_model=spec.upload_model,
     )
-    ev = inputs.evaluator(key, scenario, inputs.allocation(key, scenario), penalty)
+    ev = inputs.evaluator(key, scenario, plan, inputs.allocation(key, scenario), penalty)
     run = SOLVER_FNS[solver](ev, cfg)
     result = run.schedule
     br = decision_latency_breakdown(result)

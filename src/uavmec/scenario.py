@@ -8,6 +8,7 @@ function of (seed, params).
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -156,19 +157,16 @@ def topological_order(task: TaskGraph) -> List[int]:
             if p in nodes:
                 indeg[s.index] += 1
                 succ[p].append(s.index)
-    ready = sorted(i for i, d in indeg.items() if d == 0)
+    ready = [i for i, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
     order: List[int] = []
     while ready:
-        i = ready.pop(0)
+        i = heapq.heappop(ready)
         order.append(i)
-        inserted = False
         for j in succ[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                ready.append(j)
-                inserted = True
-        if inserted:
-            ready.sort()
+                heapq.heappush(ready, j)
     if len(order) != len(nodes):
         raise ValueError("task graph has a cycle")
     return order
@@ -449,6 +447,8 @@ def validate_scenario(scenario: Scenario) -> List[str]:
                 out.append(f"{tag}.sub[{s.index}]: input size must be positive")
             if not math.isfinite(s.cycles_per_bit):
                 out.append(f"{tag}.sub[{s.index}]: cycles_per_bit must be finite")
+            elif s.cycles_per_bit < 0:
+                out.append(f"{tag}.sub[{s.index}]: cycles_per_bit must not be negative")
             for p, bits in s.predecessors:
                 if p == s.index:
                     out.append(f"{tag}.sub[{s.index}]: self-predecessor (DAG)")

@@ -644,7 +644,8 @@ def alternating_search(ev: Evaluator, cfg: DwoaConfig, max_outer: int = 10) -> S
     after max_outer rounds, or once the best penalized fitness moves by
     at most ALTERNATING_TOL (relative) between rounds, and returns the
     best (decision, allocation) pair seen; the trace holds the best
-    value after each round. max_outer below 1 raises ValueError.
+    value after each round. max_outer below 1 raises ValueError. The
+    closed-form Evaluator shares ev's scenario plan.
     """
     if max_outer < 1:
         raise ValueError("max_outer must be >= 1")
@@ -652,7 +653,7 @@ def alternating_search(ev: Evaluator, cfg: DwoaConfig, max_outer: int = 10) -> S
     closed = alloc_optimal(ev.scenario)
     optimal = ev
     if closed.fractions != ev.beta.fractions:
-        optimal = Evaluator(ev.scenario, closed, ev.penalty, ev.upload_model)
+        optimal = Evaluator(ev.scenario, closed, ev.penalty, ev.upload_model, _plan=ev._plan)
 
     best: Optional[Tuple[Tuple[int, ...], Evaluator]] = None
     best_pen = math.inf

@@ -195,6 +195,17 @@ def test_sweep_agents_out_of_range_exits_one(tmp_path, capsys):
     assert not os.path.exists(str(tmp_path / "out"))
 
 
+def test_sweep_generator_key_typo_exits_one(tmp_path, capsys):
+    gen = dict(DESK_SPEC["generator"], uav_cout=4)
+    spec = dict(DESK_SPEC, generator=gen, output_dir=str(tmp_path / "out"))
+    spec_file = str(tmp_path / "s.json")
+    with open(spec_file, "w") as f:
+        json.dump(spec, f)
+    assert main(["sweep", spec_file]) == 1
+    assert "unknown generator key 'uav_cout'" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "out"))
+
+
 def test_sweep_generator_next_to_scenario_file_exits_one(tmp_path, capsys):
     scen = _scenario_file(tmp_path)
     gen = dict(DESK_SPEC["generator"], uav_count=9)

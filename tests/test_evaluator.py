@@ -311,9 +311,79 @@ def test_zero_rate_link_rejected():
 
 
 def test_no_active_users_rejected():
+    # no task and no active user: valid, but there is nothing to score
     s = dataclasses.replace(hand_scenario(), tasks=())
+    s = dataclasses.replace(s, users=tuple(dataclasses.replace(u, active=False) for u in s.users))
+    assert validate_scenario(s) == []
     with pytest.raises(ValueError, match="scenario has no active users"):
         Evaluator(s, alloc_equal(s))
+    # an active user left without a task is a fault of the scenario
+    s = dataclasses.replace(hand_scenario(), tasks=())
+    with pytest.raises(ValueError, match=r"active users without a task: \[1\]"):
+        Evaluator(s, alloc_equal(s))
+
+
+def _spoiled_uav(s, **changes):
+    return dataclasses.replace(s, uavs=(dataclasses.replace(s.uavs[0], **changes),) + s.uavs[1:])
+
+
+def _spoiled_first_task(s, **changes):
+    return dataclasses.replace(s, tasks=(dataclasses.replace(s.tasks[0], **changes),) + s.tasks[1:])
+
+
+def _spoiled_subtask(s, **changes):
+    first = s.tasks[0]
+    return _spoiled_first_task(s, sub_tasks=tuple(
+        dataclasses.replace(st, **changes) if st.index == 2 else st for st in first.sub_tasks
+    ))
+
+
+# scenarios validate_scenario rejects, none of which a scorer may take
+SPOILED = {
+    "nan-uav-x": lambda s: _spoiled_uav(s, position_m=(math.nan, *s.uavs[0].position_m[1:])),
+    "inf-release": lambda s: _spoiled_first_task(s, release_time_s=math.inf),
+    "negative-cycles": lambda s: _spoiled_subtask(s, cycles_per_bit=-1000.0),
+    "negative-payload": lambda s: _spoiled_subtask(s, predecessors=((1, -5.0),)),
+    "nan-budget": lambda s: _spoiled_uav(s, energy_budget_j=math.nan),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(SPOILED))
+def test_invalid_scenario_is_rejected_with_the_validators_message(spoil):
+    s = SPOILED[spoil](desk_scenario(17, uav_count=3, subtasks=6, active=2))
+    problems = validate_scenario(s)
+    assert problems
+    message = "invalid scenario: " + "; ".join(problems)
+    beta = alloc_equal(s)
+    for build in (
+        lambda: Evaluator(s, beta, PenaltyConfig()),
+        lambda: evaluate(associated_decision(s), beta, s),
+        lambda: dwoa_solve(s, beta, DwoaConfig(agents=5, max_iterations=2)),
+        lambda: exhaustive_solve(s, beta),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_evaluators_on_one_plan_score_as_if_each_built_its_own():
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
+    first = Evaluator(s, alloc_equal(s), PenaltyConfig())
+    P = np.random.default_rng(5).integers(1, 4, size=(BATCH_MIN_ROWS, first.vector_length))
+    for scen, beta, penalty, upload_model in (
+        (s, alloc_optimal(s), PenaltyConfig(mode="hard"), "cumulative"),
+        (with_unlimited_energy(s), alloc_equal(s), PenaltyConfig(), "independent"),
+    ):
+        shared = Evaluator(scen, beta, penalty, upload_model, _plan=first._plan)
+        own = Evaluator(scen, beta, penalty, upload_model)
+        assert shared._plan is first._plan
+        for ev in (shared, own):
+            assert ev._budget.tolist() == [v.energy_budget_j for v in scen.uavs]
+        assert shared.fitness_many(P).tolist() == own.fitness_many(P).tolist()
+        assert [shared.fitness(row) for row in P[:2].tolist()] == [
+            own.fitness(row) for row in P[:2].tolist()]
+        dec = decision_from_vector(s, P[0].tolist())
+        assert shared.result(dec) == own.result(dec)
 
 
 def test_per_subtask_cycles_per_bit_matches_event_oracle():
@@ -598,29 +668,59 @@ def _feasible_on_every_path(ev, row):
     ]
 
 
-def _nan_report_scenario():
-    # a NaN status report power makes UAV 2's energy total NaN, which is
+def _huge_capacitance_scenario(**kw):
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2, **kw)
+    return dataclasses.replace(
+        s, physics=dataclasses.replace(s.physics, effective_switched_capacitance=1e300)
+    )
+
+
+def _nan_energy_scenario():
+    # a valid scenario whose execution energies overflow to inf, with one
+    # sub-task (the first task's sub-task 1) at 0 cycles/bit: inf * 0 is
+    # NaN, so the energy total of the UAV that runs it is NaN, which is
     # not at most its budget: infeasible
-    s = desk_scenario(17, uav_count=3, subtasks=6, active=2)
-    return dataclasses.replace(s, uavs=tuple(
-        dataclasses.replace(v, tx_power_to_bs_dbm=math.nan) if v.id == 2 else v for v in s.uavs
+    s = _huge_capacitance_scenario()
+    s = _spoiled_first_task(s, sub_tasks=tuple(
+        dataclasses.replace(st, cycles_per_bit=0.0) if st.index == 1 else st
+        for st in s.tasks[0].sub_tasks
     ))
+    assert validate_scenario(s) == []
+    return s
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_hard_mode_rejects_a_nan_energy_total_on_every_path():
-    s = _nan_report_scenario()
+    s = _nan_energy_scenario()
     ev = Evaluator(s, alloc_equal(s), PenaltyConfig(mode="hard"))
     row = [1] * ev.vector_length
-    assert math.isnan(ev.result(decision_from_vector(s, row)).energy.total_j[2])
+    res = ev.result(decision_from_vector(s, row))
+    assert math.isnan(res.energy.total_j[res.executor[(s.tasks[0].owner_user, 1)]])
     assert set(_feasible_on_every_path(ev, row)) == {False}
     assert set(_penalized_on_every_path(ev, row)) == {HARD_REJECT}
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_penalty_mode_charges_a_nan_energy_total_hard_reject_on_every_path():
     # a NaN total has no excess to square; it must not score as free
-    s = _nan_report_scenario()
+    s = _nan_energy_scenario()
     ev = Evaluator(s, alloc_equal(s), PenaltyConfig(lambda_=0.1))
     assert set(_penalized_on_every_path(ev, [1] * ev.vector_length)) == {HARD_REJECT}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("penalty", [PenaltyConfig(mode="hard"), PenaltyConfig(lambda_=0.1)],
+                         ids=["hard", "lam0.1"])
+def test_infinite_total_under_an_unlimited_budget_is_free_on_every_path(penalty):
+    # inf <= inf: feasible, so the penalty must not charge the NaN that
+    # inf - inf gives as its excess
+    s = with_unlimited_energy(_huge_capacitance_scenario())
+    ev = Evaluator(s, alloc_equal(s), penalty)
+    row = [1] * ev.vector_length
+    res = ev.result(decision_from_vector(s, row))
+    assert res.energy.total_j[1] == math.inf
+    assert set(_feasible_on_every_path(ev, row)) == {True}
+    assert set(_penalized_on_every_path(ev, row)) == {res.objective_s}
 
 
 @pytest.mark.parametrize("n", [1, 2, BATCH_MIN_ROWS])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,8 +19,11 @@ from uavmec import (
     summarize,
     with_unlimited_energy,
 )
-from uavmec import DwoaConfig, PenaltyConfig, alloc_proportional, generate_scenario
-from uavmec import experiments, solvers
+from uavmec import (
+    DwoaConfig, PenaltyConfig, alloc_proportional, generate_scenario, save_scenario,
+    validate_scenario,
+)
+from uavmec import evaluator, experiments, solvers
 from uavmec.evaluator import Evaluator
 from uavmec.experiments import FIGURES, ResultRow, summary_to_csv
 
@@ -127,7 +131,7 @@ def test_spec_rejects_unknown_upload_model(tmp_path):
     [
         (dict(values=(3.7, 5)), "agents value must be an integer, got 3.7"),
         (dict(values=(True, 5)), "agents value must be an integer, got True"),
-        (dict(axis="users", values=(2.5,)), "users value must be an integer, got 2.5"),
+        (dict(axis="users", values=(2.5,), generator={}), "users value must be an integer, got 2.5"),
         (dict(axis="subtasks", values=(4, 2.5)), "subtasks value must be an integer, got 2.5"),
         (dict(agents=3.9), "agents must be an integer, got 3.9"),
         (dict(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
@@ -174,6 +178,47 @@ def test_spec_takes_counts_at_their_range_ends(tmp_path):
     assert _spec(tmp_path, axis="subtasks", values=(1, 4)).validate() == []
     assert _spec(tmp_path, axis="users", values=(1, 10), generator={}).validate() == []
     assert _spec(tmp_path, axis="users", values=(12,), generator=dict(max_users=12)).validate() == []
+
+
+@pytest.mark.parametrize(
+    "kw, problems",
+    [
+        (dict(generator=dict(DESK_GEN, uav_cout=4)), ["unknown generator key 'uav_cout'"]),
+        (dict(generator=dict(DESK_GEN, seed=3)), ["generator key 'seed' is set by the sweep"]),
+        (dict(generator=dict(DESK_GEN, users=3)), ["generator key 'users' is set by the sweep"]),
+        (dict(axis="users", values=(2,), generator=dict(users=3)),
+         ["generator key 'users' is set by the sweep"]),
+        # the users axis calls generate_user_sweep_family, which takes
+        # neither uav_count nor task_params
+        (dict(axis="users", values=(2,), generator=dict(uav_count=2, subtasks=3)),
+         ["unknown generator key 'uav_count'"]),
+        (dict(generator=dict(DESK_GEN, subtasks=3)), ["unknown generator key 'subtasks'"]),
+    ],
+    ids=["typo", "seed", "users", "users-axis-users", "users-axis-scenario-key",
+         "family-key-elsewhere"],
+)
+def test_spec_rejects_generator_keys_no_generator_takes(tmp_path, kw, problems):
+    assert _spec(tmp_path, **kw).validate() == problems
+
+
+@pytest.mark.parametrize(
+    "axis, name, value, problem",
+    [
+        ("agents", "uav_count", 0, "generator uav_count must be >= 1, got 0"),
+        ("agents", "active_users", 0, "generator active_users must be >= 1, got 0"),
+        ("agents", "subtasks_per_task", 2.5, "generator subtasks_per_task must be an integer, got 2.5"),
+        ("agents", "uav_count", True, "generator uav_count must be an integer, got True"),
+        ("users", "subtasks", 0, "generator subtasks must be >= 1, got 0"),
+        ("users", "subtasks", 3.0, "generator subtasks must be an integer, got 3.0"),
+    ],
+    ids=["uav-count-zero", "active-users-zero", "subtasks-per-task-float", "uav-count-bool",
+         "subtasks-zero", "subtasks-float"],
+)
+def test_spec_rejects_generator_counts_out_of_range(tmp_path, axis, name, value, problem):
+    generator = {} if axis == "users" else dict(DESK_GEN)
+    spec = _spec(tmp_path, axis=axis, values=(2,), generator={**generator, name: value})
+    assert spec.validate() == [problem]
+    assert _spec(tmp_path, axis=axis, values=(2,), generator={**generator, name: 1}).validate() == []
 
 
 def test_spec_takes_numpy_integer_counts(tmp_path):
@@ -338,7 +383,21 @@ def build_counts(monkeypatch):
     return counts
 
 
-def test_sweep_builds_each_input_once(tmp_path, build_counts):
+@pytest.fixture
+def plan_counts(monkeypatch):
+    """Counts the scenario plans built anywhere."""
+    counts = {"plans": 0}
+    init = evaluator._Plan.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["plans"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator._Plan, "__init__", counting_init)
+    return counts
+
+
+def test_sweep_builds_each_input_once(tmp_path, build_counts, plan_counts):
     spec = _shared_spec(
         tmp_path,
         axis="allocator",
@@ -351,6 +410,36 @@ def test_sweep_builds_each_input_once(tmp_path, build_counts):
     # one scenario per seed; one Evaluator per (seed, mode, allocator),
     # shared by the associated and the dwoa cell and their result()
     assert build_counts == {"scenarios": 2, "evaluators": 12}
+    # one plan per seed, shared by its 3 allocators x 2 energy modes
+    assert plan_counts == {"plans": 2}
+
+
+def test_alternating_closed_form_evaluator_shares_the_plan(tmp_path, build_counts, plan_counts):
+    spec = _shared_spec(
+        tmp_path, axis="allocator", values=("equal",), seeds=(0,), generator=dict(ALLOC_GEN),
+        solvers=("alternating",), agents=5, max_iterations=3,
+    )
+    rows, _paths = run_experiment(spec)
+    assert not rows[0].error
+    assert build_counts["evaluators"] == 2 and plan_counts == {"plans": 1}
+    # alternating_solve plans its scenario once too
+    scen = generate_scenario(np.random.SeedSequence([0, 0]), **ALLOC_GEN)
+    solvers.alternating_solve(scen, DwoaConfig(agents=5, max_iterations=3))
+    assert build_counts["evaluators"] == 4 and plan_counts == {"plans": 2}
+
+
+@pytest.mark.parametrize("spoil", [
+    dict(altitude_m=math.nan),
+    dict(task_params=dict(DESK_TASK, release_time_s=math.inf)),
+], ids=["nan-uav-position", "inf-release"])
+def test_sweep_cell_on_an_invalid_scenario_records_the_validators_message(tmp_path, spoil):
+    gen = dict(DESK_GEN, **spoil)
+    spec = _spec(tmp_path, generator=gen, seeds=(0,), solvers=("dwoa", "alternating"),
+                 energy_modes=("limited", "unlimited"))
+    rows, _paths = run_experiment(spec)
+    problems = validate_scenario(generate_scenario(np.random.SeedSequence([0, 0]), **gen))
+    assert problems
+    assert [r.error for r in rows] == ["ValueError: invalid scenario: " + "; ".join(problems)] * 8
 
 
 def test_alternating_cells_build_one_closed_form_evaluator_at_most(tmp_path, build_counts):
@@ -584,12 +673,18 @@ def test_allocator_error_gives_one_row_per_cell(tmp_path, monkeypatch):
 
 
 def test_evaluator_error_gives_one_row_per_cell(tmp_path, build_counts):
+    # a valid scenario with no active user and no task
+    scen = generate_scenario(np.random.SeedSequence([0, 0]), **BIND_GEN)
+    scen = dataclasses.replace(scen, tasks=(), users=tuple(
+        dataclasses.replace(u, active=False) for u in scen.users))
+    save_scenario(scen, tmp_path / "idle.json")
     spec = _shared_spec(
         tmp_path,
         axis="solver",
         values=("dwoa", "exhaustive", "associated", "alternating"),
         seeds=(0,),
-        generator=dict(BIND_GEN, active_users=0),
+        scenario_file=str(tmp_path / "idle.json"),
+        generator={},
         energy_modes=("limited", "unlimited"),
     )
     rows, paths = run_experiment(spec)

@@ -111,6 +111,31 @@ def test_topological_order_canonical():
     assert topological_order(task) == [0, 1, 3, 2]
 
 
+def _shuffled_relabelled(task, rng):
+    """task with its non-dummy sub-tasks renamed by a random permutation
+    of 1..n and all of them listed in a random order."""
+    n = len(task.sub_tasks) - 1
+    rename = dict(zip(range(n + 1), [0, *(int(j) for j in rng.permutation(n) + 1)]))
+    subs = [dataclasses.replace(
+        st, index=rename[st.index],
+        predecessors=tuple((rename[p], bits) for p, bits in st.predecessors),
+    ) for st in task.sub_tasks]
+    return dataclasses.replace(task, sub_tasks=tuple(subs[i] for i in rng.permutation(n + 1)))
+
+
+def test_topological_order_is_networkx_lexicographic_order():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(12)
+    for seed in range(50):
+        for size in (1, 4, 10, 40):
+            task = generate_task_dag(seed, size)
+            for t in (task, _shuffled_relabelled(task, rng)):
+                g = nx.DiGraph()
+                g.add_nodes_from(st.index for st in t.sub_tasks)
+                g.add_edges_from((p, st.index) for st in t.sub_tasks for p, _ in st.predecessors)
+                assert topological_order(t) == list(nx.lexicographical_topological_sort(g))
+
+
 def test_topological_order_rejects_cycle():
     task = TaskGraph(
         owner_user=1,
@@ -208,6 +233,13 @@ def test_validate_rejects_non_finite(field):
     for bad in (math.nan, math.inf, -math.inf):
         problems = validate_scenario(NON_FINITE_FIELDS[field](s, bad))
         assert any("finite" in p for p in problems), (field, bad, problems)
+
+
+def test_validate_rejects_negative_cycles_per_bit_zero_allowed():
+    s = hand_scenario()
+    assert validate_scenario(_with_subtask(s, 2, cycles_per_bit=0.0)) == []
+    assert validate_scenario(_with_subtask(s, 2, cycles_per_bit=-1000.0)) == [
+        "task[1].sub[2]: cycles_per_bit must not be negative"]
 
 
 def test_validate_energy_budget_nan_rejected_inf_allowed():
