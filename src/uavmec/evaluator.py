@@ -4,14 +4,16 @@ penalty, and energy feasibility. This is the fitness function behind
 every solver. Whatever depends on the scenario alone is planned once per
 scenario, and validated then; an Evaluator adds what its bandwidth
 split, upload model, energy budgets and penalty settle. The scalar
-kernel keeps no state between calls; the population kernel scores N
-decisions at once, writing its intermediates node-major, one contiguous
-row of N per sub-task, into scratch arrays kept on the Evaluator, and
-returns fresh arrays. Its scratch also holds every decision-independent
-operand as full rows of N, filled once per N, so no ufunc broadcasts a
-column, and it walks the DAG one level at a time in four numpy calls
-per level: gather the ready-time candidates from the finish table, add
-the payload transfers, take the max, add the execution times.
+kernel scores one decision and keeps no state between calls; the
+population kernel scores every population, N decisions at once,
+writing its intermediates node-major, one contiguous row of N per
+sub-task, into scratch arrays kept on the plan, and returns fresh
+arrays. That scratch holds every split-free operand as full rows of N,
+filled once per N; only the arrivals and task uploads, which a split
+sets, are read as columns. The kernel walks the DAG one level at a
+time in four numpy calls per level: gather the ready-time candidates
+from the finish table, add the payload transfers, take the max, add
+the execution times.
 
 Timing rules: sub-tasks are processed in topological order; arrival time
 accumulates the task's uploads over the shared uplink (so one channel
@@ -27,11 +29,12 @@ decision column, input bits, cycles per bit, forwarding time per
 executor, and its predecessors, each marked once as carrying a
 UAV-to-UAV transfer or not. An Evaluator adds each sub-task's upload
 time and its arrival before the forwarding hop. The scalar kernel loops
-over these plans, the population kernel compiles them into arrays and
-result() reads its upload times from them. Both kernels add each UAV's
-input bits in decision-column order and all else in visiting order. A
-child may have a lower index than its parent, so the orders can differ,
-and so can the last bits of a sum taken in the other order.
+over these plans, the population kernel reads them laid out as arrays
+once per plan, and result() reads its upload times from them. Both
+kernels add each UAV's input bits in decision-column order and all else
+in visiting order. A child may have a lower index than its parent, so
+the orders can differ, and so can the last bits of a sum taken in the
+other order.
 """
 from __future__ import annotations
 
@@ -51,15 +54,6 @@ from .timing import EnergyLedger, hover_power_w
 # Sentinel fitness for decisions rejected outright in hard mode; larger
 # than any realizable objective.
 HARD_REJECT = 1e18
-
-# Populations with fewer rows than this are scored by looping the scalar
-# kernel. The array pass has a fixed cost whatever the row count. In
-# process CPU time on a 2-vCPU Xeon VM (numpy 2.4), at V=4, M=30 it
-# costs ~130-200 us for 2 to 8 rows, against ~30-40 us per scalar call,
-# so the loop is cheaper up to about four rows; at V=9, M=200 it costs
-# ~290-480 us against ~175-220 us per scalar call, so the loop wins only
-# below two rows. Eight keeps the sweep's 5-agent swarms on the loop.
-BATCH_MIN_ROWS = 8
 
 UPLOAD_MODELS = ("cumulative", "independent")
 
@@ -202,13 +196,21 @@ class _Plan:
     inverse inter-UAV rates and each active user's sub-task plans. It
     holds no budget, so the Evaluators of scenarios that differ only in
     energy budgets can share one. Building it validates the scenario:
-    ValueError lists every violation validate_scenario reports."""
+    ValueError lists every violation validate_scenario reports.
+
+    The population kernel's state lives here too: the layout, compiled
+    on the first array pass on the plan, and the scratch for the N of
+    the last pass, which holds nothing a split sets. Evaluators sharing
+    the plan share both, and so one thread."""
 
     def __init__(self, scenario: Scenario):
         problems = validate_scenario(scenario)
         if problems:
             raise ValueError("invalid scenario: " + "; ".join(problems))
         ph = scenario.physics
+        self.kappa = ph.effective_switched_capacitance
+        self.layout: Optional[_Layout] = None
+        self.scratch: Optional[_Scratch] = None
         uavs = sorted(scenario.uavs, key=lambda v: v.id)
         self.uav_ids = [v.id for v in uavs]
         self.slot_of = {v.id: i + 1 for i, v in enumerate(uavs)}
@@ -250,17 +252,101 @@ class _Plan:
                 pos[j] = len(nodes)
             self.users.append(_User(user, assoc, t.release_time_s, tuple(nodes)))
 
+    def compile(self) -> _Layout:
+        """Lays the plan out as the arrays of _Layout, once."""
+        M = len(self.h_cols)
+        nodes, user, depth, parents, user_pos = [], [], [], [], []
+        for ui, u in enumerate(self.users):
+            first = len(nodes)  # visit position of the user's first node
+            user_pos.append(range(first, first + len(u.nodes)))
+            for node in u.nodes:
+                # parent visit position, or None for the dummy root; the
+                # parents whose edge carries a payload first
+                ins = [(first + q - 1 if q else None, pay) for q, pay in node.preds]
+                ins.sort(key=lambda edge: edge[1] is None)
+                depth.append(max((depth[p] + 1 for p, _ in ins if p is not None), default=0))
+                parents.append(ins)
+                nodes.append(node)
+                user.append(ui)
+
+        # finish table: nodes by (level, visit position), then the dummies
+        order = sorted(range(M), key=lambda i: (depth[i], i))
+        ft_row = {i: r for r, i in enumerate(order)}
+        levels = []
+        pay_src, pay_dst, pay_bits, pay_slot = [], [], [], []
+        lo = g0 = 0
+        for _, level in itertools.groupby(order, key=depth.__getitem__):
+            level = list(level)
+            n = len(level)
+            hi = lo + n
+            k = 1 + max(len(parents[i]) for i in level)
+            # row 0 is each node's own row, holding its arrival; then per
+            # parent its finish time, or the release time of the dummy
+            # root; padded with the node's own row
+            gather = np.tile(np.arange(lo, hi, dtype=np.intp), (k, 1))
+            for r, i in enumerate(level):
+                for e, (p, pay) in enumerate(parents[i], start=1):
+                    gather[e, r] = M + user[i] if p is None else ft_row[p]
+                    if pay is not None:
+                        # transfer-block row of gathered row e * n + r
+                        pay_slot.append(g0 + (e - 1) * n + r)
+                        pay_src.append(p)
+                        pay_dst.append(i)
+                        pay_bits.append(pay)
+            # payload parents come first, so the slots fill rows 1:1 + kp
+            kp = max(sum(pay is not None for _, pay in parents[i]) for i in level)
+            pay = (g0, g0 + kp * n) if kp else None
+            levels.append((lo, hi, gather.ravel(), k, pay))
+            lo = hi
+            g0 += kp * n
+        user_rows, user_bounds = [], []
+        for ui, positions in enumerate(user_pos):
+            lo = len(user_rows)
+            user_rows.append(M + ui)
+            user_rows.extend(ft_row[i] for i in positions)
+            user_bounds.append((lo, len(user_rows)))
+
+        assoc = [self.users[ui].assoc for ui in user]
+        self.layout = _Layout(
+            fmax=np.array(self.fmax, dtype=float),
+            report_e=np.array(self.report_e, dtype=float),
+            hover_p=np.array(self.hover_p, dtype=float),
+            inv_uu=np.array(self.inv_uu, dtype=float).ravel(),
+            kappa=self.kappa,
+            cols=np.array([node.col for node in nodes], dtype=np.intp),
+            h_visit=np.array([node.h for node in nodes], dtype=float),
+            cycles=np.array([node.cycles for node in nodes], dtype=float),
+            h_fmax=np.array([node.h * f for node in nodes for f in self.fmax], dtype=float),
+            fwd=np.array([node.fwd for node in nodes], dtype=float).ravel(),
+            user=np.array(user, dtype=np.intp),
+            assoc=np.array(assoc, dtype=np.intp),
+            p_fwd=np.array([self.p_fwd_w[a] for a in assoc], dtype=float),
+            level_order=np.array(order, dtype=np.intp),
+            pay_src=np.array(pay_src, dtype=np.intp),
+            pay_dst=np.array(pay_dst, dtype=np.intp),
+            pay_bits=np.array(pay_bits, dtype=float),
+            pay_slot=np.array(pay_slot, dtype=np.intp),
+            levels=tuple(levels),
+            pay_rows=g0,
+            user_rows=np.array(user_rows, dtype=np.intp),
+            user_bounds=tuple(user_bounds),
+            release=np.array([u.release for u in self.users], dtype=float),
+            user_assoc=tuple(u.assoc for u in self.users),
+        )
+        return self.layout
+
 
 @dataclass(frozen=True)
-class _BatchTables:
-    """The scenario compiled for the population kernel, whose arrays are
+class _Layout:
+    """A plan laid out for the population kernel, whose arrays are
     node-major: one row per node (or user, or payload edge), one column
     per decision. Node rows run over the M sub-tasks in visiting order:
     users ascending, then each task's topological order (the order the
     scalar kernel accumulates energy and spans in); slots index the
     decision column of each node. The per-node, per-edge and per-user
     values here are flat; _Scratch spreads each one a ufunc reads over
-    a full row of N.
+    a full row of N. No split sets any of them: the arrivals, task
+    uploads and span bases are the Evaluator's (Evaluator._compile).
 
     Ready times live in an (M + U, N) finish-time table: the nodes
     grouped by level, then one row per user holding the release time
@@ -289,8 +375,6 @@ class _BatchTables:
     assoc: np.ndarray        # (M,) associated slot of the node's user
     p_fwd: np.ndarray        # (M,) forwarding power of that slot
     level_order: np.ndarray  # (M,) visit position of each finish-table node
-    arrival: np.ndarray      # (M,) arrival before the forwarding hop,
-                             # finish-table order
     pay_src: np.ndarray      # (E,) per payload edge: parent visit position
     pay_dst: np.ndarray      # (E,) child visit position
     pay_bits: np.ndarray     # (E,) dependency payload
@@ -305,35 +389,36 @@ class _BatchTables:
     user_bounds: Tuple[Tuple[int, int], ...]  # (U,) each user's entries
                              # lo:hi in user_rows
     release: np.ndarray      # (U,) release time per user
-    task_upload: np.ndarray  # (U,) task upload time per user
-    span_base: np.ndarray    # (U,) task upload plus the status report
     user_assoc: Tuple[int, ...]  # (U,) associated slot of each user
 
 
 class _Scratch:
-    """Work arrays of the population kernel for exactly n decisions, each
-    a C-contiguous (width, n) block of rows, one row per node, payload
-    edge, transfer slot or user, so every per-node gather and every
-    level's max moves whole contiguous rows. The decision-independent
-    rows are filled here, once: every per-node and per-edge operand a
-    ufunc reads, each repeated over a full row of n (a ufunc that
-    broadcasts a column or a row runs through numpy's buffered iterator,
-    at about twice the cost), the release-time rows of the finish table
-    ft, the 0.0 rows of the transfer block pay, and the flat cell
-    offsets.
+    """Work arrays of the population kernel for exactly n decisions, kept
+    on a plan and shared by every Evaluator on it, each a C-contiguous
+    (width, n) block of rows, one row per node, payload edge, transfer
+    slot or user, so every per-node gather and every level's max moves
+    whole contiguous rows. The split-free, decision-independent rows are
+    filled here, once: every per-node and per-edge operand a ufunc
+    reads, each repeated over a full row of n (a ufunc that broadcasts a
+    column or a row runs through numpy's buffered iterator, at about
+    twice the cost), the release-time rows of the finish table ft, the
+    0.0 rows of the transfer block pay, and the flat cell offsets. No
+    row depends on a split, so no Evaluator can read another's: the two
+    operands a split sets, arrivals and task uploads, are read as
+    (rows, 1) columns of the Evaluator's own arrays.
 
     All of them are rows of one allocation. glibc maps a large block
     fresh and, once it has unmapped one, keeps blocks up to that size
-    on its heap; so the scratch of each later Evaluator reuses pages
-    already touched, where one allocation per array faulted in several
-    hundred pages per Evaluator, at about 2 us each on a 2-vCPU VM."""
+    on its heap; so the scratch of each later plan reuses pages already
+    touched, where one allocation per array faulted in several hundred
+    pages per scratch, at about 2 us each on a 2-vCPU VM."""
 
-    def __init__(self, t: _BatchTables, n: int, V: int, U: int):
-        M, E = len(t.cols), len(t.pay_bits)
+    def __init__(self, t: _Layout, n: int):
+        M, E, U, V = len(t.cols), len(t.pay_bits), len(t.release), len(t.fmax)
         G = max(len(gather) for _, _, gather, _, _ in t.levels)  # gathered rows
         floats = dict(
             exec_t=M, fwd_t=M, share=M, work=M, h=M, h_visit=M, cycles=M, p_fwd=M,
-            arrival=M, ft=M + U, by_user=M + U, last=U, release=U, task_upload=U,
+            ft=M + U, by_user=M + U, last=U, release=U,
             edge=E, pay_bits=E, pay=t.pay_rows, tp=G,
         )
         ints = dict(cells=M, cellv=M, sv=M, fwd_row=M, cell=M, fwd_cell=M, ucell=M,
@@ -346,12 +431,8 @@ class _Scratch:
             at += width
         self.n = n
 
-        for rows, values in (
-            (self.h_visit, t.h_visit), (self.cycles, t.cycles), (self.p_fwd, t.p_fwd),
-            (self.arrival, t.arrival), (self.pay_bits, t.pay_bits),
-            (self.release, t.release), (self.task_upload, t.task_upload),
-        ):
-            rows[:] = values.reshape(-1, 1)
+        for name in ("h_visit", "cycles", "p_fwd", "pay_bits", "release"):
+            getattr(self, name)[:] = getattr(t, name).reshape(-1, 1)
         self.h[t.cols] = self.h_visit  # decision order
         self.ft[M:] = self.release
         self.pay.fill(0.0)
@@ -394,13 +475,13 @@ class Evaluator:
     Two kernels read the plans and give bit-identical numbers: both add
     each UAV's input bits in decision-column order and every energy,
     span and finish time in visiting order. The scalar kernel scores one
-    vector; result uses it. fitness_many and objective_and_feasible_many
-    score an (N, M) matrix of 1-based slots, one decision per row, in
-    one array pass whose numpy call count grows with DAG depth, not with
-    N or M; the scenario is compiled into arrays on the first such call.
-    Below BATCH_MIN_ROWS rows they loop the scalar kernel instead.
-    fitness and objective_and_feasible score one vector as a one-row
-    matrix. Every path applies one budget rule: a decision is feasible
+    vector: fitness, objective_and_feasible and result use it.
+    fitness_many and objective_and_feasible_many score an (N, M) matrix
+    of 1-based slots, one decision per row, any N, 0 included, in one
+    array pass whose numpy call count grows with DAG depth, not with N
+    or M. The first such call on a plan lays it out as arrays, and the
+    first on an Evaluator compiles its arrivals, task uploads and span
+    bases. Every path applies one budget rule: a decision is feasible
     exactly when every energy total is at most its UAV's budget, and
     hard mode rejects exactly the infeasible decisions.
 
@@ -413,11 +494,11 @@ class Evaluator:
     that BandwidthAllocation.check faults and a scenario with no
     sub-task to place.
 
-    Only the population kernel reuses scratch held by the Evaluator:
-    work arrays for exactly the N of the last array pass, built again
-    when a call brings another N. The arrays these methods return are
-    always fresh, so callers may keep them across calls. Not thread-safe
-    (scratch is reused); build one Evaluator per thread.
+    The Evaluator holds no scratch: the array pass reuses its plan's,
+    built for the N of the plan's last pass. The arrays these methods
+    return are always fresh, so callers may keep them across calls. Not
+    thread-safe (scratch is reused): build one Evaluator per thread, and
+    keep the Evaluators that share a private _plan on one thread.
     """
 
     def __init__(
@@ -448,6 +529,9 @@ class Evaluator:
             raise ValueError("scenario has no sub-task to place")
         uavs = sorted(scenario.uavs, key=lambda v: v.id)  # in slot order
         self._budget = np.array([v.energy_budget_j for v in uavs], dtype=float)
+        # the budgets an excess is taken from: NaN where unlimited, so no
+        # total can exceed one there and inf - inf is never computed
+        self._cap = np.where(self._budget < math.inf, self._budget, math.nan)
 
         # per active user, what its share of the uplink sets
         self._uplinks: List[_Uplink] = []
@@ -467,8 +551,7 @@ class Evaluator:
                 _Uplink(arrival, upload, task_upload, task_upload + plan.report_t[assoc])
             )
 
-        self._tables: Optional[_BatchTables] = None
-        self._scratch: Optional[_Scratch] = None
+        self._split: Optional[tuple] = None  # set by _compile
 
     @property
     def vector_length(self) -> int:
@@ -496,7 +579,7 @@ class Evaluator:
         exec_unit = [tot[i] / fmax_arr[i] for i in range(V)]
 
         inv_uu = plan.inv_uu
-        kappa = self.scenario.physics.effective_switched_capacitance
+        kappa = plan.kappa
         times, makespans = [], []
 
         obj_sum = 0.0
@@ -556,21 +639,26 @@ class Evaluator:
 
     def fitness(self, vec) -> float:
         """Penalized objective of an integer decision vector (1-based slots)."""
-        return float(self.fitness_many([vec])[0])
+        return float(self._penalize(*self._score_one(vec)))
 
     def objective_and_feasible(self, vec) -> Tuple[float, bool]:
-        objective, feasible = self.objective_and_feasible_many([vec])
-        return float(objective[0]), bool(feasible[0])
+        objective, totals = self._score_one(vec)
+        return objective, bool(self._feasible(totals))
+
+    def _score_one(self, vec) -> Tuple[float, np.ndarray]:
+        """One vector's objective and (V,) energy totals, by the scalar kernel."""
+        objective, totals, _ = self._core(self._slot_matrix([vec])[0].tolist())
+        return objective, np.array(totals)
 
     def fitness_many(self, population) -> np.ndarray:
         """fitness of each row of an (N, M) matrix of 1-based slots, as
         an (N,) array equal bit for bit to calling fitness row by row."""
-        return self._penalize(*self._score(population))
+        return self._penalize(*self._score_many(population))
 
     def objective_and_feasible_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
         """objective_and_feasible of each row of an (N, M) slot matrix:
         (N,) objectives and (N,) feasibility flags."""
-        objective, totals = self._score(population)
+        objective, totals = self._score_many(population)
         return objective, self._feasible(totals)
 
     def _feasible(self, totals: np.ndarray) -> np.ndarray:
@@ -582,33 +670,20 @@ class Evaluator:
     def _penalize(self, objective, totals: np.ndarray):
         """The objective under the penalty: hard mode rejects exactly the
         infeasible decisions; penalty mode adds lambda * excess^2 UAV by
-        UAV in slot order, and HARD_REJECT for a NaN total (an infinite
-        total under an unlimited budget is feasible, so it costs
-        nothing). objective is
-        (N,) or a scalar, totals (N, V) or (V,)."""
+        UAV in slot order, and HARD_REJECT for a NaN total. An excess is
+        taken only over a finite budget: an unlimited one has a NaN cap,
+        so no total, infinite ones included, costs anything there.
+        objective is (N,) or a scalar, totals (N, V) or (V,)."""
         pen = self.penalty
         if pen is None:
             return objective
         if pen.mode == "hard":
             return np.where(self._feasible(totals), objective, HARD_REJECT)
-        over = totals - self._budget
+        over = totals - self._cap
         surcharge = np.where(over > 0.0, pen.lambda_ * over * over, np.isnan(totals) * HARD_REJECT)
         for i in range(self._V):
             objective = objective + surcharge[..., i]
         return objective
-
-    def _score(self, population) -> Tuple[np.ndarray, np.ndarray]:
-        """(N,) objectives and (N, V) energy totals of an (N, M) slot
-        matrix, both fresh: the scalar kernel row by row below
-        BATCH_MIN_ROWS rows, else the population kernel."""
-        pop = self._slot_matrix(population)
-        if len(pop) >= BATCH_MIN_ROWS:
-            return self._score_many(pop)
-        scored = [self._core(row)[:2] for row in pop.tolist()]
-        return (
-            np.array([obj for obj, _ in scored], dtype=float),
-            np.array([tot for _, tot in scored], dtype=float).reshape(len(pop), self._V),
-        )
 
     def _slot_matrix(self, population) -> np.ndarray:
         """population as an intp array; ValueError unless it is an (N, M)
@@ -626,9 +701,9 @@ class Evaluator:
             )
         return pop.astype(np.intp, copy=False)
 
-    def _score_many(self, pop: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Population kernel over an (N, M) intp slot matrix: (N,)
-        objectives and (N, V) energy totals.
+    def _score_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
+        """Population kernel over an (N, M) slot matrix, checked by
+        _slot_matrix: (N,) objectives and (N, V) energy totals.
 
         Every float is produced by the same operations, in the same
         order, as in _core. The work runs node-major, on (width, N)
@@ -639,14 +714,30 @@ class Evaluator:
         belong to a cell leaves a sum unchanged. Ready times take a max,
         which does not depend on order. Both returned arrays are fresh.
         """
-        t = self._tables if self._tables is not None else self._compile()
-        s = self._scratch
+        pop = self._slot_matrix(population)
+        if not len(pop):  # np.bincount of no weights returns integers
+            return np.zeros(0), np.zeros((0, self._V))
+        plan = self._plan
+        t = plan.layout if plan.layout is not None else plan.compile()
+        arrival, task_upload, span_base = self._split or self._compile(t)
+        s = plan.scratch
         if s is None or s.n != len(pop):
-            s = self._scratch = _Scratch(t, len(pop), self._V, len(self._uplinks))
-        totals = self._energy_many(t, s, pop)
-        return self._objective_many(t, s), totals
+            s = plan.scratch = _Scratch(t, len(pop))
+        totals = self._energy_many(t, s, pop, span_base)
+        return self._objective_many(t, s, arrival, task_upload), totals
 
-    def _energy_many(self, t: _BatchTables, s: _Scratch, pop) -> np.ndarray:
+    def _compile(self, t: _Layout) -> tuple:
+        """The split's operands of the array pass, once: the arrivals
+        before the forwarding hop in finish-table order and the task
+        uploads, as (rows, 1) columns, and the (U,) span bases."""
+        links = self._uplinks
+        arrival = np.array([a for link in links for a in link.arrival])  # visiting order
+        self._split = (arrival[t.level_order].reshape(-1, 1),
+                       np.array([[link.task_upload] for link in links]),
+                       np.array([link.span_base for link in links]))
+        return self._split
+
+    def _energy_many(self, t: _Layout, s: _Scratch, pop, span_base) -> np.ndarray:
         """Writes the per-node execution and forwarding times (visiting
         order) into s.exec_t and s.fwd_t and the 0-based slots into s.sv;
         returns fresh (N, V) per-UAV energy totals."""
@@ -661,16 +752,16 @@ class Evaluator:
         np.add(s.sv, s.cell, out=s.cells)  # flat (decision, slot) cell per column
         tot = np.bincount(s.cells.ravel(), s.h.ravel(), N * V).reshape(N, V)
 
-        np.take(s.cells, t.cols, axis=0, out=s.cellv, mode="clip")
+        s.cells.take(t.cols, axis=0, out=s.cellv, mode="clip")
         np.subtract(s.cellv, s.cell, out=s.sv)  # 0-based slots in visiting order
-        np.take((tot / t.fmax).ravel(), s.cellv, out=s.exec_t, mode="clip")
+        (tot / t.fmax).ravel().take(s.cellv, out=s.exec_t, mode="clip")
         s.exec_t *= s.cycles
         node = s.cells  # (node, slot) entry of fwd and h_fmax; cells is spent
         np.add(s.sv, s.fwd_row, out=node)
-        np.take(t.fwd, node, out=s.fwd_t, mode="clip")
+        t.fwd.take(node, out=s.fwd_t, mode="clip")
         share, work = s.share, s.work
-        np.take(t.h_fmax, node, out=share, mode="clip")
-        np.take(tot.ravel(), s.cellv, out=work, mode="clip")
+        t.h_fmax.take(node, out=share, mode="clip")
+        tot.ravel().take(s.cellv, out=work, mode="clip")
         del tot
         share /= work
         np.multiply(t.kappa, share, out=work)  # the energy of each node
@@ -695,7 +786,7 @@ class Evaluator:
         remote -= work
         np.maximum(span, np.bincount(s.ucell.ravel(), remote.ravel(), N * U), out=span)
         span = span.reshape(N, U)
-        span += t.span_base
+        span += span_base
         hover_t = np.zeros((N, V))  # the longest span among a UAV's users
         for u, a in enumerate(t.user_assoc):
             np.maximum(hover_t[:, a], span[:, u], out=hover_t[:, a])
@@ -703,132 +794,44 @@ class Evaluator:
         totals += hover_t
         return totals
 
-    def _objective_many(self, t: _BatchTables, s: _Scratch) -> np.ndarray:
+    def _objective_many(self, t: _Layout, s: _Scratch, arrival, task_upload) -> np.ndarray:
         """Ready and finish times level by level, then the fresh (N,) mean
-        of makespan plus upload time over users."""
+        of makespan plus upload time over users; arrival and task_upload
+        are the (M, 1) and (U, 1) columns of _compile."""
         N = s.n
         M = len(t.cols)
         ft = s.ft  # rows M: hold the release times
-        np.take(s.fwd_t, t.level_order, axis=0, out=s.work, mode="clip")
-        np.add(s.arrival, s.work, out=ft[:M])
+        s.fwd_t.take(t.level_order, axis=0, out=s.work, mode="clip")
+        np.add(arrival, s.work, out=ft[:M])
         # the execution times in level order, which s.levels reads
-        np.take(s.exec_t, t.level_order, axis=0, out=s.share, mode="clip")
+        s.exec_t.take(t.level_order, axis=0, out=s.share, mode="clip")
         # each payload edge's transfer time, into its slot of s.pay
-        np.take(s.sv, t.pay_src, axis=0, out=s.src, mode="clip")
+        s.sv.take(t.pay_src, axis=0, out=s.src, mode="clip")
         s.src *= self._V
-        np.take(s.sv, t.pay_dst, axis=0, out=s.dst, mode="clip")
+        s.sv.take(t.pay_dst, axis=0, out=s.dst, mode="clip")
         s.src += s.dst
-        np.take(t.inv_uu, s.src, out=s.edge, mode="clip")
+        t.inv_uu.take(s.src, out=s.edge, mode="clip")
         s.edge *= s.pay_bits
         s.pay[t.pay_slot] = s.edge
         # the gathers go through scratch: a take whose output overlaps
         # its input copies the output
         for gather, g, landed, sent, block, fin, exec_t in s.levels:
-            np.take(ft, gather, axis=0, out=g, mode="clip")
+            ft.take(gather, axis=0, out=g, mode="clip")
             if landed is not None:
                 # x + 0.0 == x, so the slots of parents that send nothing
                 # keep their finish times exactly
                 np.add(landed, sent, out=landed)
             np.maximum.reduce(block, axis=0, out=fin)
             np.add(fin, exec_t, out=fin)
-        np.take(ft, t.user_rows, axis=0, out=s.by_user, mode="clip")
+        ft.take(t.user_rows, axis=0, out=s.by_user, mode="clip")
         # one reduce per user: np.maximum.reduceat along axis 0 costs
         # about ten times as much
         f_last = s.last
         for rows, last in s.users:
             np.maximum.reduce(rows, axis=0, out=last)
         f_last -= s.release
-        f_last += s.task_upload
+        f_last += task_upload
         return np.bincount(s.row_of.ravel(), f_last.ravel(), N) / len(self._uplinks)
-
-    def _compile(self) -> _BatchTables:
-        """Lays the scenario out as the arrays of _BatchTables, once."""
-        V = self._V
-        M = self._m
-        plan = self._plan
-        nodes, user, depth, parents, user_pos = [], [], [], [], []
-        for ui, u in enumerate(plan.users):
-            first = len(nodes)  # visit position of the user's first node
-            user_pos.append(range(first, first + len(u.nodes)))
-            for node in u.nodes:
-                # parent visit position, or None for the dummy root; the
-                # parents whose edge carries a payload first
-                ins = [(first + q - 1 if q else None, pay) for q, pay in node.preds]
-                ins.sort(key=lambda edge: edge[1] is None)
-                depth.append(max((depth[p] + 1 for p, _ in ins if p is not None), default=0))
-                parents.append(ins)
-                nodes.append(node)
-                user.append(ui)
-
-        # finish table: nodes by (level, visit position), then the dummies
-        order = sorted(range(M), key=lambda i: (depth[i], i))
-        ft_row = {i: r for r, i in enumerate(order)}
-        levels = []
-        pay_src, pay_dst, pay_bits, pay_slot = [], [], [], []
-        lo = g0 = 0
-        for _, level in itertools.groupby(order, key=depth.__getitem__):
-            level = list(level)
-            n = len(level)
-            hi = lo + n
-            k = 1 + max(len(parents[i]) for i in level)
-            # row 0 is each node's own row, holding its arrival; then per
-            # parent its finish time, or the release time of the dummy
-            # root; padded with the node's own row
-            gather = np.tile(np.arange(lo, hi, dtype=np.intp), (k, 1))
-            for r, i in enumerate(level):
-                for e, (p, pay) in enumerate(parents[i], start=1):
-                    gather[e, r] = M + user[i] if p is None else ft_row[p]
-                    if pay is not None:
-                        # transfer-block row of gathered row e * n + r
-                        pay_slot.append(g0 + (e - 1) * n + r)
-                        pay_src.append(p)
-                        pay_dst.append(i)
-                        pay_bits.append(pay)
-            # payload parents come first, so the slots fill rows 1:1 + kp
-            kp = max(sum(pay is not None for _, pay in parents[i]) for i in level)
-            pay = (g0, g0 + kp * n) if kp else None
-            levels.append((lo, hi, gather.ravel(), k, pay))
-            lo = hi
-            g0 += kp * n
-        user_rows, user_bounds = [], []
-        for ui, positions in enumerate(user_pos):
-            lo = len(user_rows)
-            user_rows.append(M + ui)
-            user_rows.extend(ft_row[i] for i in positions)
-            user_bounds.append((lo, len(user_rows)))
-
-        assoc = [plan.users[ui].assoc for ui in user]
-        arrival = [a for link in self._uplinks for a in link.arrival]  # visiting order
-        self._tables = _BatchTables(
-            fmax=np.array(plan.fmax, dtype=float),
-            report_e=np.array(plan.report_e, dtype=float),
-            hover_p=np.array(plan.hover_p, dtype=float),
-            inv_uu=np.array(plan.inv_uu, dtype=float).ravel(),
-            kappa=self.scenario.physics.effective_switched_capacitance,
-            cols=np.array([node.col for node in nodes], dtype=np.intp),
-            h_visit=np.array([node.h for node in nodes], dtype=float),
-            cycles=np.array([node.cycles for node in nodes], dtype=float),
-            h_fmax=np.array([node.h * f for node in nodes for f in plan.fmax], dtype=float),
-            fwd=np.array([node.fwd for node in nodes], dtype=float).ravel(),
-            user=np.array(user, dtype=np.intp),
-            assoc=np.array(assoc, dtype=np.intp),
-            p_fwd=np.array([plan.p_fwd_w[a] for a in assoc], dtype=float),
-            level_order=np.array(order, dtype=np.intp),
-            arrival=np.array([arrival[i] for i in order], dtype=float),
-            pay_src=np.array(pay_src, dtype=np.intp),
-            pay_dst=np.array(pay_dst, dtype=np.intp),
-            pay_bits=np.array(pay_bits, dtype=float),
-            pay_slot=np.array(pay_slot, dtype=np.intp),
-            levels=tuple(levels),
-            pay_rows=g0,
-            user_rows=np.array(user_rows, dtype=np.intp),
-            user_bounds=tuple(user_bounds),
-            release=np.array([u.release for u in plan.users], dtype=float),
-            task_upload=np.array([link.task_upload for link in self._uplinks], dtype=float),
-            span_base=np.array([link.span_base for link in self._uplinks], dtype=float),
-            user_assoc=tuple(u.assoc for u in plan.users),
-        )
-        return self._tables
 
     def result(self, decision: OffloadDecision) -> ScheduleResult:
         problems = decision.validate(self.scenario)
@@ -864,10 +867,7 @@ class Evaluator:
         )
 
         totals_v = np.array(totals)
-        feasible = bool(self._feasible(totals_v))
-        penalized = None
-        if self.penalty is not None:
-            penalized = float(self._penalize(objective, totals_v))
+        penalized = None if self.penalty is None else float(self._penalize(objective, totals_v))
         return ScheduleResult(
             arrival_s=arrival,
             ready_s=ready,
@@ -882,7 +882,7 @@ class Evaluator:
             energy=ledger,
             objective_s=objective,
             penalized_s=penalized,
-            feasible=feasible,
+            feasible=bool(self._feasible(totals_v)),
         )
 
 

@@ -29,10 +29,11 @@ too, and builds one closed-form split Evaluator on the same plan only
 when the cell's split differs. Cells run grouped
 by these keys, holding one input of each kind at a time. results.csv
 stays byte-identical to building every input per cell: each input is a
-pure function of its key, and an Evaluator's only state between calls
-is its population scratch, overwritten before it is read, so no cell
-sees another's state. Rows are sorted into the fixed output order at
-the end.
+pure function of its key, and the only state kept between calls is
+the population layout and scratch on each plan: the layout is a pure
+function of the plan, and the scratch holds nothing a split sets and
+is overwritten before it is read, so no cell sees another's state.
+Rows are sorted into the fixed output order at the end.
 """
 from __future__ import annotations
 
@@ -180,6 +181,12 @@ class ExperimentSpec:
                 out.append(f"generator key {k!r} is set by the sweep")
             elif k not in takes:
                 out.append(f"unknown generator key {k!r}")
+            elif k == "energy_per_subtask_j" and not (
+                isinstance(self.generator[k], (int, float)) and self.generator[k] >= 0
+            ):
+                # every budget is a multiple of it, and the plan of an input
+                # that both energy modes share rejects a negative or NaN one
+                out.append(f"generator {k} must be >= 0, got {self.generator[k]!r}")
         if self.axis == "agents":
             bad = [s for s in solvers if s not in SEARCHING_SOLVERS]
             if bad:

@@ -17,6 +17,7 @@ from uavmec import (
     TaskGraph,
     alloc_equal,
     alloc_optimal,
+    alloc_proportional,
     associated_decision,
     decision_latency_breakdown,
     dwoa_solve,
@@ -28,7 +29,7 @@ from uavmec import (
     with_unlimited_energy,
 )
 from uavmec.evaluator import (
-    BATCH_MIN_ROWS,
+    _Plan,
     decision_from_vector,
     decision_order,
     decision_to_vector,
@@ -369,7 +370,7 @@ def test_invalid_scenario_is_rejected_with_the_validators_message(spoil):
 def test_evaluators_on_one_plan_score_as_if_each_built_its_own():
     s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
     first = Evaluator(s, alloc_equal(s), PenaltyConfig())
-    P = np.random.default_rng(5).integers(1, 4, size=(BATCH_MIN_ROWS, first.vector_length))
+    P = np.random.default_rng(5).integers(1, 4, size=(5, first.vector_length))
     for scen, beta, penalty, upload_model in (
         (s, alloc_optimal(s), PenaltyConfig(mode="hard"), "cumulative"),
         (with_unlimited_energy(s), alloc_equal(s), PenaltyConfig(), "independent"),
@@ -384,6 +385,56 @@ def test_evaluators_on_one_plan_score_as_if_each_built_its_own():
             own.fitness(row) for row in P[:2].tolist()]
         dec = decision_from_vector(s, P[0].tolist())
         assert shared.result(dec) == own.result(dec)
+
+
+def test_evaluators_sharing_a_plan_never_read_each_others_scratch():
+    # a sweep input's six Evaluators, 3 splits x 2 energy modes, share
+    # one plan and so one scratch; called in turn as N changes, each row
+    # must still score as on an Evaluator alone and as in _core
+    s = desk_scenario(8, uav_count=2, subtasks=7, active=3, budget_j=2500.0,
+                      users_per_uav=(2, 3))
+    splits = [alloc(s) for alloc in (alloc_equal, alloc_proportional, alloc_optimal)]
+    assert len({tuple(sorted(b.fractions.items())) for b in splits}) == 3
+    plan = _Plan(s)
+    pairs = [(Evaluator(scen, beta, PenaltyConfig(), _plan=plan), Evaluator(scen, beta, PenaltyConfig()))
+             for beta in splits for scen in (s, with_unlimited_energy(s))]
+    rng = np.random.default_rng(9)
+    for n in (5, 1, 5, 100, 5):
+        P = rng.integers(1, 3, size=(n, pairs[0][0].vector_length))
+        for shared, alone in pairs:
+            obj, totals = shared._score_many(P)
+            assert shared.fitness_many(P).tolist() == alone.fitness_many(P).tolist()
+            assert (obj.tolist(), totals.tolist()) == tuple(a.tolist() for a in alone._score_many(P))
+            for i, row in enumerate(P.tolist()):
+                assert (obj[i], totals[i].tolist()) == shared._core(row)[:2]
+    assert plan.scratch.n == 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_populations_are_scored_by_the_array_pass_only(monkeypatch, n):
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
+    ev = Evaluator(s, alloc_equal(s), PenaltyConfig())
+    P = np.random.default_rng(13).integers(1, 4, size=(n, ev.vector_length))
+    fit = [ev.fitness(row) for row in P.tolist()]
+    feas = [ev.objective_and_feasible(row) for row in P.tolist()]
+
+    def no_scalar_kernel(*args, **kwargs):
+        raise AssertionError("a population reached the scalar kernel")
+
+    monkeypatch.setattr(Evaluator, "_core", no_scalar_kernel)
+    assert ev.fitness_many(P).tolist() == fit
+    obj, ok = ev.objective_and_feasible_many(P)
+    assert list(zip(obj.tolist(), ok.tolist())) == feas
+
+
+def test_one_decision_methods_never_lay_out_the_plan():
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
+    ev = Evaluator(s, alloc_equal(s), PenaltyConfig())
+    row = [1, 2, 3] * (ev.vector_length // 3)
+    ev.fitness(row)
+    ev.objective_and_feasible(row)
+    ev.result(decision_from_vector(s, row))
+    assert ev._plan.layout is None and ev._plan.scratch is None
 
 
 def test_per_subtask_cycles_per_bit_matches_event_oracle():
@@ -495,7 +546,7 @@ def test_population_kernel_equals_scalar_kernel(upload_model, allocator, penalty
     rng = np.random.default_rng(11)
     for _name, s in _kernel_cases():
         ev = Evaluator(s, allocator(s), penalty, upload_model)
-        for n in (1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, 100):
+        for n in (0, 1, 2, 5, 100):
             P = rng.integers(1, len(s.uavs) + 1, size=(n, ev.vector_length))
             fit = ev.fitness_many(P)
             obj, feas = ev.objective_and_feasible_many(P)
@@ -535,8 +586,8 @@ def test_population_kernel_is_exact_past_eight_subtasks_per_user(penalty):
 @pytest.mark.parametrize("upload_model", ["cumulative", "independent"])
 @pytest.mark.parametrize("penalty", PENALTIES[:2] + PENALTIES[3:], ids=["off", "lam0.1", "hard"])
 def test_population_scratch_reuse_keeps_results(upload_model, penalty):
-    # the scratch holds arrays for exactly the last row count and is
-    # built again whenever the count changes; no returned array may
+    # the plan's scratch holds arrays for exactly the last row count and
+    # is built again whenever the count changes; no returned array may
     # share its memory
     s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
     ev = Evaluator(s, alloc_equal(s), penalty, upload_model)
@@ -560,7 +611,7 @@ def test_population_scratch_reuse_keeps_results(upload_model, penalty):
             assert np.array_equal(got, was)
 
 
-@pytest.mark.parametrize("n", [BATCH_MIN_ROWS - 1, 100])
+@pytest.mark.parametrize("n", [1, 2, 5, 100])
 @pytest.mark.parametrize("bad", [0, 4])
 def test_population_rejects_out_of_range_slots(n, bad):
     s = desk_scenario(17, uav_count=3, subtasks=6, active=2)
@@ -614,10 +665,11 @@ def test_shaped_cases_reach_the_level_loop_extremes():
     for name, levels, edges in (("chain", 6, 13 - 3), ("flat", 1, 0)):
         s = dict(_kernel_cases())[name]
         ev = Evaluator(s, alloc_equal(s))
-        ev.fitness_many(np.ones((BATCH_MIN_ROWS, ev.vector_length), dtype=int))
-        assert len(ev._tables.levels) == levels
-        assert len(ev._tables.pay_bits) == edges
-        assert len(set(ev._tables.user_assoc)) < len(s.tasks)  # users share a UAV
+        ev.fitness_many(np.ones((5, ev.vector_length), dtype=int))
+        layout = ev._plan.layout
+        assert len(layout.levels) == levels
+        assert len(layout.pay_bits) == edges
+        assert len(set(layout.user_assoc)) < len(s.tasks)  # users share a UAV
 
 
 @pytest.mark.parametrize("method", ["fitness", "objective_and_feasible"])
@@ -649,12 +701,12 @@ def test_population_kernel_sees_binding_budgets():
 
 
 def _penalized_on_every_path(ev, row):
-    """row's fitness from the one-decision call, the scalar loop, the
-    array pass and result()."""
+    """row's fitness from the one-decision call, array passes of 2 and 5
+    rows and result()."""
     return [
         ev.fitness(row),
         *ev.fitness_many([row] * 2).tolist(),
-        *ev.fitness_many([row] * BATCH_MIN_ROWS).tolist(),
+        *ev.fitness_many([row] * 5).tolist(),
         ev.result(decision_from_vector(ev.scenario, row)).penalized_s,
     ]
 
@@ -663,7 +715,7 @@ def _feasible_on_every_path(ev, row):
     return [
         ev.objective_and_feasible(row)[1],
         *ev.objective_and_feasible_many([row] * 2)[1].tolist(),
-        *ev.objective_and_feasible_many([row] * BATCH_MIN_ROWS)[1].tolist(),
+        *ev.objective_and_feasible_many([row] * 5)[1].tolist(),
         ev.result(decision_from_vector(ev.scenario, row)).feasible,
     ]
 
@@ -708,12 +760,12 @@ def test_penalty_mode_charges_a_nan_energy_total_hard_reject_on_every_path():
     assert set(_penalized_on_every_path(ev, [1] * ev.vector_length)) == {HARD_REJECT}
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "error:invalid:RuntimeWarning")
 @pytest.mark.parametrize("penalty", [PenaltyConfig(mode="hard"), PenaltyConfig(lambda_=0.1)],
                          ids=["hard", "lam0.1"])
 def test_infinite_total_under_an_unlimited_budget_is_free_on_every_path(penalty):
-    # inf <= inf: feasible, so the penalty must not charge the NaN that
-    # inf - inf gives as its excess
+    # inf <= inf: feasible, so the penalty must charge nothing, and must
+    # not compute inf - inf, which warns and gives a NaN excess
     s = with_unlimited_energy(_huge_capacitance_scenario())
     ev = Evaluator(s, alloc_equal(s), penalty)
     row = [1] * ev.vector_length
@@ -723,7 +775,7 @@ def test_infinite_total_under_an_unlimited_budget_is_free_on_every_path(penalty)
     assert set(_penalized_on_every_path(ev, row)) == {res.objective_s}
 
 
-@pytest.mark.parametrize("n", [1, 2, BATCH_MIN_ROWS])
+@pytest.mark.parametrize("n", [1, 2, 5])
 def test_fractional_slots_are_rejected(n):
     # a cast to integers would score 1.7 as slot 1
     s = desk_scenario(17, uav_count=3, subtasks=6, active=2)
@@ -760,7 +812,7 @@ def test_task_with_no_subtask_is_scored_and_solved():
     beta = alloc_equal(s)
     ev = Evaluator(s, beta, PenaltyConfig())
     assert ev.vector_length == 6
-    P = np.random.default_rng(2).integers(1, 4, size=(BATCH_MIN_ROWS, 6))
+    P = np.random.default_rng(2).integers(1, 4, size=(5, 6))
     fit = ev.fitness_many(P)
     obj, totals = ev._score_many(P)
     for i, row in enumerate(P.tolist()):
@@ -768,7 +820,7 @@ def test_task_with_no_subtask_is_scored_and_solved():
         assert (obj[i], totals[i].tolist()) == ev._core(row)[:2]
     assert decision_from_vector(s, [1] * 6).x[empty_user] == ()
     for run in (exhaustive_solve(s, beta),
-                dwoa_solve(s, beta, DwoaConfig(agents=BATCH_MIN_ROWS, seed=3))):
+                dwoa_solve(s, beta, DwoaConfig(agents=5, seed=3))):
         assert run.decision.x[empty_user] == ()
         assert run.objective_s == evaluate(run.decision, beta, s).objective_s
 

@@ -221,6 +221,19 @@ def test_spec_rejects_generator_counts_out_of_range(tmp_path, axis, name, value,
     assert _spec(tmp_path, axis=axis, values=(2,), generator={**generator, name: 1}).validate() == []
 
 
+@pytest.mark.parametrize("energy", [-1.0, math.nan], ids=["negative", "nan"])
+def test_spec_rejects_a_negative_or_nan_energy_per_subtask(tmp_path, energy):
+    # the two energy modes share the input's plan, so such a budget would
+    # fail the unlimited cells too
+    spec = _spec(tmp_path, generator=dict(DESK_GEN, energy_per_subtask_j=energy),
+                 energy_modes=("limited", "unlimited"))
+    assert spec.validate() == [f"generator energy_per_subtask_j must be >= 0, got {energy!r}"]
+    with pytest.raises(ValueError, match="energy_per_subtask_j"):
+        run_experiment(spec)
+    for fine in (0.0, math.inf):
+        assert _spec(tmp_path, generator=dict(DESK_GEN, energy_per_subtask_j=fine)).validate() == []
+
+
 def test_spec_takes_numpy_integer_counts(tmp_path):
     spec = _spec(tmp_path, values=(np.int64(5), 10), seeds=(np.uint32(0), 1), agents=np.int8(3))
     assert spec.validate() == []
@@ -397,7 +410,21 @@ def plan_counts(monkeypatch):
     return counts
 
 
-def test_sweep_builds_each_input_once(tmp_path, build_counts, plan_counts):
+@pytest.fixture
+def layout_counts(monkeypatch):
+    """Counts the plans laid out for the population kernel anywhere."""
+    counts = {"layouts": 0}
+    compile_ = evaluator._Plan.compile
+
+    def counting_compile(self):
+        counts["layouts"] += 1
+        return compile_(self)
+
+    monkeypatch.setattr(evaluator._Plan, "compile", counting_compile)
+    return counts
+
+
+def test_sweep_builds_each_input_once(tmp_path, build_counts, plan_counts, layout_counts):
     spec = _shared_spec(
         tmp_path,
         axis="allocator",
@@ -412,6 +439,8 @@ def test_sweep_builds_each_input_once(tmp_path, build_counts, plan_counts):
     assert build_counts == {"scenarios": 2, "evaluators": 12}
     # one plan per seed, shared by its 3 allocators x 2 energy modes
     assert plan_counts == {"plans": 2}
+    # and laid out once, by the first of its six swarms
+    assert layout_counts == {"layouts": 2}
 
 
 def test_alternating_closed_form_evaluator_shares_the_plan(tmp_path, build_counts, plan_counts):
