@@ -116,6 +116,7 @@ class ScheduleResult:
     executor: Mapping[Tuple[int, int], int]
     makespan_s: Mapping[int, float]
     task_upload_s: Mapping[int, float]
+    uplink_rate_bps: Mapping[int, float]  # per active user, under the split
     energy: EnergyLedger
     objective_s: float
     penalized_s: Optional[float]
@@ -187,6 +188,7 @@ class _Uplink(NamedTuple):
     upload: List[float]     # per node: upload time
     task_upload: float
     span_base: float        # task upload plus the status report
+    rate: float             # uplink rate, bits per second
 
 
 class _Plan:
@@ -548,7 +550,7 @@ class Evaluator:
                 arrival = [release + up for up in upload]
             task_upload = math.fsum(upload)
             self._uplinks.append(
-                _Uplink(arrival, upload, task_upload, task_upload + plan.report_t[assoc])
+                _Uplink(arrival, upload, task_upload, task_upload + plan.report_t[assoc], rate_up)
             )
 
         self._split: Optional[tuple] = None  # set by _compile
@@ -557,14 +559,13 @@ class Evaluator:
     def vector_length(self) -> int:
         return self._m
 
-    def _core(self, vec, collect: bool = False):
+    def _core(self, vec):
         """The scalar kernel over one vector of 1-based slots, with no
         state kept between calls. Returns (objective, per-UAV energy
         totals, detail). detail, for result(), holds per node in visiting
         order its (arrival, ready, finish, execution and forwarding times,
         0-based executor slot), per user its makespan, then the per-UAV
-        execution energy, forwarding energy and hover time; the first two
-        lists are filled only when collect is set."""
+        execution energy, forwarding energy and hover time."""
         V = self._V
         plan = self._plan
         tot = [0.0] * V  # input bits per UAV
@@ -583,7 +584,7 @@ class Evaluator:
         times, makespans = [], []
 
         obj_sum = 0.0
-        for (_, assoc, trel, nodes), (arrivals, _, task_upload, span_base) in zip(
+        for (_, assoc, trel, nodes), (arrivals, _, task_upload, span_base, _) in zip(
             plan.users, self._uplinks
         ):
             p_fwd = plan.p_fwd_w[assoc]
@@ -620,15 +621,13 @@ class Evaluator:
                 else:
                     fwd_e[assoc] += p_fwd * fwd_t
                     rem_span += fwd_t + exec_t
-                if collect:
-                    times.append((at, rt, fin, exec_t, fwd_t, v0))
+                times.append((at, rt, fin, exec_t, fwd_t, v0))
             makespan = f_last - trel
             obj_sum += makespan + task_upload
             span = span_base + (loc_span if loc_span >= rem_span else rem_span)
             if span > hov_t[assoc]:
                 hov_t[assoc] = span
-            if collect:
-                makespans.append(makespan)
+            makespans.append(makespan)
 
         objective = obj_sum / len(self._uplinks)
         totals = [
@@ -840,7 +839,7 @@ class Evaluator:
         plan = self._plan
         slot_of = plan.slot_of
         vec = [slot_of[v] for u in plan.users for v in decision.x[u.user.id]]
-        objective, totals, (times, makespans, exec_e, fwd_e, hov_t) = self._core(vec, collect=True)
+        objective, totals, (times, makespans, exec_e, fwd_e, hov_t) = self._core(vec)
 
         uav_ids = plan.uav_ids
         arrival, ready, finish, exec_s, upload, forward, executor = ({} for _ in range(7))
@@ -879,6 +878,7 @@ class Evaluator:
             executor=executor,
             makespan_s={u.user.id: m for u, m in zip(plan.users, makespans)},
             task_upload_s={u.user.id: link.task_upload for u, link in zip(plan.users, self._uplinks)},
+            uplink_rate_bps={u.user.id: link.rate for u, link in zip(plan.users, self._uplinks)},
             energy=ledger,
             objective_s=objective,
             penalized_s=penalized,

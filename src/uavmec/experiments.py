@@ -17,23 +17,25 @@ SeedSequence([s, 0]) and SeedSequence([s, 1]) respectively, so the two
 never share a stream.
 
 Each input a cell reads is built once and shared by every cell that
-reads the same input: one scenario per generator input (the seed, plus
-the axis value on the users and subtasks axes; the unlimited energy mode
-is that scenario with infinite budgets), one validated evaluator plan
-per generator input, which both energy modes share since it holds no
-budget, one allocation per (scenario, energy mode, allocator) and one
-Evaluator per (scenario, energy mode, allocator, penalty), which every
-cell runs its solver on (through solvers.SOLVERS); each row is read from
-the schedule the run returns. Alternating starts from that Evaluator
-too, and builds one closed-form split Evaluator on the same plan only
-when the cell's split differs. Cells run grouped
-by these keys, holding one input of each kind at a time. results.csv
-stays byte-identical to building every input per cell: each input is a
-pure function of its key, and the only state kept between calls is
-the population layout and scratch on each plan: the layout is a pure
-function of the plan, and the scratch holds nothing a split sets and
-is overwritten before it is read, so no cell sees another's state.
-Rows are sorted into the fixed output order at the end.
+reads the same input. Cells run grouped by generator input: the seed,
+plus the axis value on the users and subtasks axes; a scenario file is
+one generator input whatever the seed. Each group keeps what it builds
+in a memo of its own, keyed by what each build reads: the scenario,
+and its copy with infinite budgets for the unlimited energy mode; one
+validated evaluator plan and one allocation per allocator, both built
+from the generator's own scenario, since neither reads a budget; and
+one Evaluator per (energy mode, allocator, penalty input), which every
+cell runs its solver on (through solvers.SOLVERS). Each row is read
+from the schedule the run returns, its mean uplink rate included.
+Alternating starts from that Evaluator too, and builds one closed-form
+split Evaluator on the same plan only when the cell's split differs.
+results.csv stays byte-identical to building every input per cell:
+each input is a pure function of its key, and the only state kept
+between calls is the population layout and scratch on each plan: the
+layout is a pure function of the plan, and the scratch holds nothing a
+split sets and is overwritten before it is read, so no cell sees
+another's state. Rows are sorted into the fixed output order at the
+end.
 """
 from __future__ import annotations
 
@@ -44,13 +46,11 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from . import channel
-from .channel import BandwidthAllocation
 from .evaluator import UPLOAD_MODELS, Evaluator, PenaltyConfig, _Plan, decision_latency_breakdown
 from .scenario import (
     MB_BITS,
@@ -415,28 +415,25 @@ _SCENARIO_KEYS = _keywords(generate_scenario)
 _GENERATOR_COUNTS = ("uav_count", "active_users", "subtasks_per_task", "subtasks")
 
 
-def mean_uplink_rate(scenario: Scenario, beta) -> float:
-    rates = []
-    for t in scenario.tasks:
-        user = scenario.user_by_id(t.owner_user)
-        uav = scenario.uav_by_id(user.associated_uav)
-        rates.append(
-            channel.user_uplink_rate(
-                user, uav, beta.fraction(uav.id, user.id), scenario.physics
-            )
-        )
-    return math.fsum(rates) / len(rates)
+def _generator_input(
+    spec: ExperimentSpec, seed: int, value
+) -> Tuple[Tuple, Callable[[], Scenario]]:
+    """A cell's generator input: its key and the build of its scenario.
 
-
-def _build_scenario(spec: ExperimentSpec, seed: int, value) -> Scenario:
+    The key is the seed, plus the axis value's text on the users and
+    subtasks axes, the only axes whose value the generator reads; a
+    scenario file, read whatever the seed, has the key ().
+    """
     if spec.scenario_file:
-        return load_scenario(spec.scenario_file)
+        return (), lambda: load_scenario(spec.scenario_file)
     if spec.axis == "users":
-        return generate_user_sweep_family(seed, value, **spec.generator)
+        return (seed, str(value)), lambda: generate_user_sweep_family(seed, value, **spec.generator)
     params = dict(spec.generator)
+    key: Tuple = (seed,)
     if spec.axis == "subtasks":
         params["subtasks_per_task"] = value
-    return generate_scenario(np.random.SeedSequence([int(seed), 0]), **params)
+        key = (seed, str(value))
+    return key, lambda: generate_scenario(np.random.SeedSequence([int(seed), 0]), **params)
 
 
 def _penalty_for(spec: ExperimentSpec, value) -> PenaltyConfig:
@@ -449,97 +446,74 @@ def _penalty_for(spec: ExperimentSpec, value) -> PenaltyConfig:
     return PenaltyConfig(lambda_=spec.penalty_lambda)
 
 
-def _input_key(spec: ExperimentSpec, value, seed: int, alloc: str, emode: str) -> Tuple:
-    """(generator input, energy mode, allocator, penalty input) of a cell.
-
-    Its prefixes key the inputs the cell reads: the generated scenario,
-    the scenario in its energy mode, the allocation and the Evaluator.
-    The generator reads the axis value only on the users and subtasks
-    axes, and the penalty only on the penalty_lambda axis.
-    """
-    gen = (seed, str(value)) if spec.axis in ("users", "subtasks") else (seed,)
-    pen = str(value) if spec.axis == "penalty_lambda" else ""
-    return (gen, emode, alloc, pen)
-
-
-def _cells(spec: ExperimentSpec) -> List[Tuple[Tuple, object, int, str, str, str]]:
-    """Every cell of the sweep as (input key, value, seed, solver,
-    allocator, energy mode), sorted by input key."""
+def _cells(spec: ExperimentSpec) -> Dict[Tuple, Tuple[Callable[[], Scenario], List[Tuple]]]:
+    """Every cell of the sweep as (value, seed, solver, allocator,
+    energy mode), grouped by generator input: key -> (scenario build,
+    cells)."""
     solvers = spec.values if spec.axis == "solver" else spec.solvers
     allocators = spec.values if spec.axis == "allocator" else spec.allocators
     emodes = spec.values if spec.axis == "energy_mode" else spec.energy_modes
-    cells = []
+    groups: Dict[Tuple, Tuple[Callable[[], Scenario], List[Tuple]]] = {}
     for value in spec.values:
         for seed in spec.seeds:
+            key, build = _generator_input(spec, seed, value)
+            cells = groups.setdefault(key, (build, []))[1]
             for solver in [value] if spec.axis == "solver" else solvers:
                 for alloc in [value] if spec.axis == "allocator" else allocators:
                     for emode in [value] if spec.axis == "energy_mode" else emodes:
-                        key = _input_key(spec, value, seed, str(alloc), str(emode))
-                        cells.append((key, value, seed, str(solver), str(alloc), str(emode)))
-    return sorted(cells, key=lambda c: c[0])
+                        cells.append((value, seed, str(solver), str(alloc), str(emode)))
+    return groups
 
 
 class _SharedInputs:
-    """The scenario, plan, allocation and Evaluator of the current cell.
-
-    Each is built on first use and held until a cell asks for it under
-    another key. Cells run sorted by _input_key, so each is built once
-    per sweep and only one of each is held at a time. A build error is
-    held too and re-raised for every cell that reads the input, so each
-    of those cells records the error it would have met building it.
+    """The inputs the cells of one generator input read, each built on
+    first use and kept for the group under a key naming what its build
+    reads: the scenario, and its unlimited copy; the plan, and one
+    allocation per allocator, both built from the generator's own
+    scenario, since neither reads a budget; one Evaluator per (energy
+    mode, allocator, penalty input). A build error is kept too and
+    re-raised for every cell that reads the input, so each of those
+    cells records the error it would have met building it.
     """
 
-    def __init__(self, spec: ExperimentSpec):
+    def __init__(self, spec: ExperimentSpec, build: Callable[[], Scenario]):
         self.spec = spec
-        self._held: Dict[str, Tuple] = {}
+        self._build = build
+        self._memo: Dict[Tuple, Tuple] = {}
 
-    def _get(self, kind: str, key: Tuple, build):
-        held = self._held.get(kind)
-        if held is None or held[0] != key:
+    def _get(self, key: Tuple, build):
+        held = self._memo.get(key)
+        if held is None:
             try:
-                held = (key, build(), None)
+                held = (build(), None)
             except Exception as exc:  # noqa: BLE001 - re-raised per reading cell
-                held = (key, None, exc)
-            self._held[kind] = held
-        if held[2] is not None:
-            raise held[2]
-        return held[1]
+                held = (None, exc)
+            self._memo[key] = held
+        if held[1] is not None:
+            raise held[1]
+        return held[0]
 
-    def scenario(self, key: Tuple, seed: int, value) -> Scenario:
-        scen = self._get("scenario", key[:1], lambda: _build_scenario(self.spec, seed, value))
-        if key[1] != "unlimited":
-            return scen
-        return self._get("unlimited", key[:2], lambda: with_unlimited_energy(scen))
-
-    def plan(self, key: Tuple, scenario: Scenario) -> _Plan:
-        """The plan of the generator input, which validates it; the
-        energy modes differ only in budgets, which no plan holds."""
-        return self._get("plan", key[:1], lambda: _Plan(scenario))
-
-    def allocation(self, key: Tuple, scenario: Scenario) -> BandwidthAllocation:
-        return self._get("allocation", key[:3], lambda: ALLOCATORS[key[2]](scenario))
-
-    def evaluator(
-        self, key: Tuple, scenario: Scenario, plan: _Plan, beta: BandwidthAllocation,
-        penalty: PenaltyConfig,
-    ) -> Evaluator:
+    def evaluator(self, emode: str, alloc: str, pen: str, penalty: PenaltyConfig) -> Evaluator:
+        scen = self._get(("scenario",), self._build)
+        plan = self._get(("plan",), lambda: _Plan(scen))
+        beta = self._get(("allocation", alloc), lambda: ALLOCATORS[alloc](scen))
+        if emode == "unlimited":
+            scen = self._get(("unlimited",), lambda: with_unlimited_energy(scen))
         return self._get(
-            "evaluator",
-            key,
-            lambda: Evaluator(scenario, beta, penalty, self.spec.upload_model, _plan=plan),
+            ("evaluator", emode, alloc, pen),
+            lambda: Evaluator(scen, beta, penalty, self.spec.upload_model, _plan=plan),
         )
 
 
 def _run_cell(
     spec: ExperimentSpec,
     inputs: _SharedInputs,
-    key: Tuple,
-    seed: int,
     value,
+    seed: int,
     solver: str,
+    alloc: str,
+    emode: str,
 ) -> Tuple[Dict[str, object], Optional[List[float]]]:
-    scenario = inputs.scenario(key, seed, value)
-    plan = inputs.plan(key, scenario)
     penalty = _penalty_for(spec, value)
     agents = value if spec.axis == "agents" else spec.agents
     cfg = DwoaConfig(
@@ -549,18 +523,20 @@ def _run_cell(
         seed=solver_seed(seed),
         upload_model=spec.upload_model,
     )
-    ev = inputs.evaluator(key, scenario, plan, inputs.allocation(key, scenario), penalty)
-    run = SOLVER_FNS[solver](ev, cfg)
+    # the penalty input: the axis value on the penalty_lambda axis only
+    pen = str(value) if spec.axis == "penalty_lambda" else ""
+    run = SOLVER_FNS[solver](inputs.evaluator(emode, alloc, pen, penalty), cfg)
     result = run.schedule
     br = decision_latency_breakdown(result)
     comm = math.fsum(result.task_upload_s.values()) / len(result.task_upload_s)
+    rates = result.uplink_rate_bps
     return (
         dict(
             objective_s=result.objective_s,
             computation_s=br["computation"],
             distributed_s=br["distributed"],
             comm_s=comm,
-            mean_rate_bps=mean_uplink_rate(scenario, run.beta),
+            mean_rate_bps=math.fsum(rates.values()) / len(rates),
             energy_j=dict(sorted(result.energy.total_j.items())),
             feasible=result.feasible,
         ),
@@ -610,28 +586,30 @@ def run_experiment(spec: ExperimentSpec) -> Tuple[List[ResultRow], Dict[str, str
     os.makedirs(traces_dir, exist_ok=True)
 
     rows: List[ResultRow] = []
-    inputs = _SharedInputs(spec)
-    for key, value, seed, solver, alloc, emode in _cells(spec):
-        row = ResultRow(
-            experiment=spec.experiment_id,
-            seed=seed,
-            axis=spec.axis,
-            value=str(value),
-            solver=solver,
-            allocator=alloc,
-            energy_mode=emode,
-        )
-        t0 = time.perf_counter()
-        try:
-            metrics, trace = _run_cell(spec, inputs, key, seed, value, solver)
-            for k, v in metrics.items():
-                setattr(row, k, v)
-            if trace is not None:
-                _write_trace(traces_dir, row, trace)
-        except Exception as exc:  # noqa: BLE001 - per-cell isolation
-            row.error = f"{type(exc).__name__}: {exc}"
-        row.wall_time_s = time.perf_counter() - t0
-        rows.append(row)
+    for build, cells in _cells(spec).values():
+        inputs = _SharedInputs(spec, build)
+        for cell in cells:
+            value, seed, solver, alloc, emode = cell
+            row = ResultRow(
+                experiment=spec.experiment_id,
+                seed=seed,
+                axis=spec.axis,
+                value=str(value),
+                solver=solver,
+                allocator=alloc,
+                energy_mode=emode,
+            )
+            t0 = time.perf_counter()
+            try:
+                metrics, trace = _run_cell(spec, inputs, *cell)
+                for k, v in metrics.items():
+                    setattr(row, k, v)
+                if trace is not None:
+                    _write_trace(traces_dir, row, trace)
+            except Exception as exc:  # noqa: BLE001 - per-cell isolation
+                row.error = f"{type(exc).__name__}: {exc}"
+            row.wall_time_s = time.perf_counter() - t0
+            rows.append(row)
 
     value_pos = {str(v): i for i, v in enumerate(spec.values)}
     rows.sort(key=lambda r: (value_pos[r.value], r.seed, *_scheme(r)))
@@ -805,7 +783,8 @@ def _trace_series(
         flagged = 0
         total = 0
         for r in rows:
-            if r.value != value or r.error:
+            # only the searching solvers write a trace
+            if r.value != value or r.error or r.solver not in SEARCHING_SOLVERS:
                 continue
             total += 1
             if r.feasible is False:

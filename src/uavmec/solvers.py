@@ -31,7 +31,7 @@ from .evaluator import (
     ScheduleResult,
     decision_from_vector,
 )
-from .scenario import Scenario
+from .scenario import Scenario, UavNode, UserNode
 
 
 # Decisions scored per array pass by exhaustive_solve. It bounds the
@@ -170,18 +170,10 @@ def _swarm_config(cfg: DwoaConfig) -> Dict[str, object]:
     }
 
 
-def discretize_slot(x: float, v_count: int) -> int:
-    """Continuous coordinate -> UAV slot: round half down, clamp to [1, V]."""
-    k = math.ceil(x - 0.5)
-    if k < 1:
-        return 1
-    if k > v_count:
-        return v_count
-    return k
-
-
 def discretize_vector(position: Sequence[float], v_count: int) -> Tuple[int, ...]:
-    return tuple(discretize_slot(x, v_count) for x in position)
+    """discretize_population of one position."""
+    row = np.asarray(position, dtype=float).reshape(1, -1)
+    return tuple(discretize_population(row, v_count)[0].tolist())
 
 
 def discretize(position: Sequence[float], scenario: Scenario) -> OffloadDecision:
@@ -192,8 +184,9 @@ def discretize(position: Sequence[float], scenario: Scenario) -> OffloadDecision
 
 
 def discretize_population(positions: np.ndarray, v_count: int) -> np.ndarray:
-    """discretize_slot over a whole (N, M) position matrix, as an (N, M)
-    integer slot matrix."""
+    """Continuous coordinates -> UAV slots, round half down and clamped to
+    [1, V], over a whole (N, M) position matrix, as an (N, M) integer
+    slot matrix."""
     return np.clip(np.ceil(positions - 0.5), 1, v_count).astype(np.intp)
 
 
@@ -571,19 +564,29 @@ def alloc_equal(scenario: Scenario) -> BandwidthAllocation:
     return BandwidthAllocation(fractions)
 
 
-def alloc_proportional(scenario: Scenario) -> BandwidthAllocation:
-    """Splits each UAV's uplink over its active users proportional to
-    their total task input size."""
+def _normalized_split(
+    scenario: Scenario, weight: Callable[[UserNode, UavNode, float], float]
+) -> BandwidthAllocation:
+    """Splits each UAV's uplink over its active users with bits to send,
+    proportional to weight(user, uav, total input bits); a UAV whose
+    weights sum to zero gets no entry."""
     bits = _active_bits(scenario)
     fractions = {}
     for v in scenario.uavs:
         users = [u for u in scenario.users_of_uav(v.id) if bits.get(u.id, 0.0) > 0]
-        total = math.fsum(bits[u.id] for u in users)
+        weights = [weight(u, v, bits[u.id]) for u in users]
+        total = math.fsum(weights)
         if total <= 0:
             continue
-        for u in users:
-            fractions[(v.id, u.id)] = bits[u.id] / total
+        for u, w in zip(users, weights):
+            fractions[(v.id, u.id)] = w / total
     return BandwidthAllocation(fractions)
+
+
+def alloc_proportional(scenario: Scenario) -> BandwidthAllocation:
+    """Splits each UAV's uplink over its active users proportional to
+    their total task input size."""
+    return _normalized_split(scenario, lambda u, v, bits: bits)
 
 
 def alloc_optimal(scenario: Scenario) -> BandwidthAllocation:
@@ -597,24 +600,15 @@ def alloc_optimal(scenario: Scenario) -> BandwidthAllocation:
     uplink once wherever it executes, so the split does not depend on
     the offloading decision.
     """
-    bits = _active_bits(scenario)
     ph = scenario.physics
-    fractions = {}
-    for v in scenario.uavs:
-        users = [u for u in scenario.users_of_uav(v.id) if bits.get(u.id, 0.0) > 0]
-        weights = {}
-        for u in users:
-            budget = channel.user_uplink_budget(u, v, 1.0, ph)
-            gamma = math.log2(1.0 + budget.snr)
-            if gamma <= 0:
-                raise ValueError(f"user {u.id}: zero spectral efficiency")
-            weights[u.id] = math.sqrt(bits[u.id] / gamma)
-        total = math.fsum(weights.values())
-        if total <= 0:
-            continue
-        for u in users:
-            fractions[(v.id, u.id)] = weights[u.id] / total
-    return BandwidthAllocation(fractions)
+
+    def weight(u: UserNode, v: UavNode, bits: float) -> float:
+        gamma = math.log2(1.0 + channel.user_uplink_budget(u, v, 1.0, ph).snr)
+        if gamma <= 0:
+            raise ValueError(f"user {u.id}: zero spectral efficiency")
+        return math.sqrt(bits / gamma)
+
+    return _normalized_split(scenario, weight)
 
 
 ALLOCATORS = {

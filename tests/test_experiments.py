@@ -23,7 +23,7 @@ from uavmec import (
     DwoaConfig, PenaltyConfig, alloc_proportional, generate_scenario, save_scenario,
     validate_scenario,
 )
-from uavmec import evaluator, experiments, solvers
+from uavmec import channel, evaluator, experiments, solvers
 from uavmec.evaluator import Evaluator
 from uavmec.experiments import FIGURES, ResultRow, summary_to_csv
 
@@ -377,22 +377,23 @@ def _output_digests(paths):
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Counts generate_scenario calls made by the sweep and Evaluator
-    constructions anywhere."""
-    counts = {"scenarios": 0, "evaluators": 0}
-    generate = experiments.generate_scenario
-    init = Evaluator.__init__
+    """Counts the generate_scenario and load_scenario calls made by the
+    sweep, the allocator calls made through solvers.ALLOCATORS and
+    Evaluator constructions anywhere."""
+    counts = {"scenarios": 0, "loads": 0, "allocations": 0, "evaluators": 0}
 
-    def counting_generate(*args, **kwargs):
-        counts["scenarios"] += 1
-        return generate(*args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    def counting_init(self, *args, **kwargs):
-        counts["evaluators"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(experiments, "generate_scenario", counting_generate)
-    monkeypatch.setattr(Evaluator, "__init__", counting_init)
+    monkeypatch.setattr(experiments, "generate_scenario",
+                        counting("scenarios", experiments.generate_scenario))
+    monkeypatch.setattr(experiments, "load_scenario", counting("loads", experiments.load_scenario))
+    for alloc, fn in solvers.ALLOCATORS.items():
+        monkeypatch.setitem(solvers.ALLOCATORS, alloc, counting("allocations", fn))
+    monkeypatch.setattr(Evaluator, "__init__", counting("evaluators", Evaluator.__init__))
     return counts
 
 
@@ -434,13 +435,55 @@ def test_sweep_builds_each_input_once(tmp_path, build_counts, plan_counts, layou
     )
     rows, _paths = run_experiment(spec)
     assert len(rows) == 24 and not any(r.error for r in rows)
-    # one scenario per seed; one Evaluator per (seed, mode, allocator),
+    # one scenario per seed; one allocation per (seed, allocator), which
+    # both energy modes share; one Evaluator per (seed, mode, allocator),
     # shared by the associated and the dwoa cell and their result()
-    assert build_counts == {"scenarios": 2, "evaluators": 12}
+    assert build_counts == {"scenarios": 2, "loads": 0, "allocations": 6, "evaluators": 12}
     # one plan per seed, shared by its 3 allocators x 2 energy modes
     assert plan_counts == {"plans": 2}
     # and laid out once, by the first of its six swarms
     assert layout_counts == {"layouts": 2}
+
+
+def test_file_sweep_builds_each_input_once(tmp_path, build_counts, plan_counts):
+    save_scenario(generate_scenario(np.random.SeedSequence([0, 0]), **BIND_GEN),
+                  tmp_path / "scen.json")
+    spec = _shared_spec(
+        tmp_path,
+        axis="allocator",
+        values=("equal", "optimal"),
+        seeds=(0, 1, 2),
+        scenario_file=str(tmp_path / "scen.json"),
+        generator={},
+        solvers=("associated", "dwoa"),
+        energy_modes=("limited", "unlimited"),
+    )
+    rows, _paths = run_experiment(spec)
+    assert len(rows) == 24 and not any(r.error for r in rows)
+    # the file is one generator input, whatever the seed
+    assert build_counts == {"scenarios": 0, "loads": 1, "allocations": 2, "evaluators": 4}
+    assert plan_counts == {"plans": 1}
+
+
+@pytest.mark.parametrize("alloc", sorted(solvers.ALLOCATORS))
+def test_allocations_read_no_budget(alloc):
+    # the sweep builds one allocation for both energy modes
+    scen = generate_scenario(np.random.SeedSequence([0, 0]), **ALLOC_GEN)
+    allocate = solvers.ALLOCATORS[alloc]
+    assert allocate(with_unlimited_energy(scen)).fractions == allocate(scen).fractions
+
+
+@pytest.mark.parametrize("alloc", sorted(solvers.ALLOCATORS))
+def test_schedule_uplink_rates_are_the_channels(alloc):
+    scen = generate_scenario(np.random.SeedSequence([0, 0]), **ALLOC_GEN)
+    beta = solvers.ALLOCATORS[alloc](scen)
+    res = Evaluator(scen, beta).result(solvers.associated_decision(scen))
+    assert len(res.uplink_rate_bps) == len(scen.tasks) == 2
+    for t in scen.tasks:
+        user = scen.user_by_id(t.owner_user)
+        uav = scen.uav_by_id(user.associated_uav)
+        want = channel.user_uplink_rate(user, uav, beta.fraction(uav.id, user.id), scen.physics)
+        assert res.uplink_rate_bps[user.id] == want
 
 
 def test_alternating_closed_form_evaluator_shares_the_plan(tmp_path, build_counts, plan_counts):
@@ -484,7 +527,7 @@ def test_alternating_cells_build_one_closed_form_evaluator_at_most(tmp_path, bui
     # the 12 shared Evaluators, plus a closed-form split one for each
     # equal-split alternating cell; each UAV serves at most one active
     # user here, so the proportional split already is the closed form
-    assert build_counts == {"scenarios": 2, "evaluators": 16}
+    assert build_counts == {"scenarios": 2, "loads": 0, "allocations": 6, "evaluators": 16}
 
 
 # three UAVs serving 2-10 users each; both active users share UAV 3, so
@@ -540,7 +583,7 @@ def test_subtasks_axis_generates_per_seed_and_value(tmp_path, build_counts):
     )
     rows, _paths = run_experiment(spec)
     assert len(rows) == 16 and not any(r.error for r in rows)
-    assert build_counts == {"scenarios": 4, "evaluators": 8}
+    assert build_counts == {"scenarios": 4, "loads": 0, "allocations": 4, "evaluators": 8}
 
 
 # results.csv and trace digests captured before the sweep shared its
@@ -919,6 +962,23 @@ def test_convergence_series_from_traces(tmp_path):
     vals = [float(l.split(",")[1]) for l in lines[2:]]
     assert vals == sorted(vals, reverse=True)
     assert len(vals) == spec.max_iterations
+
+
+def test_penalty_factors_read_the_traces_of_searching_rows_only(tmp_path):
+    spec = _shared_spec(tmp_path, axis="penalty_lambda", values=(0.01, "hard"), agents=5,
+                        solvers=("associated", "dwoa"))
+    rows, paths = run_experiment(spec)
+
+    def figure(rows, name):
+        out = tmp_path / name
+        files = emit_plot_data(rows, "penalty-factors", str(out), traces_dir=paths["traces"])
+        return {os.path.relpath(p, out): open(p, encoding="utf-8").read() for p in files}
+
+    dwoa = [r for r in rows if r.solver == "dwoa"]
+    assert figure(rows, "all") == figure(dwoa, "dwoa")
+    os.remove(os.path.join(paths["traces"], experiments._trace_name(dwoa[0])))
+    with pytest.raises(ValueError, match="missing trace file"):
+        figure(rows, "missing")
 
 
 def test_figures_registry_complete():

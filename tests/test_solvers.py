@@ -43,7 +43,7 @@ from uavmec.scenario import (
 )
 from uavmec.evaluator import decision_to_vector
 from uavmec.solvers import SPIRAL_B, _bounded, _decode, _moved_positions
-from uavmec.solvers import discretize, discretize_population, discretize_slot
+from uavmec.solvers import discretize, discretize_population
 
 import oracles
 from conftest import desk_scenario, hand_scenario, random_decision, run_digest
@@ -51,15 +51,20 @@ from conftest import desk_scenario, hand_scenario, random_decision, run_digest
 
 # ---------------------------------------------------------------- discretize
 
+def _slot(x: float, v_count: int) -> int:
+    """The slot discretize_vector gives one coordinate."""
+    return discretize_vector((x,), v_count)[0]
+
+
 def test_discretize_slot_goldens():
-    assert discretize_slot(2.4, 4) == 2
-    assert discretize_slot(0.3, 4) == 1  # clamped from below
-    assert discretize_slot(4.9, 4) == 4  # clamped from above
-    assert discretize_slot(1.5, 4) == 1  # ties round down
-    assert discretize_slot(2.5, 4) == 2
-    assert discretize_slot(3.5001, 4) == 4
-    assert discretize_slot(1.0, 4) == 1
-    assert discretize_slot(4.0, 4) == 4
+    assert _slot(2.4, 4) == 2
+    assert _slot(0.3, 4) == 1  # clamped from below
+    assert _slot(4.9, 4) == 4  # clamped from above
+    assert _slot(1.5, 4) == 1  # ties round down
+    assert _slot(2.5, 4) == 2
+    assert _slot(3.5001, 4) == 4
+    assert _slot(1.0, 4) == 1
+    assert _slot(4.0, 4) == 4
 
 
 def test_discretize_population_matches_slot_goldens():
@@ -67,8 +72,9 @@ def test_discretize_population_matches_slot_goldens():
     assert discretize_population(xs, 4).tolist() == [[2, 1, 4, 1], [2, 4, 1, 4]]
     grid = np.linspace(0.0, 8.0, 4001).reshape(1, -1)
     for v in (2, 3, 7):
+        # the rule spelled out: round half down, clamp to [1, V]
         assert discretize_population(grid, v)[0].tolist() == [
-            discretize_slot(float(x), v) for x in grid[0]
+            min(max(math.ceil(float(x) - 0.5), 1), v) for x in grid[0]
         ]
 
 
@@ -84,7 +90,7 @@ def test_discretize_covers_all_slots_uniformly():
     # every integer slot owns a unit-width window of the continuous axis
     for v in (2, 3, 4, 7):
         xs = np.linspace(1.0, v, 2000)
-        slots = [discretize_slot(float(x), v) for x in xs]
+        slots = [_slot(float(x), v) for x in xs]
         assert set(slots) == set(range(1, v + 1))
         assert slots == sorted(slots)
 
