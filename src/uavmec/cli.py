@@ -23,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .evaluator import Evaluator, PenaltyConfig
+from .evaluator import PENALTY_MODES, UPLOAD_MODELS, Evaluator, _penalty
 from .experiments import (
     FIGURES,
     ExperimentSpec,
@@ -67,11 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--agents", type=int, default=100)
     s.add_argument("--iters", type=int, default=50)
     s.add_argument("--lambda", dest="lambda_", type=float, default=0.1)
-    s.add_argument("--penalty-mode", choices=("penalty", "hard"), default="penalty")
-    s.add_argument("--upload-model", choices=("cumulative", "independent"), default="cumulative")
-    s.add_argument("--uavs", type=int, default=4)
-    s.add_argument("--active", type=int, default=3)
-    s.add_argument("--subtasks", type=int, default=10)
+    s.add_argument("--penalty-mode", choices=PENALTY_MODES, default="penalty")
+    s.add_argument("--upload-model", choices=UPLOAD_MODELS, default="cumulative")
+    # generation only; the generator's defaults (4, 3, 10) when omitted
+    s.add_argument("--uavs", dest="uav_count", type=int, default=argparse.SUPPRESS)
+    s.add_argument("--active", dest="active_users", type=int, default=argparse.SUPPRESS)
+    s.add_argument("--subtasks", dest="subtasks_per_task", type=int, default=argparse.SUPPRESS)
     s.add_argument("--out", default=None, help="write the run as JSON here")
 
     w = sub.add_parser("sweep", help="run an experiment spec file")
@@ -109,20 +110,15 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    penalty = _penalty(args.penalty_mode, args.lambda_)
+    shape = {k: v for k, v in vars(args).items() if k in ("uav_count", "active_users", "subtasks_per_task")}
     if args.scenario:
+        if shape:
+            raise ValueError("--uavs, --active and --subtasks shape a generated scenario; "
+                             "drop them next to --scenario")
         scenario = load_scenario(args.scenario)
     else:
-        scenario = generate_scenario(
-            np.random.SeedSequence([args.seed, 0]),
-            uav_count=args.uavs,
-            active_users=args.active,
-            subtasks_per_task=args.subtasks,
-        )
-    penalty = (
-        PenaltyConfig(mode="hard")
-        if args.penalty_mode == "hard"
-        else PenaltyConfig(lambda_=args.lambda_)
-    )
+        scenario = generate_scenario(np.random.SeedSequence([args.seed, 0]), **shape)
     cfg = DwoaConfig(
         agents=args.agents,
         max_iterations=args.iters,

@@ -56,6 +56,7 @@ from .timing import EnergyLedger, hover_power_w
 HARD_REJECT = 1e18
 
 UPLOAD_MODELS = ("cumulative", "independent")
+PENALTY_MODES = ("penalty", "hard")
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,21 @@ class PenaltyConfig:
     or a hard rejection of infeasible decisions."""
 
     lambda_: float = 0.1
-    mode: str = "penalty"  # or "hard"
+    mode: str = "penalty"  # one of PENALTY_MODES
 
     def __post_init__(self):
-        if self.mode not in ("penalty", "hard"):
+        if self.mode not in PENALTY_MODES:
             raise ValueError(f"unknown penalty mode {self.mode!r}")
-        if self.mode == "penalty" and self.lambda_ <= 0:
-            raise ValueError("lambda must be positive in penalty mode")
+        lam = self.lambda_
+        number = isinstance(lam, (int, float, np.integer, np.floating)) and not isinstance(lam, bool)
+        # an int past the float range would only overflow when scored
+        if self.mode == "penalty" and not (number and 0 < lam <= float(np.finfo(float).max)):
+            raise ValueError(f"lambda must be a finite number > 0 in penalty mode, got {lam!r}")
+
+
+def _penalty(mode: str, lambda_) -> PenaltyConfig:
+    """A run's penalty; hard mode reads no lambda and keeps the default."""
+    return PenaltyConfig(mode=mode) if mode == "hard" else PenaltyConfig(lambda_, mode)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .evaluator import UPLOAD_MODELS, Evaluator, PenaltyConfig, _Plan, decision_latency_breakdown
+from .evaluator import UPLOAD_MODELS, Evaluator, PenaltyConfig, _penalty, _Plan, decision_latency_breakdown
 from .scenario import (
     MB_BITS,
     PhysicsConstants,
@@ -66,7 +66,9 @@ from .solvers import (
     ALLOCATORS,
     SOLVERS as SOLVER_FNS,
     DwoaConfig,
+    _count,
     _integer,
+    _SWARM_COUNTS,
     dwoa_solve,  # noqa: F401 - kept importable from this module
     exhaustive_solve,  # noqa: F401
     solver_seed,
@@ -134,20 +136,23 @@ class ExperimentSpec:
             entries = getattr(self, name)
             if len(set(entries)) != len(entries):
                 out.append(f"{name} must be distinct, got {list(entries)}")
-        if self.penalty_mode not in ("penalty", "hard"):
-            out.append(f"unknown penalty mode {self.penalty_mode!r}")
+        # the penalty of every cell, built as each cell builds it
+        for v in self.values if self.axis == "penalty_lambda" else (None,):
+            try:
+                _penalty_for(self, v)
+            except ValueError as exc:
+                out.append(str(exc))
         if self.upload_model not in UPLOAD_MODELS:
             out.append(f"unknown upload model {self.upload_model!r}")
         # whole numbers, by DwoaConfig's rule: never truncated to one; and
         # in the ranges DwoaConfig and the scenario generators enforce, so
         # no cell can only record their ValueError. (name, value, low,
         # high), None for no upper bound
-        agents = (1, 2**32 - 1)
-        counts = [("agents", self.agents, *agents), ("max_iterations", self.max_iterations, 0, None)]
-        counts += [("seed", s, 0, None) for s in self.seeds]
+        swarm = dict(agents=(self.agents,), max_iterations=(self.max_iterations,), seed=self.seeds)
+        counts = [(name, v, *bounds) for name, bounds in _SWARM_COUNTS.items() for v in swarm[name]]
         counts += [(f"generator {k}", self.generator[k], 1, None) for k in _GENERATOR_COUNTS
                    if k in self.generator]
-        axis_range = {"agents": agents, "subtasks": (1, None)}.get(self.axis)
+        axis_range = {"agents": _SWARM_COUNTS["agents"], "subtasks": (1, None)}.get(self.axis)
         if self.axis == "users":
             # generate_user_sweep_family's range
             try:
@@ -159,14 +164,9 @@ class ExperimentSpec:
             counts += [(f"{self.axis} value", v, *axis_range) for v in self.values]
         for name, v, low, high in counts:
             try:
-                k = _integer(name, v)
+                _count(name, v, low, high)
             except ValueError as exc:
                 out.append(str(exc))
-                continue
-            if k < low:
-                out.append(f"{name} must be >= {low}, got {v!r}")
-            elif high is not None and k > high:
-                out.append(f"{name} must be <= {high}, got {v!r}")
         if self.axis in ("users", "subtasks") and self.scenario_file:
             out.append(f"axis {self.axis} regenerates scenarios; scenario_file unsupported")
         if self.scenario_file and self.generator:
@@ -191,10 +191,6 @@ class ExperimentSpec:
             bad = [s for s in solvers if s not in SEARCHING_SOLVERS]
             if bad:
                 out.append(f"agents axis needs a searching solver, got {bad}")
-        if self.axis == "penalty_lambda":
-            for v in self.values:
-                if v != "hard" and (not isinstance(v, (int, float)) or v <= 0):
-                    out.append(f"penalty_lambda value {v!r} must be positive or 'hard'")
         # cells, results.csv rows and trace files are keyed by the value's text
         texts = [str(v) for v in self.values]
         if len(set(texts)) != len(texts):
@@ -437,30 +433,25 @@ def _generator_input(
 
 
 def _penalty_for(spec: ExperimentSpec, value) -> PenaltyConfig:
+    """A cell's penalty: on the penalty_lambda axis, hard mode for the
+    value "hard" and the value as lambda otherwise."""
     if spec.axis == "penalty_lambda":
-        if value == "hard":
-            return PenaltyConfig(mode="hard")
-        return PenaltyConfig(lambda_=float(value))
-    if spec.penalty_mode == "hard":
-        return PenaltyConfig(mode="hard")
-    return PenaltyConfig(lambda_=spec.penalty_lambda)
+        return _penalty("hard" if value == "hard" else "penalty", value)
+    return _penalty(spec.penalty_mode, spec.penalty_lambda)
 
 
 def _cells(spec: ExperimentSpec) -> Dict[Tuple, Tuple[Callable[[], Scenario], List[Tuple]]]:
     """Every cell of the sweep as (value, seed, solver, allocator,
     energy mode), grouped by generator input: key -> (scenario build,
     cells)."""
-    solvers = spec.values if spec.axis == "solver" else spec.solvers
-    allocators = spec.values if spec.axis == "allocator" else spec.allocators
-    emodes = spec.values if spec.axis == "energy_mode" else spec.energy_modes
     groups: Dict[Tuple, Tuple[Callable[[], Scenario], List[Tuple]]] = {}
     for value in spec.values:
         for seed in spec.seeds:
             key, build = _generator_input(spec, seed, value)
             cells = groups.setdefault(key, (build, []))[1]
-            for solver in [value] if spec.axis == "solver" else solvers:
-                for alloc in [value] if spec.axis == "allocator" else allocators:
-                    for emode in [value] if spec.axis == "energy_mode" else emodes:
+            for solver in [value] if spec.axis == "solver" else spec.solvers:
+                for alloc in [value] if spec.axis == "allocator" else spec.allocators:
+                    for emode in [value] if spec.axis == "energy_mode" else spec.energy_modes:
                         cells.append((value, seed, str(solver), str(alloc), str(emode)))
     return groups
 

@@ -66,6 +66,21 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _count(name: str, value, low: int, high: Optional[int]) -> int:
+    """value as a plain int in [low, high], high None for no bound."""
+    k = _integer(name, value)
+    if k < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    if high is not None and k > high:
+        raise ValueError(f"{name} must be <= {high}, got {value!r}")
+    return k
+
+
+# name -> (low, high) of each swarm count: agent indices are 32-bit bounded
+# draws; 0 iterations degenerates to random search over the initial pool
+_SWARM_COUNTS = {"agents": (1, 2**32 - 1), "max_iterations": (0, None), "seed": (0, None)}
+
+
 @dataclass(frozen=True)
 class DwoaConfig:
     agents: int = 100
@@ -75,17 +90,9 @@ class DwoaConfig:
     upload_model: str = "cumulative"
 
     def __post_init__(self):
-        for name in ("agents", "max_iterations", "seed"):
+        for name, (low, high) in _SWARM_COUNTS.items():
             # plain int, so numpy integers serialize like any other
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        # the swarm draws agent indices with 32-bit bounded draws
-        if not 1 <= self.agents < 2**32:
-            raise ValueError("agents must be >= 1 and < 2**32")
-        # 0 is allowed and degenerates to random search over the initial pool
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            object.__setattr__(self, name, _count(name, getattr(self, name), low, high))
 
 
 @dataclass
@@ -382,8 +389,7 @@ def woa_init(
     columns, are reproducible regardless of N). Each agent's stream is
     read once, as raw words: its initial position, then the
     coefficients of all max_iterations steps (see _decode)."""
-    if not 1 <= agents < 2**32:
-        raise ValueError("agents must be in [1, 2**32)")
+    agents = _count("agents", agents, *_SWARM_COUNTS["agents"])
     bits = [np.random.PCG64(ss) for ss in np.random.SeedSequence(seed).spawn(agents)]
     pos, coefficients = _decode(bits, m, v_count, max_iterations)
     values = fitness(discretize_population(pos, v_count))

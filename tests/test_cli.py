@@ -252,3 +252,46 @@ def test_solve_json_goldens(tmp_path, capsys, solver):
     assert rc == (2 if solver == "associated" else 0)
     with open(out, encoding="utf-8") as f:
         assert run_digest(json.load(f)) == SOLVE_JSON_GOLDENS[solver]
+
+
+# a small inline-generated instance; at full scale it is energy-infeasible
+SMALL = ["--uavs", "2", "--active", "1", "--subtasks", "3", "--agents", "4", "--iters", "1"]
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_solve_rejects_a_non_finite_lambda(capsys, lam):
+    assert main(["solve", "--lambda", lam, *SMALL]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"lambda must be a finite number > 0 in penalty mode, got {lam}" in err
+
+
+def test_solve_hard_mode_reads_no_lambda(tmp_path):
+    run_file = str(tmp_path / "run.json")
+    rc = main(["solve", "--scenario", _scenario_file(tmp_path), "--solver", "dwoa", "--agents", "4",
+               "--iters", "2", "--penalty-mode", "hard", "--lambda", "5", "--out", run_file])
+    assert rc == 0
+    config = json.loads(open(run_file).read())["config"]
+    assert (config["penalty_mode"], config["lambda"]) == ("hard", 0.1)
+
+
+@pytest.mark.parametrize("flag, value", [("--uavs", "7"), ("--active", "2"), ("--subtasks", "99")])
+def test_solve_rejects_generation_flags_next_to_a_scenario_file(tmp_path, capsys, flag, value):
+    # a scenario file fixes the shape these flags would generate
+    scen = _scenario_file(tmp_path)
+    assert main(["solve", "--scenario", scen, "--solver", "associated", flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "drop them next to --scenario" in err
+
+
+def test_solve_generates_with_4_uavs_3_active_users_10_subtasks_by_default(tmp_path):
+    runs = []
+    for shape in ([], ["--uavs", "4", "--active", "3", "--subtasks", "10"]):
+        run_file = str(tmp_path / f"run{len(runs)}.json")
+        main(["solve", "--solver", "associated", "--seed", "3", "--out", run_file, *shape])
+        run = json.loads(open(run_file).read())
+        run.pop("wall_time_s")
+        runs.append(run)
+    assert runs[0] == runs[1]
+    assert [len(v) for v in runs[0]["decision"].values()] == [10, 10, 10]

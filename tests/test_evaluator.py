@@ -231,6 +231,16 @@ def test_penalty_config_validation():
         PenaltyConfig(lambda_=0.0)
 
 
+@pytest.mark.parametrize("lam", [0, -1.0, math.nan, math.inf, -math.inf, "0.1", 10**400],
+                         ids=["zero", "negative", "nan", "inf", "minus-inf", "string", "past-float-range"])
+def test_penalty_mode_takes_a_finite_positive_number_only(lam):
+    # a NaN or infinite lambda would turn every over-budget fitness into
+    # NaN or inf; hard mode reads no lambda
+    with pytest.raises(ValueError, match=f"lambda must be a finite number > 0 in penalty mode, got {lam!r}"):
+        PenaltyConfig(lambda_=lam)
+    assert PenaltyConfig(lambda_=lam, mode="hard").mode == "hard"
+
+
 def test_independent_uploads_arrive_no_later():
     s = desk_scenario(9, uav_count=3, subtasks=6)
     dec = random_decision(s, np.random.default_rng(3))

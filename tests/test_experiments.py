@@ -120,6 +120,24 @@ def test_spec_rejects_unknown_penalty_mode(tmp_path):
     assert _spec(tmp_path, penalty_mode="hrad").validate() == ["unknown penalty mode 'hrad'"]
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+def test_spec_rejects_a_penalty_lambda_no_cell_could_run(tmp_path, lam):
+    # read as JSON would give it; every cell would only record the error
+    spec = ExperimentSpec.from_dict(dict(_spec(tmp_path).to_dict(), penalty_lambda=lam))
+    assert spec.validate() == [f"lambda must be a finite number > 0 in penalty mode, got {lam!r}"]
+    with pytest.raises(ValueError, match="lambda must be a finite number"):
+        run_experiment(spec)
+    assert not os.path.exists(spec.output_dir)
+    # hard mode reads no lambda
+    assert dataclasses.replace(spec, penalty_mode="hard").validate() == []
+
+
+def test_spec_rejects_penalty_axis_values_no_cell_could_run(tmp_path):
+    spec = _spec(tmp_path, axis="penalty_lambda", values=(0.1, "hard", 0, math.nan, "hrad"))
+    assert spec.validate() == [
+        f"lambda must be a finite number > 0 in penalty mode, got {v!r}" for v in (0, math.nan, "hrad")]
+
+
 def test_spec_rejects_unknown_upload_model(tmp_path):
     assert _spec(tmp_path, upload_model="independent").validate() == []
     assert _spec(tmp_path, upload_model="cumulatve").validate() == [

@@ -5,7 +5,7 @@ import dataclasses
 import os
 import sys
 
-from uavmec import cli, experiments, solvers
+from uavmec import cli, evaluator, experiments, solvers
 from uavmec.experiments import ExperimentSpec, run_experiment
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -63,11 +63,11 @@ def test_sweep_keeps_its_bytes_under_the_bench_tracer(monkeypatch, tmp_path):
     assert tracer.summary()["calls"][tracing.LAYERS.index("evaluator.init")] > 0
 
 
-def _solve_choices():
+def _solve_choices(dest="solver"):
     parser = cli._build_parser()
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     solve = verbs.choices["solve"]
-    return next(a for a in solve._actions if a.dest == "solver").choices
+    return next(a for a in solve._actions if a.dest == dest).choices
 
 
 def test_cli_and_sweep_read_the_solver_registry():
@@ -75,3 +75,10 @@ def test_cli_and_sweep_read_the_solver_registry():
     assert tuple(solvers.SOLVERS) == names
     assert tuple(_solve_choices()) == names
     assert experiments.SOLVERS == names
+
+
+def test_cli_reads_the_penalty_modes_and_upload_models():
+    assert evaluator.PENALTY_MODES == ("penalty", "hard")
+    assert evaluator.UPLOAD_MODELS == ("cumulative", "independent")
+    assert _solve_choices("penalty_mode") is evaluator.PENALTY_MODES
+    assert _solve_choices("upload_model") is evaluator.UPLOAD_MODELS

@@ -475,6 +475,24 @@ def test_dwoa_config_rejects_bad_settings_at_construction(kw):
         DwoaConfig(**kw)
 
 
+@pytest.mark.parametrize("kw, problem", [
+    (dict(agents=0), "agents must be >= 1, got 0"),
+    (dict(agents=2**32), f"agents must be <= {2**32 - 1}, got {2**32}"),
+    (dict(max_iterations=-1), "max_iterations must be >= 0, got -1"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(agents=2.5), "agents must be an integer, got 2.5"),
+])
+def test_swarm_counts_are_refused_with_the_spec_messages(kw, problem):
+    with pytest.raises(ValueError) as info:
+        DwoaConfig(**kw)
+    assert str(info.value) == problem
+    if "agents" in kw:
+        # woa_init refuses the same agents before drawing a stream
+        with pytest.raises(ValueError) as info:
+            woa_init(lambda pop: np.zeros(len(pop)), 3, 2, kw["agents"], 1, 0)
+        assert str(info.value) == problem
+
+
 def test_dwoa_config_stores_numpy_integers_as_plain_ints():
     cfg = DwoaConfig(agents=np.int64(3), max_iterations=np.int64(2), seed=np.int64(5))
     assert [type(x) for x in (cfg.agents, cfg.max_iterations, cfg.seed)] == [int, int, int]
