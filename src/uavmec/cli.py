@@ -34,7 +34,7 @@ from .experiments import (
     summary_to_csv,
 )
 from .scenario import generate_scenario, load_scenario, save_scenario, validate_scenario
-from .solvers import ALLOCATORS, SOLVERS, DwoaConfig, NoFeasibleDecisionError, solver_seed
+from .solvers import ALLOCATORS, SOLVERS, DwoaConfig, NoFeasibleDecisionError, _count, _SWARM_COUNTS, solver_seed
 
 
 def _out_dir() -> str:
@@ -92,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    _count("seed", args.seed, *_SWARM_COUNTS["seed"])  # before any stream reads it
     scenario = generate_scenario(
         np.random.SeedSequence([args.seed, 0]),
         uav_count=args.uavs,
@@ -110,6 +111,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _count("seed", args.seed, *_SWARM_COUNTS["seed"])  # before any stream reads it
     penalty = _penalty(args.penalty_mode, args.lambda_)
     shape = {k: v for k, v in vars(args).items() if k in ("uav_count", "active_users", "subtasks_per_task")}
     if args.scenario:

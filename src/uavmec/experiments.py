@@ -16,19 +16,21 @@ Scenario and solver randomness are split from the row seed s as
 SeedSequence([s, 0]) and SeedSequence([s, 1]) respectively, so the two
 never share a stream.
 
-Each input a cell reads is built once and shared by every cell that
-reads the same input. Cells run grouped by generator input: the seed,
-plus the axis value on the users and subtasks axes; a scenario file is
-one generator input whatever the seed. Each group keeps what it builds
-in a memo of its own, keyed by what each build reads: the scenario,
-and its copy with infinite budgets for the unlimited energy mode; one
-validated evaluator plan and one allocation per allocator, both built
-from the generator's own scenario, since neither reads a budget; and
-one Evaluator per (energy mode, allocator, penalty input), which every
-cell runs its solver on (through solvers.SOLVERS). Each row is read
-from the schedule the run returns, its mean uplink rate included.
-Alternating starts from that Evaluator too, and builds one closed-form
-split Evaluator on the same plan only when the cell's split differs.
+Each cell runs the spec at its axis value: the spec with the value in
+the fields the axis sweeps (experiments._at). Each input a cell reads
+is built once and shared by every cell that reads the same input. Cells
+run grouped by generator input: the seed and the generator parameters,
+which the users and subtasks axes set; a scenario file is one generator
+input whatever the seed. Each group keeps what it builds in a memo of
+its own, keyed by what each build reads: the scenario, and its copy
+with infinite budgets for the unlimited energy mode; one validated
+evaluator plan and one allocation per allocator, both built from the
+generator's own scenario, since neither reads a budget; and one
+Evaluator per (energy mode, allocator, penalty), which every cell runs
+its solver on (through solvers.SOLVERS). Each row is read from the
+schedule the run returns, its mean uplink rate included. Alternating
+starts from that Evaluator too, and builds one closed-form split
+Evaluator on the same plan only when the cell's split differs.
 results.csv stays byte-identical to building every input per cell:
 each input is a pure function of its key, and the only state kept
 between calls is the population layout and scratch on each plan: the
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import os
@@ -74,15 +77,18 @@ from .solvers import (
     solver_seed,
 )
 
-AXES = (
-    "agents",
-    "users",
-    "subtasks",
-    "penalty_lambda",
-    "energy_mode",
-    "allocator",
-    "solver",
-)
+# each axis and the spec fields one of its values sets for the cells it runs
+_AXIS_FIELDS = {
+    "agents": lambda spec, v: dict(agents=v),
+    "users": lambda spec, v: dict(generator={**spec.generator, "users": v}),
+    "subtasks": lambda spec, v: dict(generator={**spec.generator, "subtasks_per_task": v}),
+    "penalty_lambda": lambda spec, v: dict(
+        penalty_lambda=v, penalty_mode="hard" if v == "hard" else "penalty"),
+    "energy_mode": lambda spec, v: dict(energy_modes=(v,)),
+    "allocator": lambda spec, v: dict(allocators=(v,)),
+    "solver": lambda spec, v: dict(solvers=(v,)),
+}
+AXES = tuple(_AXIS_FIELDS)
 SOLVERS = tuple(SOLVER_FNS)
 # solvers whose runs write a convergence trace; the agents axis needs one
 SEARCHING_SOLVERS = ("dwoa", "alternating")
@@ -119,29 +125,26 @@ class ExperimentSpec:
             out.append("seeds must be distinct")
         if not self.output_dir:
             out.append("output_dir must be set")
-        solvers = self.values if self.axis == "solver" else self.solvers
-        for s in solvers:
-            if s not in SOLVERS:
-                out.append(f"unknown solver {s!r}")
-        allocs = self.values if self.axis == "allocator" else self.allocators
-        for a in allocs:
-            if a not in ALLOCATORS:
-                out.append(f"unknown allocator {a!r}")
-        modes = self.values if self.axis == "energy_mode" else self.energy_modes
-        for m in modes:
-            if m not in ENERGY_MODES:
-                out.append(f"unknown energy mode {m!r}")
+        # every value's cells run the spec at that value: its names and
+        # penalty are checked there, each distinct message once
+        ats = [_at(self, v) for v in self.values] or [self]
+        names = (("solver", "solvers", SOLVERS), ("allocator", "allocators", ALLOCATORS),
+                 ("energy mode", "energy_modes", ENERGY_MODES))
+        for what, name, known in names:
+            bad = (x for at in ats for x in getattr(at, name) if x not in known)
+            out.extend(dict.fromkeys(f"unknown {what} {x!r}" for x in bad))
         # cells, results.csv rows and trace files are keyed by these too
         for name in ("solvers", "allocators", "energy_modes"):
             entries = getattr(self, name)
             if len(set(entries)) != len(entries):
                 out.append(f"{name} must be distinct, got {list(entries)}")
-        # the penalty of every cell, built as each cell builds it
-        for v in self.values if self.axis == "penalty_lambda" else (None,):
+        penalties = []
+        for at in ats:
             try:
-                _penalty_for(self, v)
+                _penalty(at.penalty_mode, at.penalty_lambda)
             except ValueError as exc:
-                out.append(str(exc))
+                penalties.append(str(exc))
+        out.extend(dict.fromkeys(penalties))
         if self.upload_model not in UPLOAD_MODELS:
             out.append(f"unknown upload model {self.upload_model!r}")
         # whole numbers, by DwoaConfig's rule: never truncated to one; and
@@ -188,7 +191,7 @@ class ExperimentSpec:
                 # that both energy modes share rejects a negative or NaN one
                 out.append(f"generator {k} must be >= 0, got {self.generator[k]!r}")
         if self.axis == "agents":
-            bad = [s for s in solvers if s not in SEARCHING_SOLVERS]
+            bad = [s for s in self.solvers if s not in SEARCHING_SOLVERS]
             if bad:
                 out.append(f"agents axis needs a searching solver, got {bad}")
         # cells, results.csv rows and trace files are keyed by the value's text
@@ -206,10 +209,14 @@ class ExperimentSpec:
     @staticmethod
     def from_dict(d: Dict[str, object]) -> "ExperimentSpec":
         """Builds a spec from its JSON form; a missing key takes the
-        field's default and an unknown key is an error."""
+        field's default, an unknown key is an error, and so is a sequence
+        field that is not a list (or tuple, as to_dict gives)."""
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(ExperimentSpec)})
         if unknown:
             raise ValueError(f"unknown spec keys {unknown}")
+        for k in _SPEC_LISTS:
+            if k in d and not isinstance(d[k], (list, tuple)):
+                raise ValueError(f"spec key {k!r} must be a list, got {d[k]!r}")
         return ExperimentSpec(**{k: _SPEC_DECODE.get(k, lambda x: x)(v) for k, v in d.items()})
 
     @staticmethod
@@ -218,16 +225,12 @@ class ExperimentSpec:
             return ExperimentSpec.from_dict(json.load(f))
 
 
-# JSON has no tuples: the sequence fields and sequence-valued generator
-# params come back as lists, so they are re-tupled for spec equality
+# the sequence fields; JSON has no tuples, so they come back as lists and
+# are re-tupled for spec equality, as are sequence-valued generator params
+_SPEC_LISTS = ("values", "seeds", "solvers", "allocators", "energy_modes")
 _SPEC_DECODE = {
-    "values": tuple,
-    "seeds": tuple,
+    **dict.fromkeys(_SPEC_LISTS, tuple),
     "generator": lambda g: {k: tuple(v) if isinstance(v, list) else v for k, v in dict(g).items()},
-    "solvers": tuple,
-    "allocators": tuple,
-    "energy_modes": tuple,
-    "penalty_lambda": float,
 }
 
 
@@ -411,48 +414,40 @@ _SCENARIO_KEYS = _keywords(generate_scenario)
 _GENERATOR_COUNTS = ("uav_count", "active_users", "subtasks_per_task", "subtasks")
 
 
-def _generator_input(
-    spec: ExperimentSpec, seed: int, value
-) -> Tuple[Tuple, Callable[[], Scenario]]:
+def _at(spec: ExperimentSpec, value) -> ExperimentSpec:
+    """The spec the cells of one axis value run: the value placed in the
+    fields its axis sweeps."""
+    sets = _AXIS_FIELDS.get(spec.axis)
+    return dataclasses.replace(spec, **sets(spec, value)) if sets else spec
+
+
+def _generator_input(at: ExperimentSpec, seed: int) -> Tuple[Tuple, Callable[[], Scenario]]:
     """A cell's generator input: its key and the build of its scenario.
 
-    The key is the seed, plus the axis value's text on the users and
-    subtasks axes, the only axes whose value the generator reads; a
-    scenario file, read whatever the seed, has the key ().
+    The key is what the build reads: the seed and the generator
+    parameters, which the users and subtasks axes set; a scenario file,
+    read whatever the seed, has the key ().
     """
-    if spec.scenario_file:
-        return (), lambda: load_scenario(spec.scenario_file)
-    if spec.axis == "users":
-        return (seed, str(value)), lambda: generate_user_sweep_family(seed, value, **spec.generator)
-    params = dict(spec.generator)
-    key: Tuple = (seed,)
-    if spec.axis == "subtasks":
-        params["subtasks_per_task"] = value
-        key = (seed, str(value))
-    return key, lambda: generate_scenario(np.random.SeedSequence([int(seed), 0]), **params)
-
-
-def _penalty_for(spec: ExperimentSpec, value) -> PenaltyConfig:
-    """A cell's penalty: on the penalty_lambda axis, hard mode for the
-    value "hard" and the value as lambda otherwise."""
-    if spec.axis == "penalty_lambda":
-        return _penalty("hard" if value == "hard" else "penalty", value)
-    return _penalty(spec.penalty_mode, spec.penalty_lambda)
+    if at.scenario_file:
+        return (), lambda: load_scenario(at.scenario_file)
+    key = (seed, repr(at.generator))
+    if at.axis == "users":
+        return key, lambda: generate_user_sweep_family(seed, **at.generator)
+    return key, lambda: generate_scenario(np.random.SeedSequence([int(seed), 0]), **at.generator)
 
 
 def _cells(spec: ExperimentSpec) -> Dict[Tuple, Tuple[Callable[[], Scenario], List[Tuple]]]:
-    """Every cell of the sweep as (value, seed, solver, allocator,
-    energy mode), grouped by generator input: key -> (scenario build,
-    cells)."""
+    """Every cell of the sweep as (value, spec at the value, seed,
+    solver, allocator, energy mode), grouped by generator input: key ->
+    (scenario build, cells)."""
     groups: Dict[Tuple, Tuple[Callable[[], Scenario], List[Tuple]]] = {}
     for value in spec.values:
+        at = _at(spec, value)
         for seed in spec.seeds:
-            key, build = _generator_input(spec, seed, value)
+            key, build = _generator_input(at, seed)
             cells = groups.setdefault(key, (build, []))[1]
-            for solver in [value] if spec.axis == "solver" else spec.solvers:
-                for alloc in [value] if spec.axis == "allocator" else spec.allocators:
-                    for emode in [value] if spec.axis == "energy_mode" else spec.energy_modes:
-                        cells.append((value, seed, str(solver), str(alloc), str(emode)))
+            for solver, alloc, emode in itertools.product(at.solvers, at.allocators, at.energy_modes):
+                cells.append((value, at, seed, str(solver), str(alloc), str(emode)))
     return groups
 
 
@@ -462,7 +457,7 @@ class _SharedInputs:
     reads: the scenario, and its unlimited copy; the plan, and one
     allocation per allocator, both built from the generator's own
     scenario, since neither reads a budget; one Evaluator per (energy
-    mode, allocator, penalty input). A build error is kept too and
+    mode, allocator, penalty). A build error is kept too and
     re-raised for every cell that reads the input, so each of those
     cells records the error it would have met building it.
     """
@@ -484,39 +479,35 @@ class _SharedInputs:
             raise held[1]
         return held[0]
 
-    def evaluator(self, emode: str, alloc: str, pen: str, penalty: PenaltyConfig) -> Evaluator:
+    def evaluator(self, emode: str, alloc: str, penalty: PenaltyConfig) -> Evaluator:
         scen = self._get(("scenario",), self._build)
         plan = self._get(("plan",), lambda: _Plan(scen))
         beta = self._get(("allocation", alloc), lambda: ALLOCATORS[alloc](scen))
         if emode == "unlimited":
             scen = self._get(("unlimited",), lambda: with_unlimited_energy(scen))
         return self._get(
-            ("evaluator", emode, alloc, pen),
+            ("evaluator", emode, alloc, penalty),
             lambda: Evaluator(scen, beta, penalty, self.spec.upload_model, _plan=plan),
         )
 
 
 def _run_cell(
-    spec: ExperimentSpec,
+    at: ExperimentSpec,
     inputs: _SharedInputs,
-    value,
     seed: int,
     solver: str,
     alloc: str,
     emode: str,
 ) -> Tuple[Dict[str, object], Optional[List[float]]]:
-    penalty = _penalty_for(spec, value)
-    agents = value if spec.axis == "agents" else spec.agents
+    penalty = _penalty(at.penalty_mode, at.penalty_lambda)
     cfg = DwoaConfig(
-        agents=agents,
-        max_iterations=spec.max_iterations,
+        agents=at.agents,
+        max_iterations=at.max_iterations,
         penalty=penalty,
         seed=solver_seed(seed),
-        upload_model=spec.upload_model,
+        upload_model=at.upload_model,
     )
-    # the penalty input: the axis value on the penalty_lambda axis only
-    pen = str(value) if spec.axis == "penalty_lambda" else ""
-    run = SOLVER_FNS[solver](inputs.evaluator(emode, alloc, pen, penalty), cfg)
+    run = SOLVER_FNS[solver](inputs.evaluator(emode, alloc, penalty), cfg)
     result = run.schedule
     br = decision_latency_breakdown(result)
     comm = math.fsum(result.task_upload_s.values()) / len(result.task_upload_s)
@@ -579,8 +570,7 @@ def run_experiment(spec: ExperimentSpec) -> Tuple[List[ResultRow], Dict[str, str
     rows: List[ResultRow] = []
     for build, cells in _cells(spec).values():
         inputs = _SharedInputs(spec, build)
-        for cell in cells:
-            value, seed, solver, alloc, emode = cell
+        for value, at, seed, solver, alloc, emode in cells:
             row = ResultRow(
                 experiment=spec.experiment_id,
                 seed=seed,
@@ -592,7 +582,7 @@ def run_experiment(spec: ExperimentSpec) -> Tuple[List[ResultRow], Dict[str, str
             )
             t0 = time.perf_counter()
             try:
-                metrics, trace = _run_cell(spec, inputs, *cell)
+                metrics, trace = _run_cell(at, inputs, seed, solver, alloc, emode)
                 for k, v in metrics.items():
                     setattr(row, k, v)
                 if trace is not None:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from uavmec import load_scenario, save_scenario
+from uavmec import SolverRun, load_scenario, save_scenario
 from uavmec.cli import main
 
 from conftest import desk_scenario, run_digest, write_nan_uav_scenario
@@ -252,6 +252,28 @@ def test_solve_json_goldens(tmp_path, capsys, solver):
     assert rc == (2 if solver == "associated" else 0)
     with open(out, encoding="utf-8") as f:
         assert run_digest(json.load(f)) == SOLVE_JSON_GOLDENS[solver]
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVE_JSON_GOLDENS))
+def test_solve_out_json_reads_back(tmp_path, capsys, solver):
+    scen = str(tmp_path / "bind.json")
+    save_scenario(desk_scenario(4, uav_count=3, subtasks=4, active=2, budget_j=1800.0), scen)
+    out = str(tmp_path / "run.json")
+    main(["solve", "--scenario", scen, "--solver", solver, "--alloc", "optimal",
+          "--agents", "8", "--iters", "4", "--seed", "5", "--out", out])
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as f:
+        d = json.load(f)
+    assert SolverRun.from_dict(d).to_dict() == d
+
+
+@pytest.mark.parametrize("verb", ["generate", "solve"])
+def test_negative_seed_exits_one_naming_the_seed(tmp_path, capsys, verb):
+    assert main([verb, "--seed", "-1", "--out", str(tmp_path / "x.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "seed must be >= 0, got -1" in err
+    assert not os.path.exists(str(tmp_path / "x.json"))
 
 
 # a small inline-generated instance; at full scale it is energy-infeasible

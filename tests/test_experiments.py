@@ -115,6 +115,49 @@ def test_spec_rejects_repeated_entries(tmp_path, field, entries):
     assert f"{field} must be distinct, got {list(entries)}" in problems
 
 
+def test_spec_reports_an_unknown_name_once(tmp_path):
+    problems = _spec(tmp_path, solvers=("bogus", "bogus")).validate()
+    assert problems.count("unknown solver 'bogus'") == 1
+    assert "solvers must be distinct, got ['bogus', 'bogus']" in problems
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("values", 4), ("seeds", 7), ("solvers", "dwoa"), ("allocators", "equal"),
+     ("energy_modes", "limited")],
+)
+def test_spec_file_refuses_a_sequence_key_that_is_not_a_list(tmp_path, key, value):
+    # a string would be split into one-letter entries, a number not read at all
+    d = dict(json.loads(json.dumps(_spec(tmp_path).to_dict())), **{key: value})
+    with pytest.raises(ValueError, match=f"spec key '{key}' must be a list, got {value!r}"):
+        ExperimentSpec.from_dict(d)
+
+
+def test_spec_from_dict_takes_the_tuples_to_dict_gives(tmp_path):
+    spec = _spec(tmp_path)
+    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("lam", [None, True, "abc", [1]], ids=["null", "true", "string", "list"])
+def test_spec_file_penalty_lambda_meets_the_lambda_rule(tmp_path, lam):
+    # as JSON gives it: no conversion runs before the rule
+    d = json.loads(json.dumps(dict(_spec(tmp_path).to_dict(), penalty_lambda=lam)))
+    assert ExperimentSpec.from_dict(d).validate() == [
+        f"lambda must be a finite number > 0 in penalty mode, got {lam!r}"]
+    axis = dict(d, axis="penalty_lambda", values=[0.1, lam])
+    assert ExperimentSpec.from_dict(axis).validate() == [
+        f"lambda must be a finite number > 0 in penalty mode, got {lam!r}"]
+
+
+def test_spec_file_keeps_an_integer_lambda(tmp_path):
+    spec = ExperimentSpec.from_dict(dict(_spec(tmp_path, values=(5,), seeds=(0,)).to_dict(),
+                                         penalty_lambda=1))
+    _rows, paths = run_experiment(spec)
+    with open(paths["manifest"], encoding="utf-8") as f:
+        lam = json.load(f)["spec"]["penalty_lambda"]
+    assert lam == 1 and type(lam) is int
+
+
 def test_spec_rejects_unknown_penalty_mode(tmp_path):
     assert _spec(tmp_path, penalty_mode="hard").validate() == []
     assert _spec(tmp_path, penalty_mode="hrad").validate() == ["unknown penalty mode 'hrad'"]
@@ -602,6 +645,25 @@ def test_subtasks_axis_generates_per_seed_and_value(tmp_path, build_counts):
     rows, _paths = run_experiment(spec)
     assert len(rows) == 16 and not any(r.error for r in rows)
     assert build_counts == {"scenarios": 4, "loads": 0, "allocations": 4, "evaluators": 8}
+
+
+def test_penalty_values_equal_as_numbers_share_one_evaluator(tmp_path, build_counts):
+    spec = _shared_spec(
+        tmp_path,
+        axis="penalty_lambda",
+        values=(1, 1.0),
+        seeds=(0,),
+        allocators=("equal", "optimal"),
+        energy_modes=("limited", "unlimited"),
+    )
+    rows, _paths = run_experiment(spec)
+    assert len(rows) == 8 and not any(r.error for r in rows)
+    # one Evaluator per (energy mode, allocator): both values run one penalty
+    assert build_counts["evaluators"] == 4
+    by_value = {}
+    for r in rows:
+        by_value.setdefault(r.value, []).append(dataclasses.replace(r, value=""))
+    assert by_value["1"] == by_value["1.0"]
 
 
 # results.csv and trace digests captured before the sweep shared its
