@@ -93,6 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     _count("seed", args.seed, *_SWARM_COUNTS["seed"])  # before any stream reads it
+    # a scenario with no active user or sub-task is one every solver refuses
+    for name in ("active", "subtasks"):
+        _count(name, getattr(args, name), 1, None)
     scenario = generate_scenario(
         np.random.SeedSequence([args.seed, 0]),
         uav_count=args.uavs,

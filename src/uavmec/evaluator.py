@@ -9,11 +9,12 @@ population kernel scores every population, N decisions at once,
 writing its intermediates node-major, one contiguous row of N per
 sub-task, into scratch arrays kept on the plan, and returns fresh
 arrays. That scratch holds every split-free operand as full rows of N,
-filled once per N; only the arrivals and task uploads, which a split
-sets, are read as columns. The kernel walks the DAG one level at a
-time in four numpy calls per level: gather the ready-time candidates
-from the finish table, add the payload transfers, take the max, add
-the execution times.
+filled once per N; what a split, budget or penalty sets is read as one
+Evaluator's (rows, 1) columns, or as the per-row blocks of a _Stack,
+which scores several Evaluators on one plan as one population. The
+kernel walks the DAG one level at a time in four numpy calls per
+level: gather the ready-time candidates from the finish table, add the
+payload transfers, take the max, add the execution times.
 
 Timing rules: sub-tasks are processed in topological order; arrival time
 accumulates the task's uploads over the shared uplink (so one channel
@@ -414,9 +415,8 @@ class _Scratch:
     column or a row runs through numpy's buffered iterator, at about
     twice the cost), the release-time rows of the finish table ft, the
     0.0 rows of the transfer block pay, and the flat cell offsets. No
-    row depends on a split, so no Evaluator can read another's: the two
-    operands a split sets, arrivals and task uploads, are read as
-    (rows, 1) columns of the Evaluator's own arrays.
+    row depends on a split, so no Evaluator can read another's: the
+    operands a split sets are read from the scorer's own (_Scoring).
 
     All of them are rows of one allocation. glibc maps a large block
     fresh and, once it has unmapped one, keeps blocks up to that size
@@ -472,7 +472,188 @@ class _Scratch:
         self.users = [(self.by_user[lo:hi], self.last[u]) for u, (lo, hi) in enumerate(t.user_bounds)]
 
 
-class Evaluator:
+class _Scoring:
+    """The array pass and the budget and penalty rules, over a plan and
+    the operands of an Evaluator, or of a _Stack of them, each shaped to
+    broadcast against the pass's arrays: _split's arrivals before the
+    hop in finish-table order (M, 1 or N), task uploads (U, 1 or N) and
+    span bases (U or N x U); the budgets _budget and the caps an excess
+    is taken from _cap (V or N x V); the penalty lambda _lam (a number
+    or an (N, 1) column) and mode _mode, None for no penalty."""
+
+    def fitness_many(self, population) -> np.ndarray:
+        """fitness of each row of an (N, M) matrix of 1-based slots, as
+        an (N,) array equal bit for bit to calling fitness row by row."""
+        return self._penalize(*self._score_many(population))
+
+    def objective_and_feasible_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
+        """objective_and_feasible of each row of an (N, M) slot matrix:
+        (N,) objectives and (N,) feasibility flags."""
+        objective, totals = self._score_many(population)
+        return objective, self._feasible(totals)
+
+    def _feasible(self, totals: np.ndarray) -> np.ndarray:
+        """The budget rule, over the last axis of per-UAV energy totals:
+        feasible exactly when every total is at most its budget, so a
+        NaN total is infeasible."""
+        return (totals <= self._budget).all(axis=-1)
+
+    def _penalize(self, objective, totals: np.ndarray):
+        """The objective under the penalty: hard mode rejects exactly the
+        infeasible decisions; penalty mode adds lambda * excess^2 UAV by
+        UAV in slot order, and HARD_REJECT for a NaN total. An excess is
+        taken only over a finite budget: an unlimited one has a NaN cap,
+        so no total, infinite ones included, costs anything there.
+        objective is (N,) or a scalar, totals (N, V) or (V,)."""
+        if self._mode is None:
+            return objective
+        if self._mode == "hard":
+            return np.where(self._feasible(totals), objective, HARD_REJECT)
+        over = totals - self._cap
+        surcharge = np.where(over > 0.0, self._lam * over * over, np.isnan(totals) * HARD_REJECT)
+        for i in range(self._V):
+            objective = objective + surcharge[..., i]
+        return objective
+
+    def _slot_matrix(self, population) -> np.ndarray:
+        """population as an intp array; ValueError unless it is an (N, M)
+        integer matrix of slots in [1, V]. Neither kernel checks its
+        indices (the scalar one would read a 0 slot as the last UAV), so
+        this check is what keeps a bad slot from scoring as some other
+        decision."""
+        pop = np.asarray(population)
+        if pop.dtype.kind not in "iu" or pop.ndim != 2 or pop.shape[1] != self._m or (
+            pop.size and (pop.min() < 1 or pop.max() > self._V)
+        ):
+            raise ValueError(
+                f"decisions must be length-{self._m} vectors, or an (N, {self._m}) "
+                f"matrix of them, of slots in [1, {self._V}]"
+            )
+        return pop.astype(np.intp, copy=False)
+
+    def _score_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
+        """Population kernel over an (N, M) slot matrix, checked by
+        _slot_matrix: (N,) objectives and (N, V) energy totals.
+
+        Every float is produced by the same operations, in the same
+        order, as in _core. The work runs node-major, on (width, N)
+        scratch rows. Per-cell sums use np.bincount, which adds its
+        weights one by one in array order; the flat weights run node by
+        node in the scalar visiting order, so each cell's weights arrive
+        in that order, and adding the 0.0 weights of nodes that do not
+        belong to a cell leaves a sum unchanged. Ready times take a max,
+        which does not depend on order. Both returned arrays are fresh.
+        """
+        pop = self._slot_matrix(population)
+        if not len(pop):  # np.bincount of no weights returns integers
+            return np.zeros(0), np.zeros((0, self._V))
+        plan = self._plan
+        t = plan.layout if plan.layout is not None else plan.compile()
+        arrival, task_upload, span_base = self._split or self._compile(t)
+        s = plan.scratch
+        if s is None or s.n != len(pop):
+            s = plan.scratch = _Scratch(t, len(pop))
+        totals = self._energy_many(t, s, pop, span_base)
+        return self._objective_many(t, s, arrival, task_upload), totals
+
+    def _energy_many(self, t: _Layout, s: _Scratch, pop, span_base) -> np.ndarray:
+        """Writes the per-node execution and forwarding times (visiting
+        order) into s.exec_t and s.fwd_t and the 0-based slots into s.sv;
+        returns fresh (N, V) per-UAV energy totals."""
+        N = s.n
+        V = self._V
+        U = len(t.release)
+        # _slot_matrix keeps every index in range, so no take needs the
+        # default mode="raise", which would copy its output. pop is read
+        # once, into sv as its transpose, 0-based (sv is rewritten below),
+        # so no later ufunc reads a strided operand
+        np.subtract(pop.T, 1, out=s.sv)
+        np.add(s.sv, s.cell, out=s.cells)  # flat (decision, slot) cell per column
+        tot = np.bincount(s.cells.ravel(), s.h.ravel(), N * V).reshape(N, V)
+
+        s.cells.take(t.cols, axis=0, out=s.cellv, mode="clip")
+        np.subtract(s.cellv, s.cell, out=s.sv)  # 0-based slots in visiting order
+        (tot / t.fmax).ravel().take(s.cellv, out=s.exec_t, mode="clip")
+        s.exec_t *= s.cycles
+        node = s.cells  # (node, slot) entry of fwd and h_fmax; cells is spent
+        np.add(s.sv, s.fwd_row, out=node)
+        t.fwd.take(node, out=s.fwd_t, mode="clip")
+        share, work = s.share, s.work
+        t.h_fmax.take(node, out=share, mode="clip")
+        tot.ravel().take(s.cellv, out=work, mode="clip")
+        del tot
+        share /= work
+        np.multiply(t.kappa, share, out=work)  # the energy of each node
+        work *= share
+        work *= s.cycles
+        work *= s.h_visit
+        totals = np.bincount(s.cellv.ravel(), work.ravel(), N * V).reshape(N, V)
+        np.multiply(s.p_fwd, s.fwd_t, out=work)
+        totals += np.bincount(s.fwd_cell.ravel(), work.ravel(), N * V).reshape(N, V)
+        totals += t.report_e
+
+        # the local execution times, then the remote hop-plus-execution
+        # times, each 0.0 elsewhere as np.where would give: times are
+        # finite and >= 0 and a local node's forwarding time is 0.0, so
+        # exec * (slot == assoc) and (fwd + exec) minus that are exact;
+        # a node runs at its associated slot where its cell is fwd_cell
+        local = share
+        np.equal(s.cellv, s.fwd_cell, out=local)
+        np.multiply(s.exec_t, local, out=work)
+        span = np.bincount(s.ucell.ravel(), work.ravel(), N * U)
+        remote = np.add(s.fwd_t, s.exec_t, out=share)
+        remote -= work
+        np.maximum(span, np.bincount(s.ucell.ravel(), remote.ravel(), N * U), out=span)
+        span = span.reshape(N, U)
+        span += span_base
+        hover_t = np.zeros((N, V))  # the longest span among a UAV's users
+        for u, a in enumerate(t.user_assoc):
+            np.maximum(hover_t[:, a], span[:, u], out=hover_t[:, a])
+        hover_t *= t.hover_p
+        totals += hover_t
+        return totals
+
+    def _objective_many(self, t: _Layout, s: _Scratch, arrival, task_upload) -> np.ndarray:
+        """Ready and finish times level by level, then the fresh (N,) mean
+        of makespan plus upload time over users; arrival and task_upload
+        are the scorer's (M, 1 or N) and (U, 1 or N) operands."""
+        N = s.n
+        M = len(t.cols)
+        ft = s.ft  # rows M: hold the release times
+        s.fwd_t.take(t.level_order, axis=0, out=s.work, mode="clip")
+        np.add(arrival, s.work, out=ft[:M])
+        # the execution times in level order, which s.levels reads
+        s.exec_t.take(t.level_order, axis=0, out=s.share, mode="clip")
+        # each payload edge's transfer time, into its slot of s.pay
+        s.sv.take(t.pay_src, axis=0, out=s.src, mode="clip")
+        s.src *= self._V
+        s.sv.take(t.pay_dst, axis=0, out=s.dst, mode="clip")
+        s.src += s.dst
+        t.inv_uu.take(s.src, out=s.edge, mode="clip")
+        s.edge *= s.pay_bits
+        s.pay[t.pay_slot] = s.edge
+        # the gathers go through scratch: a take whose output overlaps
+        # its input copies the output
+        for gather, g, landed, sent, block, fin, exec_t in s.levels:
+            ft.take(gather, axis=0, out=g, mode="clip")
+            if landed is not None:
+                # x + 0.0 == x, so the slots of parents that send nothing
+                # keep their finish times exactly
+                np.add(landed, sent, out=landed)
+            np.maximum.reduce(block, axis=0, out=fin)
+            np.add(fin, exec_t, out=fin)
+        ft.take(t.user_rows, axis=0, out=s.by_user, mode="clip")
+        # one reduce per user: np.maximum.reduceat along axis 0 costs
+        # about ten times as much
+        f_last = s.last
+        for rows, last in s.users:
+            np.maximum.reduce(rows, axis=0, out=last)
+        f_last -= s.release
+        f_last += task_upload
+        return np.bincount(s.row_of.ravel(), f_last.ravel(), N) / len(t.release)
+
+
+class Evaluator(_Scoring):
     """The plan of a scenario (see the module docstring) plus what one
     bandwidth allocation, upload model, set of energy budgets and
     penalty settle; maps decision vectors to objectives.
@@ -534,6 +715,7 @@ class Evaluator:
         self.beta = beta
         self.penalty = penalty
         self.upload_model = upload_model
+        self._mode, self._lam = (None, None) if penalty is None else (penalty.mode, penalty.lambda_)
         self._V = len(plan.uav_ids)
         self._m = len(plan.h_cols)
         if self._m == 0:
@@ -658,82 +840,6 @@ class Evaluator:
         objective, totals, _ = self._core(self._slot_matrix([vec])[0].tolist())
         return objective, np.array(totals)
 
-    def fitness_many(self, population) -> np.ndarray:
-        """fitness of each row of an (N, M) matrix of 1-based slots, as
-        an (N,) array equal bit for bit to calling fitness row by row."""
-        return self._penalize(*self._score_many(population))
-
-    def objective_and_feasible_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
-        """objective_and_feasible of each row of an (N, M) slot matrix:
-        (N,) objectives and (N,) feasibility flags."""
-        objective, totals = self._score_many(population)
-        return objective, self._feasible(totals)
-
-    def _feasible(self, totals: np.ndarray) -> np.ndarray:
-        """The budget rule, over the last axis of per-UAV energy totals:
-        feasible exactly when every total is at most its budget, so a
-        NaN total is infeasible."""
-        return (totals <= self._budget).all(axis=-1)
-
-    def _penalize(self, objective, totals: np.ndarray):
-        """The objective under the penalty: hard mode rejects exactly the
-        infeasible decisions; penalty mode adds lambda * excess^2 UAV by
-        UAV in slot order, and HARD_REJECT for a NaN total. An excess is
-        taken only over a finite budget: an unlimited one has a NaN cap,
-        so no total, infinite ones included, costs anything there.
-        objective is (N,) or a scalar, totals (N, V) or (V,)."""
-        pen = self.penalty
-        if pen is None:
-            return objective
-        if pen.mode == "hard":
-            return np.where(self._feasible(totals), objective, HARD_REJECT)
-        over = totals - self._cap
-        surcharge = np.where(over > 0.0, pen.lambda_ * over * over, np.isnan(totals) * HARD_REJECT)
-        for i in range(self._V):
-            objective = objective + surcharge[..., i]
-        return objective
-
-    def _slot_matrix(self, population) -> np.ndarray:
-        """population as an intp array; ValueError unless it is an (N, M)
-        integer matrix of slots in [1, V]. Neither kernel checks its
-        indices (the scalar one would read a 0 slot as the last UAV), so
-        this check is what keeps a bad slot from scoring as some other
-        decision."""
-        pop = np.asarray(population)
-        if pop.dtype.kind not in "iu" or pop.ndim != 2 or pop.shape[1] != self._m or (
-            pop.size and (pop.min() < 1 or pop.max() > self._V)
-        ):
-            raise ValueError(
-                f"decisions must be length-{self._m} vectors, or an (N, {self._m}) "
-                f"matrix of them, of slots in [1, {self._V}]"
-            )
-        return pop.astype(np.intp, copy=False)
-
-    def _score_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
-        """Population kernel over an (N, M) slot matrix, checked by
-        _slot_matrix: (N,) objectives and (N, V) energy totals.
-
-        Every float is produced by the same operations, in the same
-        order, as in _core. The work runs node-major, on (width, N)
-        scratch rows. Per-cell sums use np.bincount, which adds its
-        weights one by one in array order; the flat weights run node by
-        node in the scalar visiting order, so each cell's weights arrive
-        in that order, and adding the 0.0 weights of nodes that do not
-        belong to a cell leaves a sum unchanged. Ready times take a max,
-        which does not depend on order. Both returned arrays are fresh.
-        """
-        pop = self._slot_matrix(population)
-        if not len(pop):  # np.bincount of no weights returns integers
-            return np.zeros(0), np.zeros((0, self._V))
-        plan = self._plan
-        t = plan.layout if plan.layout is not None else plan.compile()
-        arrival, task_upload, span_base = self._split or self._compile(t)
-        s = plan.scratch
-        if s is None or s.n != len(pop):
-            s = plan.scratch = _Scratch(t, len(pop))
-        totals = self._energy_many(t, s, pop, span_base)
-        return self._objective_many(t, s, arrival, task_upload), totals
-
     def _compile(self, t: _Layout) -> tuple:
         """The split's operands of the array pass, once: the arrivals
         before the forwarding hop in finish-table order and the task
@@ -744,102 +850,6 @@ class Evaluator:
                        np.array([[link.task_upload] for link in links]),
                        np.array([link.span_base for link in links]))
         return self._split
-
-    def _energy_many(self, t: _Layout, s: _Scratch, pop, span_base) -> np.ndarray:
-        """Writes the per-node execution and forwarding times (visiting
-        order) into s.exec_t and s.fwd_t and the 0-based slots into s.sv;
-        returns fresh (N, V) per-UAV energy totals."""
-        N = s.n
-        V = self._V
-        U = len(self._uplinks)
-        # _slot_matrix keeps every index in range, so no take needs the
-        # default mode="raise", which would copy its output. pop is read
-        # once, into sv as its transpose, 0-based (sv is rewritten below),
-        # so no later ufunc reads a strided operand
-        np.subtract(pop.T, 1, out=s.sv)
-        np.add(s.sv, s.cell, out=s.cells)  # flat (decision, slot) cell per column
-        tot = np.bincount(s.cells.ravel(), s.h.ravel(), N * V).reshape(N, V)
-
-        s.cells.take(t.cols, axis=0, out=s.cellv, mode="clip")
-        np.subtract(s.cellv, s.cell, out=s.sv)  # 0-based slots in visiting order
-        (tot / t.fmax).ravel().take(s.cellv, out=s.exec_t, mode="clip")
-        s.exec_t *= s.cycles
-        node = s.cells  # (node, slot) entry of fwd and h_fmax; cells is spent
-        np.add(s.sv, s.fwd_row, out=node)
-        t.fwd.take(node, out=s.fwd_t, mode="clip")
-        share, work = s.share, s.work
-        t.h_fmax.take(node, out=share, mode="clip")
-        tot.ravel().take(s.cellv, out=work, mode="clip")
-        del tot
-        share /= work
-        np.multiply(t.kappa, share, out=work)  # the energy of each node
-        work *= share
-        work *= s.cycles
-        work *= s.h_visit
-        totals = np.bincount(s.cellv.ravel(), work.ravel(), N * V).reshape(N, V)
-        np.multiply(s.p_fwd, s.fwd_t, out=work)
-        totals += np.bincount(s.fwd_cell.ravel(), work.ravel(), N * V).reshape(N, V)
-        totals += t.report_e
-
-        # the local execution times, then the remote hop-plus-execution
-        # times, each 0.0 elsewhere as np.where would give: times are
-        # finite and >= 0 and a local node's forwarding time is 0.0, so
-        # exec * (slot == assoc) and (fwd + exec) minus that are exact;
-        # a node runs at its associated slot where its cell is fwd_cell
-        local = share
-        np.equal(s.cellv, s.fwd_cell, out=local)
-        np.multiply(s.exec_t, local, out=work)
-        span = np.bincount(s.ucell.ravel(), work.ravel(), N * U)
-        remote = np.add(s.fwd_t, s.exec_t, out=share)
-        remote -= work
-        np.maximum(span, np.bincount(s.ucell.ravel(), remote.ravel(), N * U), out=span)
-        span = span.reshape(N, U)
-        span += span_base
-        hover_t = np.zeros((N, V))  # the longest span among a UAV's users
-        for u, a in enumerate(t.user_assoc):
-            np.maximum(hover_t[:, a], span[:, u], out=hover_t[:, a])
-        hover_t *= t.hover_p
-        totals += hover_t
-        return totals
-
-    def _objective_many(self, t: _Layout, s: _Scratch, arrival, task_upload) -> np.ndarray:
-        """Ready and finish times level by level, then the fresh (N,) mean
-        of makespan plus upload time over users; arrival and task_upload
-        are the (M, 1) and (U, 1) columns of _compile."""
-        N = s.n
-        M = len(t.cols)
-        ft = s.ft  # rows M: hold the release times
-        s.fwd_t.take(t.level_order, axis=0, out=s.work, mode="clip")
-        np.add(arrival, s.work, out=ft[:M])
-        # the execution times in level order, which s.levels reads
-        s.exec_t.take(t.level_order, axis=0, out=s.share, mode="clip")
-        # each payload edge's transfer time, into its slot of s.pay
-        s.sv.take(t.pay_src, axis=0, out=s.src, mode="clip")
-        s.src *= self._V
-        s.sv.take(t.pay_dst, axis=0, out=s.dst, mode="clip")
-        s.src += s.dst
-        t.inv_uu.take(s.src, out=s.edge, mode="clip")
-        s.edge *= s.pay_bits
-        s.pay[t.pay_slot] = s.edge
-        # the gathers go through scratch: a take whose output overlaps
-        # its input copies the output
-        for gather, g, landed, sent, block, fin, exec_t in s.levels:
-            ft.take(gather, axis=0, out=g, mode="clip")
-            if landed is not None:
-                # x + 0.0 == x, so the slots of parents that send nothing
-                # keep their finish times exactly
-                np.add(landed, sent, out=landed)
-            np.maximum.reduce(block, axis=0, out=fin)
-            np.add(fin, exec_t, out=fin)
-        ft.take(t.user_rows, axis=0, out=s.by_user, mode="clip")
-        # one reduce per user: np.maximum.reduceat along axis 0 costs
-        # about ten times as much
-        f_last = s.last
-        for rows, last in s.users:
-            np.maximum.reduce(rows, axis=0, out=last)
-        f_last -= s.release
-        f_last += task_upload
-        return np.bincount(s.row_of.ravel(), f_last.ravel(), N) / len(self._uplinks)
 
     def result(self, decision: OffloadDecision) -> ScheduleResult:
         problems = decision.validate(self.scenario)
@@ -893,6 +903,27 @@ class Evaluator:
             penalized_s=penalized,
             feasible=bool(self._feasible(totals_v)),
         )
+
+
+class _Stack(_Scoring):
+    """Evaluators on one plan, under one penalty mode, scored as one
+    population: the rows[i] rows of block i of a stacked matrix are
+    scored as evaluators[i] scores them, under its split, budgets and
+    lambda, laid out once per stack as per-row blocks."""
+
+    def __init__(self, evaluators: Sequence[Evaluator], rows: Sequence[int]):
+        first = evaluators[0]
+        plan = self._plan = first._plan
+        self._m, self._V, self._mode = first._m, first._V, first._mode
+        t = plan.layout if plan.layout is not None else plan.compile()
+        arrival, task_upload, span_base = zip(*(ev._split or ev._compile(t) for ev in evaluators))
+        self._split = (np.repeat(np.hstack(arrival), rows, axis=1),
+                       np.repeat(np.hstack(task_upload), rows, axis=1),
+                       np.repeat(span_base, rows, axis=0))
+        self._budget = np.repeat([ev._budget for ev in evaluators], rows, axis=0)
+        self._cap = np.repeat([ev._cap for ev in evaluators], rows, axis=0)
+        self._lam = None if self._mode != "penalty" else np.repeat(
+            [float(ev._lam) for ev in evaluators], rows).reshape(-1, 1)
 
 
 def evaluate(

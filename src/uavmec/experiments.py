@@ -27,8 +27,10 @@ with infinite budgets for the unlimited energy mode; one validated
 evaluator plan and one allocation per allocator, both built from the
 generator's own scenario, since neither reads a budget; and one
 Evaluator per (energy mode, allocator, penalty), which every cell runs
-its solver on (through solvers.SOLVERS). Each row is read from the
-schedule the run returns, its mean uplink rate included. Alternating
+its solver on: a group's dwoa cells first, in lockstep
+(solvers._dwoa_runs), each run as it runs alone, the others through
+solvers.SOLVERS. Each row is read from the schedule the run returns,
+its mean uplink rate included. Alternating
 starts from that Evaluator too, and builds one closed-form split
 Evaluator on the same plan only when the cell's split differs.
 results.csv stays byte-identical to building every input per cell:
@@ -69,7 +71,9 @@ from .solvers import (
     ALLOCATORS,
     SOLVERS as SOLVER_FNS,
     DwoaConfig,
+    SolverRun,
     _count,
+    _dwoa_runs,
     _integer,
     _SWARM_COUNTS,
     dwoa_solve,  # noqa: F401 - kept importable from this module
@@ -209,14 +213,16 @@ class ExperimentSpec:
     @staticmethod
     def from_dict(d: Dict[str, object]) -> "ExperimentSpec":
         """Builds a spec from its JSON form; a missing key takes the
-        field's default, an unknown key is an error, and so is a sequence
-        field that is not a list (or tuple, as to_dict gives)."""
+        field's default, an unknown key is an error, and so is a key of
+        the wrong JSON type (_SPEC_TYPES): a sequence field that is not a
+        list (or tuple, as to_dict gives), a generator that is not an
+        object, an axis or experiment id that is not a string."""
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(ExperimentSpec)})
         if unknown:
             raise ValueError(f"unknown spec keys {unknown}")
-        for k in _SPEC_LISTS:
-            if k in d and not isinstance(d[k], (list, tuple)):
-                raise ValueError(f"spec key {k!r} must be a list, got {d[k]!r}")
+        for k, (types, what) in _SPEC_TYPES.items():
+            if k in d and not isinstance(d[k], types):
+                raise ValueError(f"spec key {k!r} must be {what}, got {d[k]!r}")
         return ExperimentSpec(**{k: _SPEC_DECODE.get(k, lambda x: x)(v) for k, v in d.items()})
 
     @staticmethod
@@ -228,6 +234,12 @@ class ExperimentSpec:
 # the sequence fields; JSON has no tuples, so they come back as lists and
 # are re-tupled for spec equality, as are sequence-valued generator params
 _SPEC_LISTS = ("values", "seeds", "solvers", "allocators", "energy_modes")
+_SPEC_TYPES = {
+    **dict.fromkeys(_SPEC_LISTS, ((list, tuple), "a list")),
+    "generator": (dict, "an object"),
+    "axis": (str, "a string"),
+    "experiment_id": (str, "a string"),
+}
 _SPEC_DECODE = {
     **dict.fromkeys(_SPEC_LISTS, tuple),
     "generator": lambda g: {k: tuple(v) if isinstance(v, list) else v for k, v in dict(g).items()},
@@ -491,38 +503,53 @@ class _SharedInputs:
         )
 
 
-def _run_cell(
-    at: ExperimentSpec,
-    inputs: _SharedInputs,
-    seed: int,
-    solver: str,
-    alloc: str,
-    emode: str,
-) -> Tuple[Dict[str, object], Optional[List[float]]]:
-    penalty = _penalty(at.penalty_mode, at.penalty_lambda)
-    cfg = DwoaConfig(
+def _config(at: ExperimentSpec, seed: int) -> DwoaConfig:
+    """The swarm settings, penalty and solver seed a cell runs with."""
+    return DwoaConfig(
         agents=at.agents,
         max_iterations=at.max_iterations,
-        penalty=penalty,
+        penalty=_penalty(at.penalty_mode, at.penalty_lambda),
         seed=solver_seed(seed),
         upload_model=at.upload_model,
     )
-    run = SOLVER_FNS[solver](inputs.evaluator(emode, alloc, penalty), cfg)
+
+
+def _search_group(inputs: _SharedInputs, cells: Sequence[Tuple]) -> Dict[int, object]:
+    """The runs of a group's dwoa cells by cell index, searched in
+    lockstep in cell order: a SolverRun, or the exception the cell met
+    building its inputs (or the lockstep met)."""
+    runs: Dict[int, object] = {}
+    searches = []
+    for k, (_, at, seed, solver, alloc, emode) in enumerate(cells):
+        if solver == "dwoa":
+            try:
+                cfg = _config(at, seed)
+                searches.append((k, inputs.evaluator(emode, alloc, cfg.penalty), cfg))
+            except Exception as exc:  # noqa: BLE001 - recorded in the cell's row
+                runs[k] = exc
+    if searches:
+        try:
+            found = _dwoa_runs([(ev, cfg) for _, ev, cfg in searches])
+        except Exception as exc:  # noqa: BLE001 - recorded in each cell's row
+            found = [exc] * len(searches)
+        runs.update(zip((k for k, _, _ in searches), found))
+    return runs
+
+
+def _row_metrics(run: SolverRun) -> Dict[str, object]:
+    """A results.csv row's metrics, read from the schedule a run returns."""
     result = run.schedule
     br = decision_latency_breakdown(result)
     comm = math.fsum(result.task_upload_s.values()) / len(result.task_upload_s)
     rates = result.uplink_rate_bps
-    return (
-        dict(
-            objective_s=result.objective_s,
-            computation_s=br["computation"],
-            distributed_s=br["distributed"],
-            comm_s=comm,
-            mean_rate_bps=math.fsum(rates.values()) / len(rates),
-            energy_j=dict(sorted(result.energy.total_j.items())),
-            feasible=result.feasible,
-        ),
-        run.trace if solver in SEARCHING_SOLVERS else None,
+    return dict(
+        objective_s=result.objective_s,
+        computation_s=br["computation"],
+        distributed_s=br["distributed"],
+        comm_s=comm,
+        mean_rate_bps=math.fsum(rates.values()) / len(rates),
+        energy_j=dict(sorted(result.energy.total_j.items())),
+        feasible=result.feasible,
     )
 
 
@@ -570,7 +597,8 @@ def run_experiment(spec: ExperimentSpec) -> Tuple[List[ResultRow], Dict[str, str
     rows: List[ResultRow] = []
     for build, cells in _cells(spec).values():
         inputs = _SharedInputs(spec, build)
-        for value, at, seed, solver, alloc, emode in cells:
+        searched = _search_group(inputs, cells)
+        for k, (value, at, seed, solver, alloc, emode) in enumerate(cells):
             row = ResultRow(
                 experiment=spec.experiment_id,
                 seed=seed,
@@ -582,11 +610,18 @@ def run_experiment(spec: ExperimentSpec) -> Tuple[List[ResultRow], Dict[str, str
             )
             t0 = time.perf_counter()
             try:
-                metrics, trace = _run_cell(at, inputs, seed, solver, alloc, emode)
-                for k, v in metrics.items():
-                    setattr(row, k, v)
-                if trace is not None:
-                    _write_trace(traces_dir, row, trace)
+                run = searched.get(k)
+                if run is None:
+                    cfg = _config(at, seed)
+                    run = SOLVER_FNS[solver](inputs.evaluator(emode, alloc, cfg.penalty), cfg)
+                elif isinstance(run, Exception):
+                    raise run
+                else:
+                    t0 -= run.wall_time_s  # its share of the lockstep, and its result()
+                for name, v in _row_metrics(run).items():
+                    setattr(row, name, v)
+                if solver in SEARCHING_SOLVERS:
+                    _write_trace(traces_dir, row, run.trace)
             except Exception as exc:  # noqa: BLE001 - per-cell isolation
                 row.error = f"{type(exc).__name__}: {exc}"
             row.wall_time_s = time.perf_counter() - t0

@@ -9,7 +9,11 @@ split). SOLVERS maps each solver name to its search over a built
 Evaluator; each search scores its own split only and returns through
 _run, which scores the winning decision once on the Evaluator that
 found it. A run's wall_time_s is search time over a built Evaluator;
-the *_solve functions build one and return the search's run.
+the *_solve functions build one and return the search's run. The whale
+search is an ask/tell pair over WoaState, stepped by one loop,
+_lockstep, which scores the rows of many swarms in one stacked pass
+per iteration, as a sweep group's dwoa cells; one search is its
+one-swarm case.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from .evaluator import (
     OffloadDecision,
     PenaltyConfig,
     ScheduleResult,
+    _Stack,
     decision_from_vector,
 )
 from .scenario import Scenario, UavNode, UserNode
@@ -345,13 +350,14 @@ class WoaState:
     """Population state of the whale search.
 
     Positions stay continuous in [1, V]^M; best_value is the penalized
-    fitness of the best discretized position ever seen and never rises.
-    coefficients holds every agent's move coefficients, row `iteration`
-    being the next step's; a the exploration weight that step uses.
+    fitness of the best discretized position ever seen and never rises
+    (best_position is None until the start is scored). coefficients
+    holds every agent's move coefficients, row `iteration` being the
+    next step's; a the exploration weight that step uses.
     """
 
     positions: np.ndarray
-    best_position: np.ndarray
+    best_position: Optional[np.ndarray]
     best_value: float
     iteration: int
     max_iterations: int
@@ -389,20 +395,42 @@ def woa_init(
     columns, are reproducible regardless of N). Each agent's stream is
     read once, as raw words: its initial position, then the
     coefficients of all max_iterations steps (see _decode)."""
+    state = _spawn(m, v_count, agents, max_iterations, seed)
+    return _tell(state, fitness(_ask(state)))
+
+
+def _spawn(m: int, v_count: int, agents: int, max_iterations: int, seed: int) -> WoaState:
+    """woa_init's population before it is first scored: no incumbent yet."""
     agents = _count("agents", agents, *_SWARM_COUNTS["agents"])
     bits = [np.random.PCG64(ss) for ss in np.random.SeedSequence(seed).spawn(agents)]
     pos, coefficients = _decode(bits, m, v_count, max_iterations)
-    values = fitness(discretize_population(pos, v_count))
-    best_i = _first_min(values)
-    return WoaState(
-        positions=pos,
-        best_position=pos[max(best_i, 0)].copy(),
-        best_value=float(values[best_i]) if best_i >= 0 else math.inf,
-        iteration=0,
-        max_iterations=max_iterations,
-        v_count=v_count,
-        coefficients=coefficients,
-    )
+    return WoaState(pos, None, math.inf, 0, max_iterations, v_count, coefficients)
+
+
+def _ask(state: WoaState) -> np.ndarray:
+    """The (N, M) slot matrix the swarm scores next: its start positions
+    until it holds an incumbent, then each step's moved positions.
+    IndexError past the last step."""
+    if state.best_position is not None:
+        state.positions = _moved_positions(state)
+    return discretize_population(state.positions, state.v_count)
+
+
+def _tell(state: WoaState, values: np.ndarray) -> WoaState:
+    """Takes the fitness of the rows _ask gave. At the start the first
+    best row becomes the incumbent (row 0 at +inf when none is finite);
+    after a step it replaces the incumbent on strict improvement, and
+    the step ends."""
+    i = _first_min(values)
+    if state.best_position is None:
+        state.best_position = state.positions[max(i, 0)].copy()
+        state.best_value = float(values[i]) if i >= 0 else math.inf
+        return state
+    if i >= 0 and values[i] < state.best_value:
+        state.best_value = float(values[i])
+        state.best_position = state.positions[i].copy()
+    state.iteration += 1
+    return state
 
 
 def _moved_positions(state: WoaState) -> np.ndarray:
@@ -444,14 +472,7 @@ def woa_step(state: WoaState, fitness: FitnessFn) -> WoaState:
     order; the whole population is scored in one fitness call. Mutates
     and returns state.
     """
-    state.positions = pos = _moved_positions(state)
-    values = fitness(discretize_population(pos, state.v_count))
-    cand_i = _first_min(values)
-    if cand_i >= 0 and values[cand_i] < state.best_value:
-        state.best_value = float(values[cand_i])
-        state.best_position = pos[cand_i].copy()
-    state.iteration += 1
-    return state
+    return _tell(state, fitness(_ask(state)))
 
 
 def dwoa_solve(
@@ -474,28 +495,67 @@ def dwoa_search(ev: Evaluator, cfg: DwoaConfig) -> SolverRun:
     scenario, allocation, penalty and upload model. cfg supplies the
     swarm parameters; its penalty and upload model must be the
     Evaluator's."""
+    return _dwoa_runs([(ev, cfg)])[0]
+
+
+def _dwoa_runs(searches: Sequence[Tuple[Evaluator, DwoaConfig]]) -> List[SolverRun]:
+    """dwoa_search of each (Evaluator, config), searched in lockstep; a
+    run's wall time is an even share of the search time plus its own
+    result()."""
     t0 = time.perf_counter()
-    vec, trace = _whale_search(ev, cfg, cfg.seed)
-    return _run(
-        "dwoa", ev, decision_from_vector(ev.scenario, vec), t0, cfg.seed, trace,
-        {**_swarm_config(cfg), "spiral_b": SPIRAL_B},
-    )
+    found = _lockstep([(ev, cfg, cfg.seed) for ev, cfg in searches])
+    share = (time.perf_counter() - t0) / len(searches)
+    return [
+        _run("dwoa", ev, decision_from_vector(ev.scenario, vec), time.perf_counter() - share,
+             cfg.seed, trace, {**_swarm_config(cfg), "spiral_b": SPIRAL_B})
+        for (ev, cfg), (vec, trace) in zip(searches, found)
+    ]
 
 
-def _whale_search(ev: Evaluator, cfg: DwoaConfig, seed: int) -> Tuple[Tuple[int, ...], List[float]]:
-    """The best decision vector of a whale search over ev from seed, and
-    the incumbent fitness after every iteration."""
-    if cfg.penalty != ev.penalty or cfg.upload_model != ev.upload_model:
-        raise ValueError("config penalty and upload model must match the Evaluator's")
-    state = woa_init(
-        ev.fitness_many, ev.vector_length, len(ev.scenario.uavs), cfg.agents,
-        cfg.max_iterations, seed,
-    )
-    trace = []
-    for _ in range(cfg.max_iterations):
-        woa_step(state, ev.fitness_many)
-        trace.append(state.best_value)
-    return discretize_vector(state.best_position, state.v_count), trace
+def _lockstep(
+    searches: Sequence[Tuple[Evaluator, DwoaConfig, int]],
+) -> List[Tuple[Tuple[int, ...], List[float]]]:
+    """Per whale search (over an Evaluator, with a config and a seed),
+    its best decision vector and the incumbent fitness after every
+    iteration, as the search run alone gives them. Searches on one
+    plan, under one penalty mode and with equal max_iterations run in
+    batches of at most EXHAUSTIVE_CHUNK rows, in the given order: per
+    iteration every swarm of a batch asks, one _Stack pass scores all
+    their rows (a one-swarm batch is scored by its own Evaluator), and
+    each swarm is told its slice."""
+    batches: List[List[int]] = []
+    open_batch: Dict[tuple, List[int]] = {}
+    for k, (ev, cfg, _) in enumerate(searches):
+        if cfg.penalty != ev.penalty or cfg.upload_model != ev.upload_model:
+            raise ValueError("config penalty and upload model must match the Evaluator's")
+        key = (ev._plan, ev._mode, cfg.max_iterations)
+        batch = open_batch.get(key)
+        if batch is None or sum(searches[j][1].agents for j in batch) + cfg.agents > EXHAUSTIVE_CHUNK:
+            batch = open_batch[key] = []
+            batches.append(batch)
+        batch.append(k)
+
+    found: List[Tuple[Tuple[int, ...], List[float]]] = [None] * len(searches)
+    for batch in batches:
+        states = [
+            _spawn(ev.vector_length, len(ev.scenario.uavs), cfg.agents, cfg.max_iterations, seed)
+            for ev, cfg, seed in (searches[k] for k in batch)
+        ]
+        rows = [len(state.positions) for state in states]
+        evs = [searches[k][0] for k in batch]
+        stack = evs[0] if len(evs) == 1 else _Stack(evs, rows)
+        bounds = np.cumsum([0, *rows]).tolist()
+        traces: List[List[float]] = [[] for _ in batch]
+        for t in range(states[0].max_iterations + 1):
+            asked = [_ask(state) for state in states]
+            values = stack.fitness_many(asked[0] if len(asked) == 1 else np.concatenate(asked))
+            for state, trace, lo, hi in zip(states, traces, bounds, bounds[1:]):
+                _tell(state, values[lo:hi])
+                if t:
+                    trace.append(state.best_value)
+        for k, state, trace in zip(batch, states, traces):
+            found[k] = (discretize_vector(state.best_position, state.v_count), trace)
+    return found
 
 
 def exhaustive_solve(
@@ -661,7 +721,7 @@ def alternating_search(ev: Evaluator, cfg: DwoaConfig, max_outer: int = 10) -> S
     prev = math.inf
     for k, round_seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(max_outer)):
         seed_k = int(round_seed.generate_state(1)[0])
-        vec, _ = _whale_search(ev if k == 0 else optimal, cfg, seed_k)
+        vec, _ = _lockstep([(ev if k == 0 else optimal, cfg, seed_k)])[0]
         for scorer in (ev, optimal) if k == 0 else (optimal,):
             pen = scorer.fitness(vec)
             if pen < best_pen:

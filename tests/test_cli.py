@@ -276,6 +276,16 @@ def test_negative_seed_exits_one_naming_the_seed(tmp_path, capsys, verb):
     assert not os.path.exists(str(tmp_path / "x.json"))
 
 
+@pytest.mark.parametrize("flag", ["--active", "--subtasks"])
+def test_generate_refuses_a_scenario_with_nothing_to_place(tmp_path, capsys, flag):
+    # every solver refuses a scenario with no active user or no sub-task
+    out = str(tmp_path / "x.json")
+    assert main(["generate", flag, "0", "--out", out]) == 1
+    _out, err = capsys.readouterr()
+    assert f"{flag[2:]} must be >= 1, got 0" in err
+    assert not os.path.exists(out)
+
+
 # a small inline-generated instance; at full scale it is energy-infeasible
 SMALL = ["--uavs", "2", "--active", "1", "--subtasks", "3", "--agents", "4", "--iters", "1"]
 

@@ -30,6 +30,7 @@ from uavmec import (
 )
 from uavmec.evaluator import (
     _Plan,
+    _Stack,
     decision_from_vector,
     decision_order,
     decision_to_vector,
@@ -591,6 +592,40 @@ def test_population_kernel_is_exact_past_eight_subtasks_per_user(penalty):
             assert totals[i].tolist() == scalar_totals
             assert fit[i] == ev.fitness(row)
     assert 0 < ev._feasible(totals).sum() < len(P)
+
+
+@pytest.mark.parametrize("penalties", [
+    (PenaltyConfig(lambda_=0.01), PenaltyConfig(lambda_=3), PenaltyConfig(lambda_=1e6)),
+    (PenaltyConfig(mode="hard"),),
+], ids=["penalty", "hard"])
+def test_a_stack_scores_every_row_as_its_own_evaluator(penalties):
+    # a sweep group's Evaluators on one plan at 40 sub-tasks per user:
+    # three splits, both upload models, unequal lambdas, and budgets that
+    # bind, are 0 J or are unlimited, each scoring its own block of rows
+    s = desk_scenario(4, uav_count=4, subtasks=40, active=3, users_per_uav=(1, 2), budget_j=1.6e5)
+    zero = dataclasses.replace(s, uavs=tuple(dataclasses.replace(v, energy_budget_j=0.0) for v in s.uavs))
+    plan = _Plan(s)
+    evs = [
+        Evaluator(scen, alloc(s), pen, upload, _plan=plan)
+        for scen in (s, zero, with_unlimited_energy(s))
+        for alloc in (alloc_equal, alloc_proportional, alloc_optimal)
+        for pen in penalties
+        for upload in ("cumulative", "independent")
+    ]
+    rng = np.random.default_rng(31)
+    rows = rng.integers(1, 6, size=len(evs)).tolist()
+    blocks = [rng.integers(1, 5, size=(n, evs[0].vector_length)) for n in rows]
+    stack = _Stack(evs, rows)
+    P = np.concatenate(blocks)
+    obj, feasible = stack.objective_and_feasible_many(P)
+    alone = [ev.objective_and_feasible_many(block) for ev, block in zip(evs, blocks)]
+    assert stack.fitness_many(P).tolist() == np.concatenate(
+        [ev.fitness_many(block) for ev, block in zip(evs, blocks)]).tolist()
+    assert obj.tolist() == np.concatenate([o for o, _ in alone]).tolist()
+    assert feasible.tolist() == np.concatenate([f for _, f in alone]).tolist()
+    binding, zero_j, unlimited = np.split(feasible, np.cumsum(rows)[[len(evs) // 3 - 1, 2 * len(evs) // 3 - 1]])
+    assert 0 < binding.sum() < len(binding)
+    assert not zero_j.any() and unlimited.all()
 
 
 @pytest.mark.parametrize("upload_model", ["cumulative", "independent"])

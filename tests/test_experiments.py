@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,14 +21,14 @@ from uavmec import (
     with_unlimited_energy,
 )
 from uavmec import (
-    DwoaConfig, PenaltyConfig, alloc_proportional, generate_scenario, save_scenario,
-    validate_scenario,
+    BandwidthAllocation, DwoaConfig, PenaltyConfig, alloc_proportional, decision_to_vector,
+    generate_scenario, save_scenario, validate_scenario,
 )
 from uavmec import channel, evaluator, experiments, solvers
 from uavmec.evaluator import Evaluator
 from uavmec.experiments import FIGURES, ResultRow, summary_to_csv
 
-from conftest import DESK_TASK, write_nan_uav_scenario
+from conftest import DESK_TASK, searched_alone, write_nan_uav_scenario
 
 DESK_GEN = dict(
     uav_count=3,
@@ -130,6 +131,19 @@ def test_spec_file_refuses_a_sequence_key_that_is_not_a_list(tmp_path, key, valu
     # a string would be split into one-letter entries, a number not read at all
     d = dict(json.loads(json.dumps(_spec(tmp_path).to_dict())), **{key: value})
     with pytest.raises(ValueError, match=f"spec key '{key}' must be a list, got {value!r}"):
+        ExperimentSpec.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("generator", 5, "an object"), ("axis", ["agents"], "a string"),
+     ("experiment_id", None, "a string")],
+)
+def test_spec_file_refuses_a_key_of_another_json_type(tmp_path, key, value, kind):
+    # else the sweep fails far from the file without naming the key, or
+    # runs and writes the null id into every results.csv row
+    d = dict(json.loads(json.dumps(_spec(tmp_path).to_dict())), **{key: value})
+    with pytest.raises(ValueError, match=re.escape(f"spec key '{key}' must be {kind}, got {value!r}")):
         ExperimentSpec.from_dict(d)
 
 
@@ -664,6 +678,88 @@ def test_penalty_values_equal_as_numbers_share_one_evaluator(tmp_path, build_cou
     for r in rows:
         by_value.setdefault(r.value, []).append(dataclasses.replace(r, value=""))
     assert by_value["1"] == by_value["1.0"]
+
+
+@pytest.fixture
+def lockstep_runs(monkeypatch):
+    """Every (Evaluator, config) a sweep searches in lockstep, with its run."""
+    seen = []
+
+    def recording(searches):
+        runs = solvers._dwoa_runs(searches)
+        seen.extend(zip(searches, runs))
+        return runs
+
+    monkeypatch.setattr(experiments, "_dwoa_runs", recording)
+    return seen
+
+
+LOCKSTEP_SWEEPS = {
+    "allocator": dict(axis="allocator", values=("equal", "proportional", "optimal"),
+                      solvers=("associated", "dwoa"), energy_modes=("limited", "unlimited")),
+    "agents": dict(axis="agents", values=(1, 3, 8), solvers=("dwoa",)),
+    "penalty_lambda": dict(axis="penalty_lambda", values=(0.01, 1.0, 3, "hard"),
+                           allocators=("equal", "optimal")),
+    "dwoa+alternating": dict(axis="solver", values=("dwoa", "alternating"),
+                             allocators=("equal", "optimal"), energy_modes=("limited", "unlimited")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_SWEEPS))
+def test_lockstep_cells_run_as_they_run_alone(tmp_path, lockstep_runs, name):
+    rows, _paths = run_experiment(_shared_spec(tmp_path, **LOCKSTEP_SWEEPS[name]))
+    assert not any(r.error for r in rows)
+    assert len(lockstep_runs) == sum(r.solver == "dwoa" for r in rows)
+    for (ev, cfg), run in lockstep_runs:
+        alone = solvers.dwoa_search(ev, cfg)
+        assert (run.decision, run.objective_s, run.feasible, run.trace) == (
+            alone.decision, alone.objective_s, alone.feasible, alone.trace)
+        assert (decision_to_vector(ev.scenario, run.decision), run.trace) == searched_alone(ev, cfg)
+
+
+def test_a_groups_dwoa_cells_share_one_pass_per_iteration(tmp_path, monkeypatch):
+    passes = []
+    score = evaluator._Stack.fitness_many
+    monkeypatch.setattr(evaluator._Stack, "fitness_many", lambda st, P: passes.append(len(P)) or score(st, P))
+    run_experiment(_shared_spec(tmp_path, **LOCKSTEP_SWEEPS["allocator"]))
+    # per seed, 3 splits x 2 energy modes of 10 agents, 5 iterations
+    assert passes == [60] * 6 * 2
+
+
+@pytest.mark.parametrize("failure", ["allocator", "evaluator"])
+def test_a_failing_cell_leaves_its_lockstep_group_unchanged(tmp_path, monkeypatch, failure):
+    kw = LOCKSTEP_SWEEPS["allocator"]
+    _rows, clean = run_experiment(_shared_spec(
+        tmp_path, **dict(kw, values=("equal", "optimal")), output_dir=str(tmp_path / "clean")))
+
+    def want(seed):
+        if failure == "allocator":
+            return "RuntimeError: allocator failed"
+        scen = generate_scenario(np.random.SeedSequence([seed, 0]), **BIND_GEN)
+        with pytest.raises(ValueError) as exc:  # a split that leaves users without uplink
+            Evaluator(scen, BandwidthAllocation({}), PenaltyConfig())
+        return f"ValueError: {exc.value}"
+
+    def broken(scenario):
+        if failure == "allocator":
+            raise RuntimeError("allocator failed")
+        return BandwidthAllocation({})
+
+    monkeypatch.setitem(solvers.ALLOCATORS, "proportional", broken)
+    rows, paths = run_experiment(_shared_spec(tmp_path, **kw))
+    for r in rows:
+        if r.allocator == "proportional":
+            assert r.error == want(r.seed) and r.objective_s is None and r.feasible is None
+    with open(paths["results"], encoding="utf-8") as f:
+        kept = [line for line in f.read().splitlines() if ",proportional," not in line]
+    with open(clean["results"], encoding="utf-8") as f:
+        assert kept == f.read().splitlines()
+    names = sorted(os.listdir(clean["traces"]))
+    assert sorted(os.listdir(paths["traces"])) == names
+    for name in names:
+        with open(os.path.join(paths["traces"], name), "rb") as a, \
+                open(os.path.join(clean["traces"], name), "rb") as b:
+            assert a.read() == b.read()
 
 
 # results.csv and trace digests captured before the sweep shared its

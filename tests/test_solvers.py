@@ -45,8 +45,12 @@ from uavmec.evaluator import decision_to_vector
 from uavmec.solvers import SPIRAL_B, _bounded, _decode, _moved_positions
 from uavmec.solvers import discretize, discretize_population
 
+from uavmec import evaluator
+from uavmec.evaluator import _Plan
+from uavmec.solvers import EXHAUSTIVE_CHUNK, _lockstep
+
 import oracles
-from conftest import desk_scenario, hand_scenario, random_decision, run_digest
+from conftest import desk_scenario, hand_scenario, random_decision, run_digest, searched_alone
 
 
 # ---------------------------------------------------------------- discretize
@@ -858,3 +862,50 @@ def test_dwoa_search_rejects_a_config_the_evaluator_does_not_carry():
         dwoa_search(Evaluator(s, beta, PenaltyConfig(mode="hard")), DwoaConfig())
     with pytest.raises(ValueError, match="match"):
         dwoa_search(Evaluator(s, beta, PenaltyConfig(), "independent"), DwoaConfig())
+
+
+# ------------------------------------------------------------------ lockstep
+
+def test_lockstep_batches_keep_every_search_as_it_runs_alone(monkeypatch):
+    # swarms on two plans, under both penalty modes and two iteration
+    # counts, with more rows than one pass takes: a batch holds the
+    # swarms of one plan, mode and count, EXHAUSTIVE_CHUNK rows at most
+    a = desk_scenario(5, uav_count=3, subtasks=4, active=2, budget_j=1800.0)
+    b = desk_scenario(6, uav_count=2, subtasks=3, active=1, budget_j=1800.0)
+    plan = _Plan(a)
+    pen, strong, hard = PenaltyConfig(), PenaltyConfig(lambda_=3), PenaltyConfig(mode="hard")
+    ev = {p: Evaluator(a, alloc_equal(a), p, _plan=plan) for p in (pen, strong, hard)}
+    ev_b = Evaluator(b, alloc_equal(b), pen)
+    searches = [
+        (ev[pen], DwoaConfig(agents=600, max_iterations=2, seed=1), 11),
+        (ev_b, DwoaConfig(agents=3, max_iterations=2, seed=2), 12),
+        (ev[pen], DwoaConfig(agents=500, max_iterations=2, seed=3), 13),
+        (ev[hard], DwoaConfig(agents=4, max_iterations=2, penalty=hard, seed=4), 14),
+        (ev[pen], DwoaConfig(agents=1, max_iterations=3, seed=5), 15),
+        (ev[strong], DwoaConfig(agents=2, max_iterations=2, penalty=strong, seed=6), 16),
+    ]
+    passes = []  # (scorer, rows) of every pass: a lone swarm's own Evaluator
+    score = evaluator._Scoring.fitness_many
+    monkeypatch.setattr(evaluator._Scoring, "fitness_many",
+                        lambda st, P: passes.append((type(st).__name__, len(P))) or score(st, P))
+    found = _lockstep(searches)
+    alone = {600: "Evaluator", 3: "Evaluator", 502: "_Stack", 4: "Evaluator", 1: "Evaluator"}
+    assert [n for _, n in passes] == [600] * 3 + [3] * 3 + [502] * 3 + [4] * 3 + [1] * 4
+    assert all(alone[n] == scorer for scorer, n in passes)
+    assert max(n for _, n in passes) <= EXHAUSTIVE_CHUNK
+    assert found == [searched_alone(e, cfg, seed) for e, cfg, seed in searches]
+
+
+def test_lockstep_hard_mode_reads_no_lambda():
+    # hard mode never reads lambda, so a hard config without one is valid;
+    # alone and stacked, its searches run as the public steps run them
+    s = desk_scenario(5, uav_count=3, subtasks=4, active=2, budget_j=1800.0)
+    hard = PenaltyConfig(lambda_=None, mode="hard")
+    plan = _Plan(s)
+    evs = [Evaluator(s, alloc(s), hard, _plan=plan) for alloc in (alloc_equal, alloc_optimal)]
+    cfg = DwoaConfig(agents=5, max_iterations=4, penalty=hard)
+    lone = dwoa_search(evs[0], cfg)
+    assert (decision_to_vector(s, lone.decision), lone.trace) == searched_alone(evs[0], cfg)
+    assert lone.feasible and lone.objective_s == evs[0].result(lone.decision).objective_s
+    searches = [(ev, cfg, seed) for ev in evs for seed in (1, 2)]
+    assert _lockstep(searches) == [searched_alone(ev, cfg, seed) for ev, cfg, seed in searches]
