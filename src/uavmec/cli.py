@@ -23,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .evaluator import PENALTY_MODES, UPLOAD_MODELS, Evaluator, _penalty
+from .evaluator import PENALTY_MODES, UPLOAD_MODELS, Evaluator, _penalty, _Plan
 from .experiments import (
     FIGURES,
     ExperimentSpec,
@@ -131,7 +131,9 @@ def _cmd_solve(args) -> int:
         seed=solver_seed(args.seed),
         upload_model=args.upload_model,
     )
-    ev = Evaluator(scenario, ALLOCATORS[args.alloc](scenario), penalty, args.upload_model)
+    # load_scenario validated a file's scenario; the plan validates a generated one
+    plan = _Plan(scenario, checked=bool(args.scenario))
+    ev = Evaluator(scenario, ALLOCATORS[args.alloc](scenario), penalty, args.upload_model, _plan=plan)
     try:
         run = SOLVERS[args.solver](ev, cfg)
     except NoFeasibleDecisionError as exc:

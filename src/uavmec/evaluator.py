@@ -207,16 +207,17 @@ class _Plan:
     in slot order (slot i + 1 is uav_ids[i]), per-UAV constants, the
     inverse inter-UAV rates and each active user's sub-task plans. It
     holds no budget, so the Evaluators of scenarios that differ only in
-    energy budgets can share one. Building it validates the scenario:
-    ValueError lists every violation validate_scenario reports.
+    energy budgets can share one. Building it validates the scenario,
+    unless checked says it passed validate_scenario already (as
+    load_scenario's do): ValueError lists every violation reported.
 
     The population kernel's state lives here too: the layout, compiled
     on the first array pass on the plan, and the scratch for the N of
     the last pass, which holds nothing a split sets. Evaluators sharing
     the plan share both, and so one thread."""
 
-    def __init__(self, scenario: Scenario):
-        problems = validate_scenario(scenario)
+    def __init__(self, scenario: Scenario, checked: bool = False):
+        problems = [] if checked else validate_scenario(scenario)
         if problems:
             raise ValueError("invalid scenario: " + "; ".join(problems))
         ph = scenario.physics

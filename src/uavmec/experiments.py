@@ -23,8 +23,9 @@ run grouped by generator input: the seed and the generator parameters,
 which the users and subtasks axes set; a scenario file is one generator
 input whatever the seed. Each group keeps what it builds in a memo of
 its own, keyed by what each build reads: the scenario, and its copy
-with infinite budgets for the unlimited energy mode; one validated
-evaluator plan and one allocation per allocator, both built from the
+with infinite budgets for the unlimited energy mode; one evaluator
+plan, which validates a generated scenario (load_scenario validates a
+file's), and one allocation per allocator, both built from the
 generator's own scenario, since neither reads a budget; and one
 Evaluator per (energy mode, allocator, penalty), which every cell runs
 its solver on: a group's dwoa cells first, in lockstep
@@ -493,7 +494,7 @@ class _SharedInputs:
 
     def evaluator(self, emode: str, alloc: str, penalty: PenaltyConfig) -> Evaluator:
         scen = self._get(("scenario",), self._build)
-        plan = self._get(("plan",), lambda: _Plan(scen))
+        plan = self._get(("plan",), lambda: _Plan(scen, checked=bool(self.spec.scenario_file)))
         beta = self._get(("allocation", alloc), lambda: ALLOCATORS[alloc](scen))
         if emode == "unlimited":
             scen = self._get(("unlimited",), lambda: with_unlimited_energy(scen))

@@ -10,10 +10,11 @@ Evaluator; each search scores its own split only and returns through
 _run, which scores the winning decision once on the Evaluator that
 found it. A run's wall_time_s is search time over a built Evaluator;
 the *_solve functions build one and return the search's run. The whale
-search is an ask/tell pair over WoaState, stepped by one loop,
-_lockstep, which scores the rows of many swarms in one stacked pass
-per iteration, as a sweep group's dwoa cells; one search is its
-one-swarm case.
+search is an ask/tell pair over a stack of swarms (_Swarms), stepped by
+one loop, _lockstep: a batch of searches, as a sweep group's dwoa
+cells, is decoded in one pass, then per iteration moved, discretized
+and scored as one matrix, and each swarm is told its slice. One search,
+and a WoaState stepped by woa_step, is its one-swarm case.
 """
 from __future__ import annotations
 
@@ -98,6 +99,8 @@ class DwoaConfig:
         for name, (low, high) in _SWARM_COUNTS.items():
             # plain int, so numpy integers serialize like any other
             object.__setattr__(self, name, _count(name, getattr(self, name), low, high))
+        if not isinstance(self.penalty, PenaltyConfig):
+            raise ValueError(f"penalty must be a PenaltyConfig, got {self.penalty!r}")
 
 
 @dataclass
@@ -248,11 +251,11 @@ class WoaCoefficients:
     """Every agent's move coefficients for a run of whale steps: row t
     holds iteration t's, column i agent i's. coef_a and coef_c are A and
     C of the encircle / random-search move T - A * |C * T - X|, where T
-    is agent target's snapshot position or, when target is the agent
-    count, the incumbent. Where spiral is set the agent takes the
-    bubble-net move instead, with spiral_e = e^(b*l) and
-    spiral_c = cos(2*pi*l) (0 elsewhere). woa_init decodes exactly
-    max_iterations rows."""
+    is row target of the agents' snapshot positions stacked over their
+    swarms' incumbents (row n, past n agents, for a lone swarm). Where
+    spiral is set the agent takes the bubble-net move instead, with
+    spiral_e = e^(b*l) and spiral_c = cos(2*pi*l) (0 elsewhere).
+    woa_init decodes exactly max_iterations rows."""
 
     coef_a: np.ndarray
     coef_c: np.ndarray
@@ -264,16 +267,19 @@ class WoaCoefficients:
 
 def _decode(
     bits: Sequence[np.random.BitGenerator], m: int, v_count: int, max_iterations: int,
+    sizes: Sequence[int],
 ) -> Tuple[np.ndarray, WoaCoefficients]:
     """Every agent's start position in [1, V]^m and its coefficient
     tables for max_iterations steps, read from one block of raw words
-    per agent's bit generator as the whale search's draws were defined:
+    per agent's bit generator, bits listing swarms of sizes agents in
+    turn, as the whale search's draws were defined:
     uniform(1, V, m) for the position, then per iteration random()
     three times (r, p and u) and, when p < 0.5 and |A| >= 1,
-    integers(N) for the target agent, with A = 2*a*r - a, C = 2*r and
-    l = -1 + 2*u. Reads exactly the words and spare halves those
-    Generator calls would, so both equal theirs bit for bit; when a
-    Lemire redraw runs past the block, every agent draws one more."""
+    integers(N), N the agent's swarm size, for the target agent, with
+    A = 2*a*r - a, C = 2*r and l = -1 + 2*u. Reads exactly the words
+    and spare halves those Generator calls would, so both equal theirs
+    bit for bit; when a Lemire redraw runs past the block, every agent
+    draws one more."""
     n = len(bits)
     weights = [_exploration_weight(t, max_iterations) for t in range(max_iterations)]
     # |A| <= a, so only rows with a >= 1 can draw a target; a never
@@ -282,20 +288,23 @@ def _decode(
     tail = 3 * (max_iterations - drawing)
     block = m + 4 * drawing + tail  # enough unless Lemire's method redraws
     words = np.array([b.random_raw(block) for b in bits], dtype=np.uint64)
+    count = np.repeat(sizes, sizes)
     while True:
         width = words.shape[1]
         unit = (words >> np.uint64(11)) * _UNIT
         try:
             scans = [
-                _scan(unit[i, m:width - tail].tolist(), words[i, m:], weights[:drawing], tail, n)
-                for i in range(n)
+                _scan(unit[i, m:width - tail].tolist(), words[i, m:], weights[:drawing], tail, k)
+                for i, k in enumerate(count.tolist())
             ]
             break
         except IndexError:
             words = np.hstack((words, [b.random_raw(block) for b in bits]))
     starts, drawn = zip(*scans)
-    target = np.full((max_iterations, n), n, dtype=np.intp)
-    target[:drawing] = np.array(drawn, dtype=np.intp).T
+    incumbent = n + np.repeat(np.arange(len(sizes)), sizes)
+    target = np.tile(incumbent, (max_iterations, 1))
+    drawn = np.array(drawn, dtype=np.intp).T
+    target[:drawing] = np.where(drawn < count, drawn + np.repeat(np.cumsum(sizes) - sizes, sizes), incumbent)
 
     # flat index of each row's r in unit, shaped (max_iterations, n)
     at = np.array(starts, dtype=np.intp).T + (m + np.arange(n) * width)
@@ -369,6 +378,25 @@ class WoaState:
         return _exploration_weight(self.iteration, self.max_iterations)
 
 
+@dataclass
+class _Swarms:
+    """Whale searches stepped as one swarm: positions stacks their
+    agents, swarm s from row starts[s] on, row i of swarm owner[i], and
+    best_position and best_value hold one incumbent per swarm
+    (best_position None until the start is scored). The other fields
+    are a WoaState's, whose swarm is the one-swarm case."""
+
+    positions: np.ndarray
+    best_position: Optional[np.ndarray]
+    best_value: np.ndarray
+    starts: np.ndarray
+    owner: np.ndarray
+    iteration: int
+    max_iterations: int
+    v_count: int
+    coefficients: WoaCoefficients
+
+
 # Scores a whole population: (N, M) slot matrix -> (N,) fitness values.
 FitnessFn = Callable[[np.ndarray], np.ndarray]
 
@@ -395,70 +423,96 @@ def woa_init(
     columns, are reproducible regardless of N). Each agent's stream is
     read once, as raw words: its initial position, then the
     coefficients of all max_iterations steps (see _decode)."""
-    state = _spawn(m, v_count, agents, max_iterations, seed)
-    return _tell(state, fitness(_ask(state)))
+    swarms = _spawn(m, v_count, [(agents, seed)], max_iterations)
+    state = WoaState(swarms.positions, None, math.inf, 0, max_iterations, v_count, swarms.coefficients)
+    return _step_alone(state, fitness)
 
 
-def _spawn(m: int, v_count: int, agents: int, max_iterations: int, seed: int) -> WoaState:
-    """woa_init's population before it is first scored: no incumbent yet."""
-    agents = _count("agents", agents, *_SWARM_COUNTS["agents"])
-    bits = [np.random.PCG64(ss) for ss in np.random.SeedSequence(seed).spawn(agents)]
-    pos, coefficients = _decode(bits, m, v_count, max_iterations)
-    return WoaState(pos, None, math.inf, 0, max_iterations, v_count, coefficients)
+def _spawn(m: int, v_count: int, swarms: Sequence[Tuple[int, int]], max_iterations: int) -> _Swarms:
+    """The swarms of (agents, seed) pairs, stacked in order, before they
+    are first scored: no incumbent yet. Every agent count is checked
+    before any stream is drawn."""
+    sizes = [_count("agents", agents, *_SWARM_COUNTS["agents"]) for agents, _ in swarms]
+    bits = [np.random.PCG64(ss) for (_, seed), k in zip(swarms, sizes)
+            for ss in np.random.SeedSequence(seed).spawn(k)]
+    pos, coefficients = _decode(bits, m, v_count, max_iterations, sizes)
+    return _Swarms(pos, None, np.full(len(sizes), math.inf), np.cumsum(sizes) - sizes,
+                   np.repeat(np.arange(len(sizes)), sizes), 0, max_iterations, v_count, coefficients)
 
 
-def _ask(state: WoaState) -> np.ndarray:
-    """The (N, M) slot matrix the swarm scores next: its start positions
-    until it holds an incumbent, then each step's moved positions.
-    IndexError past the last step."""
-    if state.best_position is not None:
-        state.positions = _moved_positions(state)
-    return discretize_population(state.positions, state.v_count)
+def _one_swarm(state: WoaState) -> _Swarms:
+    """state as the one-swarm case of _Swarms, sharing its arrays."""
+    best = None if state.best_position is None else state.best_position[None]
+    return _Swarms(state.positions, best, np.array([state.best_value]), np.zeros(1, np.intp),
+                   np.zeros(len(state.positions), np.intp), state.iteration, state.max_iterations,
+                   state.v_count, state.coefficients)
 
 
-def _tell(state: WoaState, values: np.ndarray) -> WoaState:
-    """Takes the fitness of the rows _ask gave. At the start the first
-    best row becomes the incumbent (row 0 at +inf when none is finite);
-    after a step it replaces the incumbent on strict improvement, and
-    the step ends."""
-    i = _first_min(values)
-    if state.best_position is None:
-        state.best_position = state.positions[max(i, 0)].copy()
-        state.best_value = float(values[i]) if i >= 0 else math.inf
-        return state
-    if i >= 0 and values[i] < state.best_value:
-        state.best_value = float(values[i])
-        state.best_position = state.positions[i].copy()
-    state.iteration += 1
+def _step_alone(state: WoaState, fitness: FitnessFn) -> WoaState:
+    """One _ask, fitness call and _tell of state's swarm; mutates and
+    returns state."""
+    swarms = _one_swarm(state)
+    _tell(swarms, fitness(_ask(swarms)))
+    state.positions, state.iteration = swarms.positions, swarms.iteration
+    state.best_position, state.best_value = swarms.best_position[0], float(swarms.best_value[0])
     return state
 
 
-def _moved_positions(state: WoaState) -> np.ndarray:
+def _ask(swarms: _Swarms) -> np.ndarray:
+    """The stacked slot matrix the swarms score next: their start
+    positions until they hold incumbents, then each step's moved
+    positions. IndexError past the last step."""
+    if swarms.best_position is not None:
+        swarms.positions = _moved_positions(swarms)
+    return discretize_population(swarms.positions, swarms.v_count)
+
+
+def _tell(swarms: _Swarms, values: np.ndarray) -> None:
+    """Takes the fitness of the rows _ask gave. Per swarm, the first
+    strict minimum of its rows wins, NaN never winning: at the start it
+    becomes the incumbent (the swarm's first row at +inf when none is
+    finite); after a step it replaces the incumbent on strict
+    improvement, and the step ends."""
+    values = np.where(np.isnan(values), math.inf, values)
+    # a stable sort by swarm, then value: each swarm's first row at its
+    # least value leads the swarm's run
+    first = np.lexsort((values, swarms.owner))[swarms.starts]
+    best, rows = values[first], swarms.positions[first]
+    if swarms.best_position is None:
+        swarms.best_position, swarms.best_value = rows, best
+    else:
+        better = best < swarms.best_value
+        swarms.best_value = np.where(better, best, swarms.best_value)
+        swarms.best_position = np.where(better[:, None], rows, swarms.best_position)
+        swarms.iteration += 1
+
+
+def _moved_positions(swarms: _Swarms) -> np.ndarray:
     """Every agent's next position, clipped to the box: row
-    state.iteration of the coefficient tables applied to the snapshot of
-    the population and the incumbent, as whole-matrix operations.
-    IndexError past the last row."""
-    co = state.coefficients
-    t = state.iteration
-    spiral, target = co.spiral[t], co.target[t]
-    old = state.positions
-    n = len(old)
+    swarms.iteration of the coefficient tables applied to the snapshot
+    of the stacked agents and the incumbents, as whole-matrix
+    operations. IndexError past the last row."""
+    co = swarms.coefficients
+    t = swarms.iteration
+    spiral = co.spiral[t]
+    old = swarms.positions
 
     # encircle and random search move to T - A * |C * T - X|, with T the
-    # incumbent or a random agent's snapshot position; the spiral moves
-    # to |T - X| * e * c + T, with T the incumbent. Both are
+    # swarm's incumbent or a random agent's snapshot position; the spiral
+    # moves to |T - X| * e * c + T, with T the swarm's incumbent whatever
+    # the row's target. Both are
     # T + |C * T - X| * B * D, with (C, B, D) = (C, -A, 1.0) or
     # (1.0, e, c): 1.0 * x == x, -(A * x) == (-A) * x and y - x ==
     # y + (-x), so every agent gets its own formula's bits
-    T = old.take(target, axis=0, mode="clip")  # target n, the incumbent, is set next
-    T[spiral | (target == n)] = state.best_position
+    snapshot = np.concatenate((old, swarms.best_position))
+    T = snapshot.take(np.where(spiral, len(old) + swarms.owner, co.target[t]), axis=0)
     pos = np.multiply(np.where(spiral, 1.0, co.coef_c[t])[:, None], T)
     pos -= old
     np.abs(pos, out=pos)
     pos *= np.where(spiral, co.spiral_e[t], -co.coef_a[t])[:, None]
     pos *= np.where(spiral, co.spiral_c[t], 1.0)[:, None]
     pos += T
-    return np.clip(pos, 1.0, state.v_count, out=pos)
+    return np.clip(pos, 1.0, swarms.v_count, out=pos)
 
 
 def woa_step(state: WoaState, fitness: FitnessFn) -> WoaState:
@@ -472,7 +526,7 @@ def woa_step(state: WoaState, fitness: FitnessFn) -> WoaState:
     order; the whole population is scored in one fitness call. Mutates
     and returns state.
     """
-    return _tell(state, fitness(_ask(state)))
+    return _step_alone(state, fitness)
 
 
 def dwoa_solve(
@@ -519,10 +573,11 @@ def _lockstep(
     its best decision vector and the incumbent fitness after every
     iteration, as the search run alone gives them. Searches on one
     plan, under one penalty mode and with equal max_iterations run in
-    batches of at most EXHAUSTIVE_CHUNK rows, in the given order: per
-    iteration every swarm of a batch asks, one _Stack pass scores all
-    their rows (a one-swarm batch is scored by its own Evaluator), and
-    each swarm is told its slice."""
+    batches of at most EXHAUSTIVE_CHUNK rows, in the given order. A
+    batch is one stacked swarm (see _Swarms), decoded in one pass; per
+    iteration it moves as one matrix, one _Stack pass scores all its
+    rows (a one-swarm batch is scored by its own Evaluator), and each
+    swarm is told its slice."""
     batches: List[List[int]] = []
     open_batch: Dict[tuple, List[int]] = {}
     for k, (ev, cfg, _) in enumerate(searches):
@@ -537,24 +592,18 @@ def _lockstep(
 
     found: List[Tuple[Tuple[int, ...], List[float]]] = [None] * len(searches)
     for batch in batches:
-        states = [
-            _spawn(ev.vector_length, len(ev.scenario.uavs), cfg.agents, cfg.max_iterations, seed)
-            for ev, cfg, seed in (searches[k] for k in batch)
-        ]
-        rows = [len(state.positions) for state in states]
+        ev, cfg, _ = searches[batch[0]]
+        swarms = _spawn(ev.vector_length, len(ev.scenario.uavs),
+                        [(searches[k][1].agents, searches[k][2]) for k in batch], cfg.max_iterations)
         evs = [searches[k][0] for k in batch]
-        stack = evs[0] if len(evs) == 1 else _Stack(evs, rows)
-        bounds = np.cumsum([0, *rows]).tolist()
-        traces: List[List[float]] = [[] for _ in batch]
-        for t in range(states[0].max_iterations + 1):
-            asked = [_ask(state) for state in states]
-            values = stack.fitness_many(asked[0] if len(asked) == 1 else np.concatenate(asked))
-            for state, trace, lo, hi in zip(states, traces, bounds, bounds[1:]):
-                _tell(state, values[lo:hi])
-                if t:
-                    trace.append(state.best_value)
-        for k, state, trace in zip(batch, states, traces):
-            found[k] = (discretize_vector(state.best_position, state.v_count), trace)
+        stack = ev if len(evs) == 1 else _Stack(evs, np.bincount(swarms.owner))
+        traces = []
+        for _ in range(cfg.max_iterations + 1):
+            _tell(swarms, stack.fitness_many(_ask(swarms)))
+            traces.append(swarms.best_value.tolist())
+        best = discretize_population(swarms.best_position, swarms.v_count).tolist()
+        for s, k in enumerate(batch):
+            found[k] = (tuple(best[s]), [values[s] for values in traces[1:]])
     return found
 
 

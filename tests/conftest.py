@@ -135,6 +135,24 @@ def write_nan_uav_scenario(path):
     return str(path)
 
 
+@pytest.fixture
+def validations(monkeypatch):
+    """The scenarios validate_scenario is called on, wherever the
+    package calls it."""
+    from uavmec import cli, evaluator, scenario
+
+    seen = []
+    check = scenario.validate_scenario
+
+    def counting(s):
+        seen.append(s)
+        return check(s)
+
+    for module in (scenario, evaluator, cli):
+        monkeypatch.setattr(module, "validate_scenario", counting)
+    return seen
+
+
 def random_decision(scenario, rng):
     from uavmec import decision_from_vector
 

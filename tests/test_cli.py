@@ -115,6 +115,12 @@ def test_solve_invalid_scenario_file_exits_one(tmp_path, capsys):
     assert "uav[1]: position_m must be finite" in err
 
 
+def test_solve_validates_a_scenario_file_once(tmp_path, validations):
+    scen = _scenario_file(tmp_path)
+    assert main(["solve", "--scenario", scen, "--solver", "dwoa", "--agents", "4", "--iters", "1"]) == 0
+    assert len(validations) == 1
+
+
 def test_bad_usage_exits_one(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1

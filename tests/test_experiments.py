@@ -540,6 +540,17 @@ def test_file_sweep_builds_each_input_once(tmp_path, build_counts, plan_counts):
     assert plan_counts == {"plans": 1}
 
 
+def test_file_sweep_validates_its_scenario_once(tmp_path, validations):
+    save_scenario(generate_scenario(np.random.SeedSequence([0, 0]), **BIND_GEN),
+                  tmp_path / "scen.json")
+    spec = _shared_spec(tmp_path, axis="allocator", values=("equal", "optimal"), seeds=(0, 1, 2),
+                        scenario_file=str(tmp_path / "scen.json"), generator={},
+                        solvers=("associated", "dwoa"))
+    rows, _paths = run_experiment(spec)
+    assert len(rows) == 12 and not any(r.error for r in rows)
+    assert len(validations) == 1
+
+
 @pytest.mark.parametrize("alloc", sorted(solvers.ALLOCATORS))
 def test_allocations_read_no_budget(alloc):
     # the sweep builds one allocation for both energy modes

@@ -42,12 +42,12 @@ from uavmec.scenario import (
     UserNode,
 )
 from uavmec.evaluator import decision_to_vector
-from uavmec.solvers import SPIRAL_B, _bounded, _decode, _moved_positions
+from uavmec.solvers import SPIRAL_B, _bounded, _decode, _moved_positions, _one_swarm
 from uavmec.solvers import discretize, discretize_population
 
-from uavmec import evaluator
+from uavmec import evaluator, solvers
 from uavmec.evaluator import _Plan
-from uavmec.solvers import EXHAUSTIVE_CHUNK, _lockstep
+from uavmec.solvers import EXHAUSTIVE_CHUNK, _lockstep, _spawn, _tell
 
 import oracles
 from conftest import desk_scenario, hand_scenario, random_decision, run_digest, searched_alone
@@ -234,7 +234,7 @@ def test_moved_positions_equal_the_masked_formula(n, spiral_share):
     assert (co.target == n).any() and (co.target < n).any()
     for t in range(rows):
         state.iteration = t
-        got = _moved_positions(state)
+        got = _moved_positions(_one_swarm(state))
         assert np.array_equal(got, _masked_moved_positions(state))
         # the next step starts from the moved swarm and a moved incumbent
         state.positions = got
@@ -247,7 +247,7 @@ def test_moved_positions_equal_the_masked_formula_on_decoded_rows(n):
     state = woa_init(fit, m=40, v_count=9, agents=n, max_iterations=50, seed=n)
     for t in range(50):
         state.iteration = t
-        got = _moved_positions(state)
+        got = _moved_positions(_one_swarm(state))
         assert np.array_equal(got, _masked_moved_positions(state))
         state.positions = got
 
@@ -392,7 +392,7 @@ def test_decode_reads_on_past_a_long_lemire_redraw():
     head = [0] * 23
     words = head + np.random.PCG64(5).random_raw(30).tolist()
     bits = [_FixedThenPcg(lead + head, 5)] + [np.random.PCG64(seed) for seed in (1, 2)]
-    pos, co = _decode(bits, 2, 4, 2)
+    pos, co = _decode(bits, 2, 4, 2, [3])
     assert pos[0].tolist() == [1.0 + 3.0 * ((w >> 11) * 2.0**-53) for w in lead]
     j, at, _ = _bounded(3, words, 3, None)
     assert at > 23
@@ -407,6 +407,33 @@ def test_decode_reads_on_past_a_long_lemire_redraw():
         drawn = p < 0.5 and abs(co.coef_a[0, i]) >= 1.0
         assert co.target[0, i] == (gen.integers(3) if drawn else 3)
         assert co.coef_c[1, i] == 2.0 * gen.random()
+
+
+def test_stacked_decode_equals_each_swarms_lone_decode_past_a_lemire_redraw():
+    # swarms of 1, 3 and 8 agents decoded in one pass; agent 0 of the
+    # 3-agent swarm meets the zero-word run above, so every agent of the
+    # batch reads on past its first block
+    lead = np.random.PCG64(9).random_raw(2).tolist()
+
+    def swarm_bits(k, size):
+        bits = [np.random.PCG64(ss) for ss in np.random.SeedSequence(k).spawn(size)]
+        if size == 3:
+            bits[0] = _FixedThenPcg(lead + [0] * 23, 5)
+        return bits
+
+    sizes = [1, 3, 8]
+    n, lo = sum(sizes), 0
+    pos, co = _decode([b for k, size in enumerate(sizes) for b in swarm_bits(k, size)], 2, 4, 2, sizes)
+    for s, size in enumerate(sizes):
+        alone_pos, alone = _decode(swarm_bits(s, size), 2, 4, 2, [size])
+        rows = slice(lo, lo + size)
+        _assert_bits_equal(pos[rows], alone_pos, "positions")
+        for name in ("coef_a", "coef_c", "spiral", "spiral_e", "spiral_c"):
+            _assert_bits_equal(getattr(co, name)[:, rows], getattr(alone, name), name)
+        # a drawn target is that agent's row in the stack; row n + s is swarm s's incumbent
+        assert np.array_equal(co.target[:, rows], np.where(alone.target < size, alone.target + lo, n + s))
+        lo += size
+    assert co.target[0, 1] < n  # the redrawn agent's target
 
 
 # ------------------------------------------------------------------- d-woa
@@ -472,7 +499,7 @@ def test_dwoa_config_validation():
 
 @pytest.mark.parametrize("kw", [
     dict(agents=2.5), dict(agents=True), dict(max_iterations=False), dict(seed=1.0),
-    dict(seed=-1), dict(agents=2**32), dict(agents="4"),
+    dict(seed=-1), dict(agents=2**32), dict(agents="4"), dict(penalty=None), dict(penalty="hard"),
 ])
 def test_dwoa_config_rejects_bad_settings_at_construction(kw):
     with pytest.raises(ValueError):
@@ -894,6 +921,35 @@ def test_lockstep_batches_keep_every_search_as_it_runs_alone(monkeypatch):
     assert all(alone[n] == scorer for scorer, n in passes)
     assert max(n for _, n in passes) <= EXHAUSTIVE_CHUNK
     assert found == [searched_alone(e, cfg, seed) for e, cfg, seed in searches]
+
+
+def test_a_lockstep_batch_decodes_once_and_moves_once_per_iteration(monkeypatch):
+    s = desk_scenario(5, uav_count=3, subtasks=4, active=2, budget_j=1800.0)
+    plan = _Plan(s)
+    evs = [Evaluator(s, alloc(s), PenaltyConfig(), _plan=plan) for alloc in (alloc_equal, alloc_optimal)]
+    searches = [(ev, DwoaConfig(agents=agents, max_iterations=3), seed)
+                for ev in evs for agents, seed in ((2, 1), (5, 2))]
+    alone = [searched_alone(ev, cfg, seed) for ev, cfg, seed in searches]
+    calls = []
+    for name in ("_decode", "_moved_positions"):
+        fn = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    assert _lockstep(searches) == alone
+    assert calls == ["_decode"] + ["_moved_positions"] * 3
+
+
+def test_tell_gives_each_swarm_its_first_strict_minimum():
+    # NaN never wins, ties go to the first row, an all-NaN swarm starts
+    # at its first row at +inf, and a step replaces an incumbent only on
+    # strict improvement
+    swarms = _spawn(2, 4, [(3, 1), (4, 2), (2, 3)], 1)
+    nan, inf = math.nan, math.inf
+    _tell(swarms, np.array([5.0, nan, 5.0, nan, inf, 2.0, 2.0, nan, nan]))
+    assert swarms.best_value.tolist() == [5.0, 2.0, inf] and swarms.iteration == 0
+    assert np.array_equal(swarms.best_position, swarms.positions[[0, 5, 7]])
+    _tell(swarms, np.array([5.0, 4.0, 4.0, 2.0, 2.0, 2.0, nan, inf, -1.0]))
+    assert swarms.best_value.tolist() == [4.0, 2.0, -1.0] and swarms.iteration == 1
+    assert np.array_equal(swarms.best_position, swarms.positions[[1, 5, 8]])
 
 
 def test_lockstep_hard_mode_reads_no_lambda():
