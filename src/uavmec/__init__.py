@@ -70,7 +70,6 @@ from .solvers import (
     alloc_proportional,
     alternating_solve,
     associated_decision,
-    discretize,
     discretize_vector,
     dwoa_solve,
     exhaustive_solve,

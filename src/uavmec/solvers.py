@@ -10,11 +10,11 @@ Evaluator; each search scores its own split only and returns through
 _run, which scores the winning decision once on the Evaluator that
 found it. A run's wall_time_s is search time over a built Evaluator;
 the *_solve functions build one and return the search's run. The whale
-search is an ask/tell pair over a stack of swarms (_Swarms), stepped by
-one loop, _lockstep: a batch of searches, as a sweep group's dwoa
-cells, is decoded in one pass, then per iteration moved, discretized
-and scored as one matrix, and each swarm is told its slice. One search,
-and a WoaState stepped by woa_step, is its one-swarm case.
+search is one pair of steps over one record: woa_init decodes and
+scores a stack of swarms (a WoaState), and each woa_step moves,
+discretizes and scores it as one matrix. _lockstep drives them for a
+batch of searches, as a sweep group's dwoa cells; one search is the
+one-swarm case.
 """
 from __future__ import annotations
 
@@ -191,13 +191,6 @@ def discretize_vector(position: Sequence[float], v_count: int) -> Tuple[int, ...
     return tuple(discretize_population(row, v_count)[0].tolist())
 
 
-def discretize(position: Sequence[float], scenario: Scenario) -> OffloadDecision:
-    """Continuous agent position -> concrete offloading decision."""
-    return decision_from_vector(
-        scenario, discretize_vector(position, len(scenario.uavs))
-    )
-
-
 def discretize_population(positions: np.ndarray, v_count: int) -> np.ndarray:
     """Continuous coordinates -> UAV slots, round half down and clamped to
     [1, V], over a whole (N, M) position matrix, as an (N, M) integer
@@ -356,18 +349,22 @@ def _scan(
 
 @dataclass
 class WoaState:
-    """Population state of the whale search.
+    """Whale searches stepped as one swarm; a lone search is the
+    one-swarm case.
 
-    Positions stay continuous in [1, V]^M; best_value is the penalized
-    fitness of the best discretized position ever seen and never rises
-    (best_position is None until the start is scored). coefficients
-    holds every agent's move coefficients, row `iteration` being the
-    next step's; a the exploration weight that step uses.
+    positions stacks their agents, continuous in [1, V]^M: swarm s from
+    row starts[s] on, row i of swarm owner[i]. best_position (S, M) and
+    best_value (S,) hold each swarm's incumbent, the best discretized
+    position it has scored, whose penalized fitness never rises.
+    coefficients holds every agent's move coefficients, row `iteration`
+    being the next step's; a the exploration weight that step uses.
     """
 
     positions: np.ndarray
-    best_position: Optional[np.ndarray]
-    best_value: float
+    best_position: np.ndarray
+    best_value: np.ndarray
+    starts: np.ndarray
+    owner: np.ndarray
     iteration: int
     max_iterations: int
     v_count: int
@@ -376,25 +373,6 @@ class WoaState:
     @property
     def a(self) -> float:
         return _exploration_weight(self.iteration, self.max_iterations)
-
-
-@dataclass
-class _Swarms:
-    """Whale searches stepped as one swarm: positions stacks their
-    agents, swarm s from row starts[s] on, row i of swarm owner[i], and
-    best_position and best_value hold one incumbent per swarm
-    (best_position None until the start is scored). The other fields
-    are a WoaState's, whose swarm is the one-swarm case."""
-
-    positions: np.ndarray
-    best_position: Optional[np.ndarray]
-    best_value: np.ndarray
-    starts: np.ndarray
-    owner: np.ndarray
-    iteration: int
-    max_iterations: int
-    v_count: int
-    coefficients: WoaCoefficients
 
 
 # Scores a whole population: (N, M) slot matrix -> (N,) fitness values.
@@ -410,92 +388,53 @@ def _first_min(values: np.ndarray) -> int:
     return i if values[i] < math.inf else -1
 
 
+def _swarm_minima(
+    values: np.ndarray, owner: np.ndarray, starts: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per swarm of stacked rows (row i of swarm owner[i], swarm s from
+    row starts[s] on), the row of its first strict minimum among values
+    and that value, NaN never winning (the swarm's first row at +inf
+    when none is finite)."""
+    values = np.where(np.isnan(values), math.inf, values)
+    # a stable sort by swarm, then value: each swarm's first row at its
+    # least value leads the swarm's run
+    first = np.lexsort((values, owner))[starts]
+    return first, values[first]
+
+
 def woa_init(
     fitness: FitnessFn,
     m: int,
     v_count: int,
-    agents: int,
+    swarms: Sequence[Tuple[int, int]],
     max_iterations: int,
-    seed: int,
 ) -> WoaState:
-    """Uniform random population in [1, V]^M, one independent PCG64
-    stream per agent (so a population prefix, and its coefficient
-    columns, are reproducible regardless of N). Each agent's stream is
-    read once, as raw words: its initial position, then the
-    coefficients of all max_iterations steps (see _decode)."""
-    swarms = _spawn(m, v_count, [(agents, seed)], max_iterations)
-    state = WoaState(swarms.positions, None, math.inf, 0, max_iterations, v_count, swarms.coefficients)
-    return _step_alone(state, fitness)
-
-
-def _spawn(m: int, v_count: int, swarms: Sequence[Tuple[int, int]], max_iterations: int) -> _Swarms:
-    """The swarms of (agents, seed) pairs, stacked in order, before they
-    are first scored: no incumbent yet. Every agent count is checked
-    before any stream is drawn."""
+    """The swarms of (agents, seed) pairs, stacked in order, each
+    uniform random in [1, V]^M from one independent PCG64 stream per
+    agent (so a swarm's prefix, and its coefficient columns, are
+    reproducible regardless of its N). Every agent count is checked
+    before any stream is drawn; each stream is read once, as raw words:
+    its initial position, then the coefficients of all max_iterations
+    steps (see _decode). One fitness call scores the whole stack, and
+    each swarm's first strict minimum becomes its incumbent."""
     sizes = [_count("agents", agents, *_SWARM_COUNTS["agents"]) for agents, _ in swarms]
     bits = [np.random.PCG64(ss) for (_, seed), k in zip(swarms, sizes)
             for ss in np.random.SeedSequence(seed).spawn(k)]
     pos, coefficients = _decode(bits, m, v_count, max_iterations, sizes)
-    return _Swarms(pos, None, np.full(len(sizes), math.inf), np.cumsum(sizes) - sizes,
-                   np.repeat(np.arange(len(sizes)), sizes), 0, max_iterations, v_count, coefficients)
+    starts, owner = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
+    first, best = _swarm_minima(fitness(discretize_population(pos, v_count)), owner, starts)
+    return WoaState(pos, pos[first], best, starts, owner, 0, max_iterations, v_count, coefficients)
 
 
-def _one_swarm(state: WoaState) -> _Swarms:
-    """state as the one-swarm case of _Swarms, sharing its arrays."""
-    best = None if state.best_position is None else state.best_position[None]
-    return _Swarms(state.positions, best, np.array([state.best_value]), np.zeros(1, np.intp),
-                   np.zeros(len(state.positions), np.intp), state.iteration, state.max_iterations,
-                   state.v_count, state.coefficients)
-
-
-def _step_alone(state: WoaState, fitness: FitnessFn) -> WoaState:
-    """One _ask, fitness call and _tell of state's swarm; mutates and
-    returns state."""
-    swarms = _one_swarm(state)
-    _tell(swarms, fitness(_ask(swarms)))
-    state.positions, state.iteration = swarms.positions, swarms.iteration
-    state.best_position, state.best_value = swarms.best_position[0], float(swarms.best_value[0])
-    return state
-
-
-def _ask(swarms: _Swarms) -> np.ndarray:
-    """The stacked slot matrix the swarms score next: their start
-    positions until they hold incumbents, then each step's moved
-    positions. IndexError past the last step."""
-    if swarms.best_position is not None:
-        swarms.positions = _moved_positions(swarms)
-    return discretize_population(swarms.positions, swarms.v_count)
-
-
-def _tell(swarms: _Swarms, values: np.ndarray) -> None:
-    """Takes the fitness of the rows _ask gave. Per swarm, the first
-    strict minimum of its rows wins, NaN never winning: at the start it
-    becomes the incumbent (the swarm's first row at +inf when none is
-    finite); after a step it replaces the incumbent on strict
-    improvement, and the step ends."""
-    values = np.where(np.isnan(values), math.inf, values)
-    # a stable sort by swarm, then value: each swarm's first row at its
-    # least value leads the swarm's run
-    first = np.lexsort((values, swarms.owner))[swarms.starts]
-    best, rows = values[first], swarms.positions[first]
-    if swarms.best_position is None:
-        swarms.best_position, swarms.best_value = rows, best
-    else:
-        better = best < swarms.best_value
-        swarms.best_value = np.where(better, best, swarms.best_value)
-        swarms.best_position = np.where(better[:, None], rows, swarms.best_position)
-        swarms.iteration += 1
-
-
-def _moved_positions(swarms: _Swarms) -> np.ndarray:
+def _moved_positions(state: WoaState) -> np.ndarray:
     """Every agent's next position, clipped to the box: row
-    swarms.iteration of the coefficient tables applied to the snapshot
+    state.iteration of the coefficient tables applied to the snapshot
     of the stacked agents and the incumbents, as whole-matrix
     operations. IndexError past the last row."""
-    co = swarms.coefficients
-    t = swarms.iteration
+    co = state.coefficients
+    t = state.iteration
     spiral = co.spiral[t]
-    old = swarms.positions
+    old = state.positions
 
     # encircle and random search move to T - A * |C * T - X|, with T the
     # swarm's incumbent or a random agent's snapshot position; the spiral
@@ -504,29 +443,36 @@ def _moved_positions(swarms: _Swarms) -> np.ndarray:
     # T + |C * T - X| * B * D, with (C, B, D) = (C, -A, 1.0) or
     # (1.0, e, c): 1.0 * x == x, -(A * x) == (-A) * x and y - x ==
     # y + (-x), so every agent gets its own formula's bits
-    snapshot = np.concatenate((old, swarms.best_position))
-    T = snapshot.take(np.where(spiral, len(old) + swarms.owner, co.target[t]), axis=0)
+    snapshot = np.concatenate((old, state.best_position))
+    T = snapshot.take(np.where(spiral, len(old) + state.owner, co.target[t]), axis=0)
     pos = np.multiply(np.where(spiral, 1.0, co.coef_c[t])[:, None], T)
     pos -= old
     np.abs(pos, out=pos)
     pos *= np.where(spiral, co.spiral_e[t], -co.coef_a[t])[:, None]
     pos *= np.where(spiral, co.spiral_c[t], 1.0)[:, None]
     pos += T
-    return np.clip(pos, 1.0, swarms.v_count, out=pos)
+    return np.clip(pos, 1.0, state.v_count, out=pos)
 
 
 def woa_step(state: WoaState, fitness: FitnessFn) -> WoaState:
-    """One synchronous population update (encircle / spiral / random
-    search per agent), fitness re-evaluated on the discretized position,
-    incumbent updated on strict improvement.
+    """One synchronous update of every swarm (encircle / spiral / random
+    search per agent), fitness re-evaluated on the discretized
+    positions, each incumbent replaced only on strict improvement.
 
-    All agents move relative to a snapshot of the population and the
-    incumbent taken at iteration entry, with coefficients decoded from
+    All agents move relative to a snapshot of the stack and the
+    incumbents taken at iteration entry, with coefficients decoded from
     each agent's own stream, so the result does not depend on evaluation
-    order; the whole population is scored in one fitness call. Mutates
-    and returns state.
+    order; the whole stack is scored in one fitness call. Mutates and
+    returns state; IndexError past the last step.
     """
-    return _step_alone(state, fitness)
+    state.positions = _moved_positions(state)
+    values = fitness(discretize_population(state.positions, state.v_count))
+    first, best = _swarm_minima(values, state.owner, state.starts)
+    better = best < state.best_value
+    state.best_value = np.where(better, best, state.best_value)
+    state.best_position = np.where(better[:, None], state.positions[first], state.best_position)
+    state.iteration += 1
+    return state
 
 
 def dwoa_solve(
@@ -574,10 +520,9 @@ def _lockstep(
     iteration, as the search run alone gives them. Searches on one
     plan, under one penalty mode and with equal max_iterations run in
     batches of at most EXHAUSTIVE_CHUNK rows, in the given order. A
-    batch is one stacked swarm (see _Swarms), decoded in one pass; per
-    iteration it moves as one matrix, one _Stack pass scores all its
-    rows (a one-swarm batch is scored by its own Evaluator), and each
-    swarm is told its slice."""
+    batch is one WoaState: woa_init, then max_iterations woa_steps,
+    each scoring all its rows in one _Stack pass (a one-swarm batch is
+    scored by its own Evaluator)."""
     batches: List[List[int]] = []
     open_batch: Dict[tuple, List[int]] = {}
     for k, (ev, cfg, _) in enumerate(searches):
@@ -593,17 +538,14 @@ def _lockstep(
     found: List[Tuple[Tuple[int, ...], List[float]]] = [None] * len(searches)
     for batch in batches:
         ev, cfg, _ = searches[batch[0]]
-        swarms = _spawn(ev.vector_length, len(ev.scenario.uavs),
-                        [(searches[k][1].agents, searches[k][2]) for k in batch], cfg.max_iterations)
-        evs = [searches[k][0] for k in batch]
-        stack = ev if len(evs) == 1 else _Stack(evs, np.bincount(swarms.owner))
-        traces = []
-        for _ in range(cfg.max_iterations + 1):
-            _tell(swarms, stack.fitness_many(_ask(swarms)))
-            traces.append(swarms.best_value.tolist())
-        best = discretize_population(swarms.best_position, swarms.v_count).tolist()
+        swarms = [(searches[k][1].agents, searches[k][2]) for k in batch]
+        fitness = ev.fitness_many if len(batch) == 1 else _Stack(
+            [searches[k][0] for k in batch], [agents for agents, _ in swarms]).fitness_many
+        state = woa_init(fitness, ev.vector_length, len(ev.scenario.uavs), swarms, cfg.max_iterations)
+        traces = [woa_step(state, fitness).best_value.tolist() for _ in range(cfg.max_iterations)]
+        best = discretize_population(state.best_position, state.v_count).tolist()
         for s, k in enumerate(batch):
-            found[k] = (tuple(best[s]), [values[s] for values in traces[1:]])
+            found[k] = (tuple(best[s]), [values[s] for values in traces])
     return found
 
 

@@ -43,10 +43,10 @@ def desk_scenario(seed, uav_count=3, subtasks=6, active=1, budget_j=1e9, **kw):
 def searched_alone(ev, cfg, seed=None):
     """A whale search over ev alone, from its public steps: the best
     decision vector and the incumbent fitness after every iteration."""
-    state = woa_init(ev.fitness_many, ev.vector_length, len(ev.scenario.uavs), cfg.agents,
-                     cfg.max_iterations, cfg.seed if seed is None else seed)
-    trace = [woa_step(state, ev.fitness_many).best_value for _ in range(cfg.max_iterations)]
-    return discretize_vector(state.best_position, state.v_count), trace
+    state = woa_init(ev.fitness_many, ev.vector_length, len(ev.scenario.uavs),
+                     [(cfg.agents, cfg.seed if seed is None else seed)], cfg.max_iterations)
+    trace = [woa_step(state, ev.fitness_many).best_value[0] for _ in range(cfg.max_iterations)]
+    return discretize_vector(state.best_position[0], state.v_count), trace
 
 
 def hand_scenario():

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import sys
 
+import uavmec
 from uavmec import cli, evaluator, experiments, solvers
 from uavmec.experiments import ExperimentSpec, run_experiment
 
@@ -60,7 +61,18 @@ def test_sweep_keeps_its_bytes_under_the_bench_tracer(monkeypatch, tmp_path):
         with open(paths["results"], "rb") as f:
             results.append(f.read())
     assert results[1] == results[0] and results[2] == results[0]
-    assert tracer.summary()["calls"][tracing.LAYERS.index("evaluator.init")] > 0
+    calls = tracer.summary()["calls"]
+    for layer in ("evaluator.init", "solvers.woa_init", "solvers.woa_step"):
+        assert calls[tracing.LAYERS.index(layer)] > 0, layer
+
+    # a lone search through the package's public name is seen step by step
+    s = uavmec.generate_scenario(3, **spec.generator)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        uavmec.dwoa_solve(s, uavmec.alloc_equal(s), solvers.DwoaConfig(agents=4, max_iterations=3))
+    calls = tracer.summary()["calls"]
+    for layer, count in (("solvers.dwoa_solve", 1), ("solvers.woa_init", 1), ("solvers.woa_step", 3)):
+        assert calls[tracing.LAYERS.index(layer)] == count, layer
 
 
 def _solve_choices(dest="solver"):

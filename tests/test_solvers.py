@@ -41,13 +41,13 @@ from uavmec.scenario import (
     UavNode,
     UserNode,
 )
-from uavmec.evaluator import decision_to_vector
-from uavmec.solvers import SPIRAL_B, _bounded, _decode, _moved_positions, _one_swarm
-from uavmec.solvers import discretize, discretize_population
+from uavmec.evaluator import decision_from_vector, decision_to_vector
+from uavmec.solvers import SPIRAL_B, _bounded, _decode, _moved_positions
+from uavmec.solvers import discretize_population
 
 from uavmec import evaluator, solvers
 from uavmec.evaluator import _Plan
-from uavmec.solvers import EXHAUSTIVE_CHUNK, _lockstep, _spawn, _tell
+from uavmec.solvers import EXHAUSTIVE_CHUNK, _dwoa_runs, _lockstep
 
 import oracles
 from conftest import desk_scenario, hand_scenario, random_decision, run_digest, searched_alone
@@ -85,7 +85,7 @@ def test_discretize_population_matches_slot_goldens():
 def test_discretize_vector_and_decision():
     assert discretize_vector((1.2, 3.8, 2.5), 4) == (1, 4, 2)
     s = hand_scenario()
-    dec = discretize((1.6, 1.2, 2.0), s)
+    dec = decision_from_vector(s, discretize_vector((1.6, 1.2, 2.0), len(s.uavs)))
     assert isinstance(dec, OffloadDecision)
     assert dec.x == {1: (2, 1, 2)}
 
@@ -113,16 +113,27 @@ def _spiral(l):
                 spiral_e=math.exp(l), spiral_c=math.cos(2.0 * math.pi * l))
 
 
+def _lone_state(positions, best, best_value, **fields):
+    """A one-swarm state of the given positions and incumbent."""
+    positions = np.array(positions, dtype=float)
+    return WoaState(
+        positions=positions,
+        best_position=np.array(best, dtype=float).reshape(1, -1),
+        best_value=np.array([best_value], dtype=float),
+        starts=np.zeros(1, np.intp),
+        owner=np.zeros(len(positions), np.intp),
+        **fields,
+    )
+
+
 def _state(positions, best, v_count, agents, best_value=5.0):
     """A state at iteration 0 of 10 whose coefficient tables hold one
     hand-set row, one column per agent."""
     n = len(agents)
     rows = {k: [[ag[k] for ag in agents]] for k in agents[0]}
     rows["target"] = [[n if ag["target"] is None else ag["target"] for ag in agents]]
-    return WoaState(
-        positions=np.array(positions, dtype=float),
-        best_position=np.array(best, dtype=float),
-        best_value=best_value,
+    return _lone_state(
+        positions, best, best_value,
         iteration=0,
         max_iterations=10,
         v_count=v_count,
@@ -135,7 +146,7 @@ def test_step_encircle_with_zero_coefficient_lands_on_best():
     st = _state([[3.0, 1.0, 2.0]], [2.0, 4.0, 1.5], 4, [_move(0.0, 1.0)])
     woa_step(st, lambda P: np.full(len(P), 100.0))
     assert np.allclose(st.positions[0], [2.0, 4.0, 1.5])
-    assert st.best_value == 5.0  # worse fitness must not replace the incumbent
+    assert st.best_value.tolist() == [5.0]  # worse fitness must not replace the incumbent
     assert st.iteration == 1
     assert st.a == pytest.approx(2.0 * (1 - 1 / 10))
 
@@ -170,12 +181,12 @@ def test_step_search_branch_uses_snapshot_of_neighbor():
 def test_step_incumbent_updates_only_on_strict_improvement():
     st = _state([[3.0, 3.0]], [2.0, 2.0], 4, [_move(0.0, 1.0)], best_value=7.0)
     woa_step(st, lambda P: np.full(len(P), 7.0))  # tie: keep the old best position
-    assert st.best_value == 7.0
-    assert np.allclose(st.best_position, [2.0, 2.0])
+    assert st.best_value.tolist() == [7.0]
+    assert np.allclose(st.best_position, [[2.0, 2.0]])
 
     st2 = _state([[3.0, 3.0]], [2.0, 2.0], 4, [_move(0.0, 1.0)], best_value=7.0)
     woa_step(st2, lambda P: np.full(len(P), 6.5))
-    assert st2.best_value == 6.5
+    assert st2.best_value.tolist() == [6.5]
 
 
 def test_step_past_hand_set_rows_without_streams_raises():
@@ -225,36 +236,34 @@ def test_moved_positions_equal_the_masked_formula(n, spiral_share):
     rng = np.random.default_rng(n)
     m, v_count, rows = 30, 5, 12
     co = _random_rows(rng, n, rows, spiral_share)
-    state = WoaState(
-        positions=rng.uniform(1.0, v_count, (n, m)),
-        best_position=rng.uniform(1.0, v_count, m),
-        best_value=0.0, iteration=0, max_iterations=rows, v_count=v_count,
-        coefficients=co,
+    state = _lone_state(
+        rng.uniform(1.0, v_count, (n, m)), rng.uniform(1.0, v_count, m), 0.0,
+        iteration=0, max_iterations=rows, v_count=v_count, coefficients=co,
     )
     assert (co.target == n).any() and (co.target < n).any()
     for t in range(rows):
         state.iteration = t
-        got = _moved_positions(_one_swarm(state))
+        got = _moved_positions(state)
         assert np.array_equal(got, _masked_moved_positions(state))
         # the next step starts from the moved swarm and a moved incumbent
         state.positions = got
-        state.best_position = got[t % n].copy()
+        state.best_position = got[[t % n]]
 
 
 @pytest.mark.parametrize("n", [1, 5, 17, 100])
 def test_moved_positions_equal_the_masked_formula_on_decoded_rows(n):
     fit = lambda P: P.sum(axis=1).astype(float)
-    state = woa_init(fit, m=40, v_count=9, agents=n, max_iterations=50, seed=n)
+    state = woa_init(fit, m=40, v_count=9, swarms=[(n, n)], max_iterations=50)
     for t in range(50):
         state.iteration = t
-        got = _moved_positions(_one_swarm(state))
+        got = _moved_positions(state)
         assert np.array_equal(got, _masked_moved_positions(state))
         state.positions = got
 
 
 def test_step_positions_stay_in_box():
     fit = lambda P: P.sum(axis=1).astype(float)
-    state = woa_init(fit, m=6, v_count=4, agents=12, max_iterations=8, seed=3)
+    state = woa_init(fit, m=6, v_count=4, swarms=[(12, 3)], max_iterations=8)
     for _ in range(8):
         woa_step(state, fit)
         assert np.all(state.positions >= 1.0)
@@ -263,8 +272,8 @@ def test_step_positions_stay_in_box():
 
 def test_woa_population_prefix_is_seed_stable():
     fit = lambda P: P.sum(axis=1).astype(float)
-    small = woa_init(fit, m=5, v_count=4, agents=10, max_iterations=5, seed=42)
-    large = woa_init(fit, m=5, v_count=4, agents=40, max_iterations=5, seed=42)
+    small = woa_init(fit, m=5, v_count=4, swarms=[(10, 42)], max_iterations=5)
+    large = woa_init(fit, m=5, v_count=4, swarms=[(40, 42)], max_iterations=5)
     assert np.array_equal(small.positions, large.positions[:10])
     assert large.best_value <= small.best_value
 
@@ -273,8 +282,8 @@ def test_woa_coefficient_prefix_is_seed_stable():
     # integers(N) depends on N, so only whether an agent drew a target
     # agent, not which one, carries over
     fit = lambda P: P.sum(axis=1).astype(float)
-    small = woa_init(fit, m=5, v_count=4, agents=10, max_iterations=30, seed=42).coefficients
-    large = woa_init(fit, m=5, v_count=4, agents=40, max_iterations=30, seed=42).coefficients
+    small = woa_init(fit, m=5, v_count=4, swarms=[(10, 42)], max_iterations=30).coefficients
+    large = woa_init(fit, m=5, v_count=4, swarms=[(40, 42)], max_iterations=30).coefficients
     for name in ("coef_a", "coef_c", "spiral", "spiral_e", "spiral_c"):
         assert np.array_equal(getattr(small, name), getattr(large, name)[:, :10]), name
     assert np.array_equal(small.target == 10, large.target[:, :10] == 40)
@@ -331,7 +340,7 @@ def test_decoded_coefficients_match_generator_draws(agents, iters):
     # start positions over every (m, V) too, looped like the seeds
     fit = lambda P: np.zeros(len(P))
     for seed, m, v_count in itertools.product((0, 7), (1, 3, 30), (2, 4, 9)):
-        state = woa_init(fit, m=m, v_count=v_count, agents=agents, max_iterations=iters, seed=seed)
+        state = woa_init(fit, m=m, v_count=v_count, swarms=[(agents, seed)], max_iterations=iters)
         tables, positions = _generator_tables(agents, iters, seed, m, v_count)
         assert len(state.coefficients.coef_a) == iters
         _assert_tables_equal(state.coefficients, tables)
@@ -341,7 +350,7 @@ def test_decoded_coefficients_match_generator_draws(agents, iters):
 @pytest.mark.parametrize("agents,iters", [(1, 0), (2, 1), (5, 3), (100, 4)])
 def test_step_past_max_iterations_raises(agents, iters):
     fit = lambda P: np.zeros(len(P))
-    state = woa_init(fit, m=3, v_count=4, agents=agents, max_iterations=iters, seed=11)
+    state = woa_init(fit, m=3, v_count=4, swarms=[(agents, 11)], max_iterations=iters)
     for _ in range(iters):
         woa_step(state, fit)
     _assert_tables_equal(state.coefficients, _generator_tables(agents, iters, 11)[0])
@@ -473,9 +482,9 @@ def test_dwoa_zero_iterations_is_best_of_initial_pool():
     assert run.trace == []
 
     ev = Evaluator(s, beta, cfg.penalty)
-    state = woa_init(ev.fitness_many, ev.vector_length, len(s.uavs), 25, 0, 13)
+    state = woa_init(ev.fitness_many, ev.vector_length, len(s.uavs), [(25, 13)], 0)
     vec = decision_to_vector(s, run.decision)
-    assert ev.fitness(vec) == pytest.approx(state.best_value, rel=1e-12)
+    assert ev.fitness(vec) == pytest.approx(state.best_value[0], rel=1e-12)
 
 
 def test_dwoa_beats_or_matches_initial_pool():
@@ -483,9 +492,9 @@ def test_dwoa_beats_or_matches_initial_pool():
     beta = alloc_equal(s)
     short = dwoa_solve(s, beta, _dwoa_cfg(max_iterations=0, seed=21))
     ev = Evaluator(s, beta, PenaltyConfig())
-    state = woa_init(ev.fitness_many, ev.vector_length, len(s.uavs), 30, 0, 21)
+    state = woa_init(ev.fitness_many, ev.vector_length, len(s.uavs), [(30, 21)], 0)
     long = dwoa_solve(s, beta, _dwoa_cfg(max_iterations=30, seed=21))
-    assert long.trace[-1] <= state.best_value + 1e-12
+    assert long.trace[-1] <= state.best_value[0] + 1e-12
     assert long.objective_s <= short.objective_s + 1e-12
 
 
@@ -520,7 +529,7 @@ def test_swarm_counts_are_refused_with_the_spec_messages(kw, problem):
     if "agents" in kw:
         # woa_init refuses the same agents before drawing a stream
         with pytest.raises(ValueError) as info:
-            woa_init(lambda pop: np.zeros(len(pop)), 3, 2, kw["agents"], 1, 0)
+            woa_init(lambda pop: np.zeros(len(pop)), 3, 2, [(kw["agents"], 0)], 1)
         assert str(info.value) == problem
 
 
@@ -942,14 +951,35 @@ def test_tell_gives_each_swarm_its_first_strict_minimum():
     # NaN never wins, ties go to the first row, an all-NaN swarm starts
     # at its first row at +inf, and a step replaces an incumbent only on
     # strict improvement
-    swarms = _spawn(2, 4, [(3, 1), (4, 2), (2, 3)], 1)
     nan, inf = math.nan, math.inf
-    _tell(swarms, np.array([5.0, nan, 5.0, nan, inf, 2.0, 2.0, nan, nan]))
-    assert swarms.best_value.tolist() == [5.0, 2.0, inf] and swarms.iteration == 0
-    assert np.array_equal(swarms.best_position, swarms.positions[[0, 5, 7]])
-    _tell(swarms, np.array([5.0, 4.0, 4.0, 2.0, 2.0, 2.0, nan, inf, -1.0]))
-    assert swarms.best_value.tolist() == [4.0, 2.0, -1.0] and swarms.iteration == 1
-    assert np.array_equal(swarms.best_position, swarms.positions[[1, 5, 8]])
+    start = lambda P: np.array([5.0, nan, 5.0, nan, inf, 2.0, 2.0, nan, nan])
+    state = woa_init(start, 2, 4, [(3, 1), (4, 2), (2, 3)], 1)
+    assert state.best_value.tolist() == [5.0, 2.0, inf] and state.iteration == 0
+    assert np.array_equal(state.best_position, state.positions[[0, 5, 7]])
+    kept = state.best_position[1].copy()
+    woa_step(state, lambda P: np.array([5.0, 4.0, 4.0, 2.0, 2.0, 2.0, nan, inf, -1.0]))
+    assert state.best_value.tolist() == [4.0, 2.0, -1.0] and state.iteration == 1
+    # swarms 0 and 2 take their moved rows; swarm 1's tie keeps its incumbent
+    assert np.array_equal(state.best_position, [state.positions[1], kept, state.positions[8]])
+
+
+def test_a_batch_incumbent_is_its_returned_decision():
+    # swarms of three sizes under every allocator and penalty on one
+    # plan, batched by mode: each run's trace never rises and ends at
+    # the fitness of the decision it returns
+    s = desk_scenario(5, uav_count=3, subtasks=4, active=2, budget_j=1800.0)
+    plan = _Plan(s)
+    searches = []
+    for penalty in (PenaltyConfig(lambda_=0.1), PenaltyConfig(lambda_=2), PenaltyConfig(mode="hard")):
+        for alloc in ALLOCATORS.values():
+            ev = Evaluator(s, alloc(s), penalty, _plan=plan)
+            searches += [(ev, DwoaConfig(agents=agents, max_iterations=6, penalty=penalty, seed=seed))
+                         for agents in (1, 4, 9) for seed in range(6)]
+    runs = _dwoa_runs(searches)
+    assert len(runs) == 162
+    for (ev, _), run in zip(searches, runs):
+        assert all(b <= a for a, b in zip(run.trace, run.trace[1:]))
+        assert run.trace[-1] == ev.fitness(decision_to_vector(s, run.decision))
 
 
 def test_lockstep_hard_mode_reads_no_lambda():
