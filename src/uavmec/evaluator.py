@@ -16,6 +16,13 @@ kernel walks the DAG one level at a time in four numpy calls per
 level: gather the ready-time candidates from the finish table, add the
 payload transfers, take the max, add the execution times.
 
+A pass has two halves on one scratch. The times half writes the slots,
+per-UAV loads and execution and forwarding times, all the objective
+reads; the energy-totals half adds shares, execution and forwarding
+energy, spans and hover. A caller that needs an objective first can
+finish the pass's energy later, or not at all: the exhaustive search
+finishes it only for blocks that can hold a new optimum.
+
 Timing rules: sub-tasks are processed in topological order; arrival time
 accumulates the task's uploads over the shared uplink (so one channel
 never carries two inputs at once; the "independent" upload model starts
@@ -43,7 +50,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -490,8 +497,8 @@ class _Scoring:
     def objective_and_feasible_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
         """objective_and_feasible of each row of an (N, M) slot matrix:
         (N,) objectives and (N,) feasibility flags."""
-        objective, totals = self._score_many(population)
-        return objective, self._feasible(totals)
+        objective, totals = self._objective_first(population)
+        return objective, self._feasible(totals())
 
     def _feasible(self, totals: np.ndarray) -> np.ndarray:
         """The budget rule, over the last axis of per-UAV energy totals:
@@ -545,25 +552,38 @@ class _Scoring:
         belong to a cell leaves a sum unchanged. Ready times take a max,
         which does not depend on order. Both returned arrays are fresh.
         """
+        objective, totals = self._objective_first(population)
+        return objective, totals()
+
+    def _objective_first(self, population) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
+        """The pass of _score_many in two halves: runs the times half and
+        the objectives, and returns the fresh (N,) objectives with a
+        function that finishes the same pass, returning its fresh (N, V)
+        energy totals (which _feasible turns into feasibility flags). The
+        energy half reads the plan's scratch, so call it, if at all,
+        before the next pass on the plan. A caller that needs no energy
+        for some populations skips about half the work on them."""
         pop = self._slot_matrix(population)
         if not len(pop):  # np.bincount of no weights returns integers
-            return np.zeros(0), np.zeros((0, self._V))
+            return np.zeros(0), lambda: np.zeros((0, self._V))
         plan = self._plan
         t = plan.layout if plan.layout is not None else plan.compile()
         arrival, task_upload, span_base = self._split or self._compile(t)
         s = plan.scratch
         if s is None or s.n != len(pop):
             s = plan.scratch = _Scratch(t, len(pop))
-        totals = self._energy_many(t, s, pop, span_base)
-        return self._objective_many(t, s, arrival, task_upload), totals
+        tot = self._times_many(t, s, pop)
+        objective = self._objective_many(t, s, arrival, task_upload)
+        return objective, lambda: self._energy_many(t, s, tot, span_base)
 
-    def _energy_many(self, t: _Layout, s: _Scratch, pop, span_base) -> np.ndarray:
-        """Writes the per-node execution and forwarding times (visiting
-        order) into s.exec_t and s.fwd_t and the 0-based slots into s.sv;
-        returns fresh (N, V) per-UAV energy totals."""
+    def _times_many(self, t: _Layout, s: _Scratch, pop) -> np.ndarray:
+        """The times half: writes the 0-based slots (visiting order) into
+        s.sv, the flat (decision, slot) cells into s.cellv, the (node,
+        slot) entries of fwd and h_fmax into s.cells, and the execution
+        and forwarding times into s.exec_t and s.fwd_t; returns the fresh
+        (N, V) input bits per UAV. _objective_many reads nothing else."""
         N = s.n
         V = self._V
-        U = len(t.release)
         # _slot_matrix keeps every index in range, so no take needs the
         # default mode="raise", which would copy its output. pop is read
         # once, into sv as its transpose, 0-based (sv is rewritten below),
@@ -576,13 +596,21 @@ class _Scoring:
         np.subtract(s.cellv, s.cell, out=s.sv)  # 0-based slots in visiting order
         (tot / t.fmax).ravel().take(s.cellv, out=s.exec_t, mode="clip")
         s.exec_t *= s.cycles
-        node = s.cells  # (node, slot) entry of fwd and h_fmax; cells is spent
-        np.add(s.sv, s.fwd_row, out=node)
-        t.fwd.take(node, out=s.fwd_t, mode="clip")
+        np.add(s.sv, s.fwd_row, out=s.cells)  # cells is spent: now the entries
+        t.fwd.take(s.cells, out=s.fwd_t, mode="clip")
+        return tot
+
+    def _energy_many(self, t: _Layout, s: _Scratch, tot, span_base) -> np.ndarray:
+        """The energy-totals half, after _times_many and _objective_many
+        on the same scratch (it rewrites s.sv, which the objectives read):
+        share, execution and forwarding energy, spans and hover; returns
+        fresh (N, V) per-UAV energy totals. tot is _times_many's."""
+        N = s.n
+        V = self._V
+        U = len(t.release)
         share, work = s.share, s.work
-        t.h_fmax.take(node, out=share, mode="clip")
+        t.h_fmax.take(s.cells, out=share, mode="clip")
         tot.ravel().take(s.cellv, out=work, mode="clip")
-        del tot
         share /= work
         np.multiply(t.kappa, share, out=work)  # the energy of each node
         work *= share
@@ -593,19 +621,19 @@ class _Scoring:
         totals += np.bincount(s.fwd_cell.ravel(), work.ravel(), N * V).reshape(N, V)
         totals += t.report_e
 
-        # the local execution times, then the remote hop-plus-execution
-        # times, each 0.0 elsewhere as np.where would give: times are
-        # finite and >= 0 and a local node's forwarding time is 0.0, so
-        # exec * (slot == assoc) and (fwd + exec) minus that are exact;
-        # a node runs at its associated slot where its cell is fwd_cell
-        local = share
-        np.equal(s.cellv, s.fwd_cell, out=local)
-        np.multiply(s.exec_t, local, out=work)
-        span = np.bincount(s.ucell.ravel(), work.ravel(), N * U)
-        remote = np.add(s.fwd_t, s.exec_t, out=share)
-        remote -= work
-        np.maximum(span, np.bincount(s.ucell.ravel(), remote.ravel(), N * U), out=span)
-        span = span.reshape(N, U)
+        # one pass over 2 N U bins: the local spans, then from N U on the
+        # remote hop-plus-execution spans; a node runs at its associated
+        # slot where its cell is fwd_cell. fwd + exec is exact as the
+        # weight of both: times are finite and >= 0 and a local node's
+        # forwarding time is 0.0, so each bin adds exactly the terms the
+        # scalar kernel adds to that span, in its order
+        bins = s.sv
+        np.not_equal(s.cellv, s.fwd_cell, out=bins)
+        bins *= N * U
+        bins += s.ucell
+        np.add(s.fwd_t, s.exec_t, out=work)
+        span = np.bincount(bins.ravel(), work.ravel(), 2 * N * U)
+        span = np.maximum(span[:N * U], span[N * U:]).reshape(N, U)
         span += span_base
         hover_t = np.zeros((N, V))  # the longest span among a UAV's users
         for u, a in enumerate(t.user_assoc):
@@ -765,7 +793,7 @@ class Evaluator(_Scoring):
         fwd_e = [0.0] * V
         hov_t = [0.0] * V
 
-        # in column order, the order np.bincount adds them in _energy_many
+        # in column order, the order np.bincount adds them in _times_many
         for v, h in zip(vec, plan.h_cols):
             tot[v - 1] += h
         fmax_arr = plan.fmax

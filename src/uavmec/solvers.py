@@ -40,7 +40,8 @@ from .evaluator import (
 from .scenario import Scenario, UavNode, UserNode
 
 
-# Decisions scored per array pass by exhaustive_solve. It bounds the
+# Decisions scored per array pass by exhaustive_solve, at most: its
+# blocks hold q * V**d of them (see exhaustive_search). It bounds the
 # pass's temporaries: at V=3, M=8, 4096 rows raised peak memory by
 # ~4.7 MB and ran slower than 1024 rows (~0.7 MB).
 EXHAUSTIVE_CHUNK = 1024
@@ -566,7 +567,19 @@ def exhaustive_solve(
 def exhaustive_search(ev: Evaluator, cap: int = 10**7) -> SolverRun:
     """exhaustive_solve over an already-built Evaluator. Only raw
     objectives and feasibility are compared, so the Evaluator's penalty
-    does not change the result."""
+    does not change the result: the first strict minimum of the
+    objective among feasible decisions, in itertools.product order.
+
+    Decision k, written in base V with the last sub-task as the lowest
+    digit, is the k-th of that order. The search scores blocks of
+    q * V**d decisions: V**d is the largest power of V at most
+    EXHAUSTIVE_CHUNK, with d <= M, and q = EXHAUSTIVE_CHUNK // V**d
+    runs of V**d, fewer in the last block when V**(M - d) is not a
+    multiple of q. The low d digits of every run are one table, written
+    once; a block writes only the high digits of its q run numbers.
+    Each block is scored objective first, and its energy totals are
+    finished only when some objective in it is strictly below the best
+    feasible one so far: no other row can become the winner."""
     t0 = time.perf_counter()
     m = ev.vector_length
     v_count = len(ev.scenario.uavs)
@@ -574,19 +587,30 @@ def exhaustive_search(ev: Evaluator, cap: int = 10**7) -> SolverRun:
     if total > cap:
         raise StateSpaceCapError(f"{v_count}**{m} decisions exceed cap {cap}")
 
-    # decision number k, written in base V with the last sub-task as the
-    # lowest digit, is the k-th decision of itertools.product order
-    place = np.array([v_count**e for e in range(m - 1, -1, -1)], dtype=np.int64)
+    d = 0
+    while d < m and v_count ** (d + 1) <= EXHAUSTIVE_CHUNK:
+        d += 1
+    run = v_count**d
+    runs = total // run
+    q = min(EXHAUSTIVE_CHUNK // run, runs)
+    slots = np.empty((q * run, m), dtype=np.intp)
+    by_run = slots.reshape(q, run, m)
+    by_run[:, :, m - d:] = np.indices((v_count,) * d, dtype=np.intp).reshape(d, run).T + 1
+    high = by_run[:, :, :m - d]
+    place = v_count ** np.arange(m - d - 1, -1, -1, dtype=np.int64)
     best_obj = math.inf
     best_vec: Optional[Tuple[int, ...]] = None
-    for lo in range(0, total, EXHAUSTIVE_CHUNK):
-        k = np.arange(lo, min(lo + EXHAUSTIVE_CHUNK, total), dtype=np.int64)
-        slots = k[:, None] // place % v_count + 1
-        obj, feasible = ev.objective_and_feasible_many(slots)
-        i = _first_min(np.where(feasible, obj, math.inf))
+    for lo in range(0, runs, q):
+        k = np.arange(lo, min(lo + q, runs), dtype=np.int64)
+        high[:len(k)] = (k[:, None] // place % v_count + 1)[:, None]
+        block = slots[:len(k) * run]
+        obj, energy = ev._objective_first(block)
+        if not (obj < best_obj).any():
+            continue
+        i = _first_min(np.where(ev._feasible(energy()), obj, math.inf))
         if i >= 0 and obj[i] < best_obj:
             best_obj = float(obj[i])
-            best_vec = tuple(slots[i].tolist())
+            best_vec = tuple(block[i].tolist())
     if best_vec is None:
         raise NoFeasibleDecisionError("no decision satisfies all energy budgets")
     return _run(

@@ -5,7 +5,10 @@ the scheduler is an event-driven simulation over an O(n^2) selection
 topological order, the energy account sums the README energy model per
 UAV, and the allocator is a projected-gradient descent on the simplex.
 Channel rates are taken from the package because they are
-inputs to the scheduling semantics under test, not part of them.
+inputs to the scheduling semantics under test, not part of them. The
+exhaustive reference scores decisions with the package's population
+kernel, which other tests check against these oracles: what it stands
+for is the enumeration and the selection rule.
 """
 import heapq
 import math
@@ -13,6 +16,7 @@ import math
 import numpy as np
 
 from uavmec import channel
+from uavmec.solvers import NoFeasibleDecisionError, StateSpaceCapError
 
 
 def selection_topo_order(task):
@@ -248,3 +252,32 @@ def pg_alloc(weights, lower=1e-9, max_iter=200000, tol=1e-14):
             step = s * 2.0
         beta, fb = cand, fc
     return beta
+
+
+def exhaustive_reference(ev, cap=10**7, chunk=1024):
+    """The brute-force exhaustive search: every decision vector of ev,
+    in itertools.product order, scored whole (objective and feasibility)
+    chunk by chunk. Returns (vector, objective) of the first strict
+    minimum of the objective among feasible decisions; raises
+    StateSpaceCapError when V**M exceeds cap and NoFeasibleDecisionError
+    when no decision is feasible.
+    """
+    m = ev.vector_length
+    v_count = len(ev.scenario.uavs)
+    total = v_count**m
+    if total > cap:
+        raise StateSpaceCapError(f"{v_count}**{m} decisions exceed cap {cap}")
+    # decision number k, written in base V with the last sub-task as the
+    # lowest digit, is the k-th decision of itertools.product order
+    place = np.array([v_count**e for e in range(m - 1, -1, -1)], dtype=np.int64)
+    best_obj, best_vec = math.inf, None
+    for lo in range(0, total, chunk):
+        k = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        slots = k[:, None] // place % v_count + 1
+        obj, feasible = ev.objective_and_feasible_many(slots)
+        for i in np.flatnonzero(feasible):
+            if obj[i] < best_obj:
+                best_obj, best_vec = float(obj[i]), tuple(slots[i].tolist())
+    if best_vec is None:
+        raise NoFeasibleDecisionError("no decision satisfies all energy budgets")
+    return best_vec, best_obj

@@ -581,6 +581,153 @@ def test_exhaustive_cap_guard():
         exhaustive_solve(s, alloc_equal(s), cap=100)
 
 
+def _with_budget(s, budget_j):
+    return dataclasses.replace(
+        s, uavs=tuple(dataclasses.replace(v, energy_budget_j=budget_j) for v in s.uavs))
+
+
+def _binding_budget(s):
+    """A budget the unconstrained optimum misses: just under its largest
+    per-UAV energy total (so that with one UAV nothing meets it)."""
+    ev = Evaluator(s, alloc_equal(s))
+    vec, _ = oracles.exhaustive_reference(ev)
+    _, totals = ev._score_many([vec])
+    return float(np.nextafter(totals.max(), 0.0))
+
+
+def _agrees_with_reference(ev, cap=10**7):
+    """exhaustive_search returns what oracles.exhaustive_reference does:
+    the same vector, objective bits and feasibility, or the same error.
+    Returns the error type, or None."""
+    try:
+        vec, obj = oracles.exhaustive_reference(ev, cap)
+    except (NoFeasibleDecisionError, StateSpaceCapError) as e:
+        with pytest.raises(type(e)):
+            exhaustive_search(ev, cap)
+        return type(e)
+    run = exhaustive_search(ev, cap)
+    assert decision_to_vector(ev.scenario, run.decision) == vec
+    assert run.objective_s.hex() == obj.hex()
+    assert run.feasible
+    return None
+
+
+# (V, M): below, equal to and above one block of the search (q * V**d
+# rows), M below d, and V**(M - d) not a multiple of q
+EXHAUSTIVE_SHAPES = [
+    (1, 5), (2, 3), (2, 10), (2, 11), (3, 3), (3, 6), (3, 7),
+    (4, 5), (4, 6), (6, 4), (9, 3), (9, 4), (33, 2),
+]
+
+
+@pytest.mark.parametrize("budget", ["loose", "binding", "none"])
+@pytest.mark.parametrize("v_count,m", EXHAUSTIVE_SHAPES)
+def test_exhaustive_search_matches_the_reference(v_count, m, budget):
+    s = desk_scenario(v_count + m, uav_count=v_count, subtasks=m)
+    if budget != "loose":
+        s = _with_budget(s, 0.0 if budget == "none" else _binding_budget(s))
+    error = _agrees_with_reference(Evaluator(s, alloc_equal(s)))
+    none_left = budget == "none" or (budget == "binding" and v_count == 1)
+    assert error is (NoFeasibleDecisionError if none_left else None)
+
+
+@pytest.mark.parametrize("chunk", [2, 5, 7])
+def test_exhaustive_search_matches_the_reference_at_any_block_size(monkeypatch, chunk):
+    # chunk 2 < V: blocks of q runs of one decision (d = 0)
+    monkeypatch.setattr(solvers, "EXHAUSTIVE_CHUNK", chunk)
+    for budget in ("loose", "binding"):
+        s = desk_scenario(3, uav_count=3, subtasks=5)
+        if budget == "binding":
+            s = _with_budget(s, _binding_budget(s))
+        assert _agrees_with_reference(Evaluator(s, alloc_equal(s))) is None
+
+
+def test_exhaustive_search_refuses_over_the_cap_as_the_reference_does():
+    s = desk_scenario(3, uav_count=3, subtasks=5)
+    ev = Evaluator(s, alloc_equal(s))
+    assert _agrees_with_reference(ev, cap=3**5 - 1) is StateSpaceCapError
+    assert _agrees_with_reference(ev, cap=3**5) is None
+
+
+def _twin_uav_scenario(subtasks=7):
+    """UAVs 2 and 3 mirror each other across the plane through UAV 1, the
+    user and the base station, with equal compute: swapping them in a
+    decision changes no bit of its objective or energy totals. Equal
+    sub-tasks tie further decisions."""
+    uavs = (
+        UavNode(id=1, position_m=(0.0, 0.0, 50.0), max_compute_hz=1e9, energy_budget_j=1e9),
+        UavNode(id=2, position_m=(200.0, 0.0, 50.0), max_compute_hz=3e9, energy_budget_j=1e9),
+        UavNode(id=3, position_m=(-200.0, 0.0, 50.0), max_compute_hz=3e9, energy_budget_j=1e9),
+    )
+    users = (UserNode(id=1, position_m=(0.0, 10.0), associated_uav=1, active=True),)
+    subs = [SubTask(index=0, input_size_bits=0.0, cycles_per_bit=0.0, is_dummy=True)]
+    for j in range(1, subtasks + 1):
+        preds = ((0, 0.0),) if j <= 2 else ((j - 2, 1e5), (j - 1, 1e5))
+        subs.append(SubTask(index=j, input_size_bits=1e6, cycles_per_bit=1000.0,
+                            predecessors=preds))
+    return Scenario(physics=PhysicsConstants(), uavs=uavs, users=users,
+                    tasks=(TaskGraph(owner_user=1, sub_tasks=tuple(subs)),),
+                    bs_position_m=(0.0, 300.0, 0.0))
+
+
+def test_exhaustive_search_keeps_the_first_of_tied_optima():
+    s = _twin_uav_scenario()
+    ev = Evaluator(s, alloc_equal(s))
+    assert _agrees_with_reference(ev) is None
+    scored = [(ev.objective_and_feasible(vec), vec)
+              for vec in itertools.product((1, 2, 3), repeat=ev.vector_length)]
+    best = min(obj for (obj, ok), _ in scored if ok)
+    tied = [vec for (obj, ok), vec in scored if ok and obj == best]
+    # the twins of the first winner lie in later blocks of 3**6 rows
+    assert len({vec[0] for vec in tied}) > 1
+    assert decision_to_vector(s, exhaustive_search(ev).decision) == tied[0]
+
+
+def _counted_passes(monkeypatch):
+    """Counts, per exhaustive pass, the rows scored objective first, the
+    rows whose energy half ran, and the rows of each _Scratch built."""
+    scored, finished, built = [], [], []
+    objective_first = evaluator._Scoring._objective_first
+
+    def counted(self, population):
+        objective, energy = objective_first(self, population)
+        scored.append(len(objective))
+
+        def finish():
+            finished.append(len(objective))
+            return energy()
+        return objective, finish
+
+    class Scratch(evaluator._Scratch):
+        def __init__(self, t, n):
+            built.append(n)
+            super().__init__(t, n)
+
+    monkeypatch.setattr(evaluator._Scoring, "_objective_first", counted)
+    monkeypatch.setattr(evaluator, "_Scratch", Scratch)
+    return scored, finished, built
+
+
+def test_exhaustive_energy_half_runs_only_on_blocks_that_can_improve(monkeypatch):
+    scored, finished, built = _counted_passes(monkeypatch)
+    s = desk_scenario(5, uav_count=3, subtasks=8)
+    exhaustive_solve(s, alloc_equal(s))
+    # 3**8 decisions in 9 blocks of 3**6, one scratch for all of them
+    assert scored == [729] * 9
+    assert built == [729]
+    assert 0 < len(finished) < len(scored)
+    # with nothing feasible, every block may hold the first feasible row
+    del scored[:], finished[:], built[:]
+    with pytest.raises(NoFeasibleDecisionError):
+        exhaustive_solve(_with_budget(s, 0.0), alloc_equal(s))
+    assert finished == scored == [729] * 9
+    # 6**4 decisions: blocks of 4 runs of 6**3, then a tail of 2
+    del scored[:], finished[:], built[:]
+    s = desk_scenario(5, uav_count=6, subtasks=4)
+    exhaustive_solve(s, alloc_equal(s))
+    assert scored == built == [864, 432]
+
+
 def test_dwoa_close_to_exhaustive_on_desk_instance():
     s = desk_scenario(3, uav_count=3, subtasks=5)
     beta = alloc_equal(s)
