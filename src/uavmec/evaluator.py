@@ -23,6 +23,13 @@ energy, spans and hover. A caller that needs an objective first can
 finish the pass's energy later, or not at all: the exhaustive search
 finishes it only for blocks that can hold a new optimum.
 
+Where an energy certificate holds, the population methods and the
+exhaustive search skip the energy half altogether. The certificate is a
+decision-free bound on each UAV's energy total (Evaluator._certified).
+When every bound is finite and within its budget, every decision is
+feasible and every penalty is 0.0, so skipping the half changes no bit.
+The one-decision methods and result() always compute the energy.
+
 Timing rules: sub-tasks are processed in topological order; arrival time
 accumulates the task's uploads over the shared uplink (so one channel
 never carries two inputs at once; the "independent" upload model starts
@@ -46,6 +53,7 @@ other order.
 """
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -272,6 +280,26 @@ class _Plan:
                 pos[j] = len(nodes)
             self.users.append(_User(user, assoc, t.release_time_s, tuple(nodes)))
 
+    @functools.cached_property
+    def certificate_terms(self) -> tuple:
+        """The split-free half of the energy certificate (see
+        Evaluator._certified), worked out once: per slot, bounds on its
+        execution, forwarding and report energy under any decision; per
+        user, a bound on its span less the span base (the longest of its
+        local and remote spans, each at most the user's nodes' largest
+        forwarding plus execution times). With H all input bits, a node's
+        execution time is at most its cycles per bit times H / min F; and
+        a UAV's execution energy, kappa F^2 sum(cpb h^3) / L^2 over the L
+        bits it runs, is at most kappa F^2 max cpb max h, since
+        sum h^3 <= max h^2 L and h <= L."""
+        H, h_max, f_min = sum(self.h_cols), max(self.h_cols), min(self.fmax)
+        cpb_max = max(node.cycles for u in self.users for node in u.nodes)
+        fixed = [self.kappa * f * f * cpb_max * h_max + e for f, e in zip(self.fmax, self.report_e)]
+        for u in self.users:
+            fixed[u.assoc] += self.p_fwd_w[u.assoc] * sum(max(node.fwd) for node in u.nodes)
+        span = [sum(max(node.fwd) + node.cycles * H / f_min for node in u.nodes) for u in self.users]
+        return fixed, span
+
     def compile(self) -> _Layout:
         """Lays the plan out as the arrays of _Layout, once."""
         M = len(self.h_cols)
@@ -487,17 +515,27 @@ class _Scoring:
     hop in finish-table order (M, 1 or N), task uploads (U, 1 or N) and
     span bases (U or N x U); the budgets _budget and the caps an excess
     is taken from _cap (V or N x V); the penalty lambda _lam (a number
-    or an (N, 1) column) and mode _mode, None for no penalty."""
+    or an (N, 1) column) and mode _mode, None for no penalty.
+
+    A scorer is certified (_certified) when a decision-free bound puts
+    every energy total within its budget; a _Stack, when each of its
+    Evaluators is. There every decision is feasible and every penalty
+    is 0.0, so the population methods skip the energy half of the pass
+    and change no bit: an objective o >= 0 has o + 0.0 == o, and a
+    finite bound leaves no NaN total that would cost HARD_REJECT."""
 
     def fitness_many(self, population) -> np.ndarray:
         """fitness of each row of an (N, M) matrix of 1-based slots, as
         an (N,) array equal bit for bit to calling fitness row by row."""
-        return self._penalize(*self._score_many(population))
+        objective, totals = self._objective_first(population)
+        return objective if self._certified else self._penalize(objective, totals())
 
     def objective_and_feasible_many(self, population) -> Tuple[np.ndarray, np.ndarray]:
         """objective_and_feasible of each row of an (N, M) slot matrix:
         (N,) objectives and (N,) feasibility flags."""
         objective, totals = self._objective_first(population)
+        if self._certified:
+            return objective, np.ones(len(objective), dtype=bool)
         return objective, self._feasible(totals())
 
     def _feasible(self, totals: np.ndarray) -> np.ndarray:
@@ -702,9 +740,10 @@ class Evaluator(_Scoring):
     array pass whose numpy call count grows with DAG depth, not with N
     or M. The first such call on a plan lays it out as arrays, and the
     first on an Evaluator compiles its arrivals, task uploads and span
-    bases. Every path applies one budget rule: a decision is feasible
-    exactly when every energy total is at most its UAV's budget, and
-    hard mode rejects exactly the infeasible decisions.
+    bases and works out its energy certificate (see _Scoring). Every
+    path applies one budget rule: a decision is feasible exactly when
+    every energy total is at most its UAV's budget, and hard mode
+    rejects exactly the infeasible decisions.
 
     The population kernel works node-major: its intermediates are
     (rows, N) arrays with one contiguous row of N values per sub-task,
@@ -880,6 +919,24 @@ class Evaluator(_Scoring):
                        np.array([link.span_base for link in links]))
         return self._split
 
+    def _energy_bound(self) -> List[float]:
+        """Per slot, a bound on its energy total under any decision: the
+        plan's certificate_terms plus hover power times the longest span
+        any of its users can have, times 1 + 1e-9, far above the rounding
+        of either side's sums. An idle UAV hovers for no span."""
+        fixed, span = self._plan.certificate_terms
+        hover_t = [0.0] * self._V
+        for u, link, extra in zip(self._plan.users, self._uplinks, span):
+            hover_t[u.assoc] = max(hover_t[u.assoc], link.span_base + extra)
+        return [(f + p * t) * (1 + 1e-9) for f, p, t in zip(fixed, self._plan.hover_p, hover_t)]
+
+    @functools.cached_property
+    def _certified(self) -> bool:
+        """Every bound finite and within its budget: then every total is
+        too, and none is NaN. Worked out on first use, by the first
+        population pass."""
+        return all(math.isfinite(b) and b <= cap for b, cap in zip(self._energy_bound(), self._budget))
+
     def result(self, decision: OffloadDecision) -> ScheduleResult:
         problems = decision.validate(self.scenario)
         if problems:
@@ -953,6 +1010,7 @@ class _Stack(_Scoring):
         self._cap = np.repeat([ev._cap for ev in evaluators], rows, axis=0)
         self._lam = None if self._mode != "penalty" else np.repeat(
             [float(ev._lam) for ev in evaluators], rows).reshape(-1, 1)
+        self._certified = all(ev._certified for ev in evaluators)
 
 
 def evaluate(

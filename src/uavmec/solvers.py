@@ -579,7 +579,9 @@ def exhaustive_search(ev: Evaluator, cap: int = 10**7) -> SolverRun:
     once; a block writes only the high digits of its q run numbers.
     Each block is scored objective first, and its energy totals are
     finished only when some objective in it is strictly below the best
-    feasible one so far: no other row can become the winner."""
+    feasible one so far: no other row can become the winner. On a
+    certified Evaluator every decision is feasible, and no energy is
+    computed at all."""
     t0 = time.perf_counter()
     m = ev.vector_length
     v_count = len(ev.scenario.uavs)
@@ -600,6 +602,7 @@ def exhaustive_search(ev: Evaluator, cap: int = 10**7) -> SolverRun:
     place = v_count ** np.arange(m - d - 1, -1, -1, dtype=np.int64)
     best_obj = math.inf
     best_vec: Optional[Tuple[int, ...]] = None
+    certified = ev._certified
     for lo in range(0, runs, q):
         k = np.arange(lo, min(lo + q, runs), dtype=np.int64)
         high[:len(k)] = (k[:, None] // place % v_count + 1)[:, None]
@@ -607,7 +610,7 @@ def exhaustive_search(ev: Evaluator, cap: int = 10**7) -> SolverRun:
         obj, energy = ev._objective_first(block)
         if not (obj < best_obj).any():
             continue
-        i = _first_min(np.where(ev._feasible(energy()), obj, math.inf))
+        i = _first_min(obj if certified else np.where(ev._feasible(energy()), obj, math.inf))
         if i >= 0 and obj[i] < best_obj:
             best_obj = float(obj[i])
             best_vec = tuple(block[i].tolist())

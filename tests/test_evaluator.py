@@ -30,6 +30,7 @@ from uavmec import (
 )
 from uavmec.evaluator import (
     _Plan,
+    _Scoring,
     _Stack,
     decision_from_vector,
     decision_order,
@@ -446,6 +447,8 @@ def test_one_decision_methods_never_lay_out_the_plan():
     ev.objective_and_feasible(row)
     ev.result(decision_from_vector(s, row))
     assert ev._plan.layout is None and ev._plan.scratch is None
+    # nor work out the energy certificate
+    assert "certificate_terms" not in vars(ev._plan) and "_certified" not in vars(ev)
 
 
 def test_per_subtask_cycles_per_bit_matches_event_oracle():
@@ -897,3 +900,128 @@ def test_parentless_subtask_is_ready_at_arrival():
     s = _odd_dag_scenario()
     res = evaluate(OffloadDecision({1: (1, 2, 1, 1)}), alloc_equal(s), s)
     assert res.ready_s[(1, 2)] == res.arrival_s[(1, 2)]
+
+
+# ------------------------------------------------------ energy certificate
+
+def _zero_cycle_scenario():
+    """Several users per UAV with every odd sub-task at 0 cycles/bit and
+    every edge from an odd parent carrying no payload."""
+    s = desk_scenario(8, uav_count=3, subtasks=7, active=3, users_per_uav=(1, 2))
+    s = dataclasses.replace(s, tasks=tuple(dataclasses.replace(t, sub_tasks=tuple(
+        dataclasses.replace(
+            st, cycles_per_bit=0.0 if st.index % 2 else st.cycles_per_bit,
+            predecessors=tuple((p, 0.0 if p % 2 else bits) for p, bits in st.predecessors),
+        ) for st in t.sub_tasks)) for t in s.tasks))
+    assert validate_scenario(s) == []
+    return s
+
+
+def _certificate_cases():
+    yield from _kernel_cases()
+    yield "one-uav", desk_scenario(3, uav_count=1, subtasks=6, active=1)
+    yield "idle-uavs", desk_scenario(4, uav_count=5, subtasks=6, active=2)
+    yield "zero-cycles", _zero_cycle_scenario()
+    # each bound term alone near its worst case: hover power near 0 W
+    # shows the execution bound; no cycles show the forwarding hops'
+    # share of the spans, and with neither, the forwarding energy
+    s = desk_scenario(8, uav_count=2, subtasks=7, active=3, users_per_uav=(2, 3))
+    no_hover = dataclasses.replace(s, uavs=tuple(dataclasses.replace(
+        v, hover=dataclasses.replace(v.hover, thrust_n=1e-9)) for v in s.uavs))
+
+    def no_cycles(s):
+        return dataclasses.replace(s, tasks=tuple(dataclasses.replace(t, sub_tasks=tuple(
+            dataclasses.replace(st, cycles_per_bit=0.0) for st in t.sub_tasks)) for t in s.tasks))
+
+    yield "no-hover", no_hover
+    yield "no-cycles", no_cycles(s)
+    yield "forwarding-only", no_cycles(no_hover)
+
+
+def _certificate_rows(ev, rng, n=2000):
+    """n random decisions, then each UAV running every sub-task."""
+    V = len(ev.scenario.uavs)
+    every = np.repeat(np.arange(1, V + 1), ev.vector_length).reshape(V, -1)
+    return np.concatenate([rng.integers(1, V + 1, size=(n, ev.vector_length)), every])
+
+
+@pytest.mark.parametrize("upload_model", ["cumulative", "independent"])
+def test_every_energy_total_is_within_the_certificate_bound(upload_model):
+    rng = np.random.default_rng(41)
+    cases = dict(_certificate_cases())
+    assert any(len(s.uavs) == 1 for s in cases.values())
+    assert any(len(s.uavs) > len({u.associated_uav for u in s.users if u.active})
+               for s in cases.values())
+    for name, s in cases.items():
+        for allocator in (alloc_equal, alloc_optimal):
+            ev = Evaluator(s, allocator(s), None, upload_model)
+            bound = ev._energy_bound()
+            assert all(math.isfinite(b) for b in bound), name
+            _obj, totals = ev._score_many(_certificate_rows(ev, rng))
+            assert (totals <= bound).all(), name
+
+
+@pytest.mark.parametrize("penalty", PENALTIES, ids=["off", "lam0.1", "lam1e-3", "hard"])
+def test_a_certified_scorer_skips_the_energy_half_and_changes_no_bit(monkeypatch, penalty):
+    s = desk_scenario(4, uav_count=4, subtasks=10, active=3, users_per_uav=(1, 2))
+    plan = _Plan(s)
+    evs = [Evaluator(scen, alloc(s), penalty, upload, _plan=plan)
+           for scen in (s, with_unlimited_energy(s))
+           for alloc in (alloc_equal, alloc_optimal)
+           for upload in ("cumulative", "independent")]
+    assert "certificate_terms" not in vars(plan) and not any("_certified" in vars(ev) for ev in evs)
+    rng = np.random.default_rng(43)
+    cases = []
+    for n in (0, 1, 2, 5, 100):
+        P = rng.integers(1, len(s.uavs) + 1, size=(n, evs[0].vector_length))
+        rows = [len(part) for part in np.array_split(np.arange(n), len(evs))]
+        cases.extend((scorer, P) for scorer in (*evs, _Stack(evs, rows)))
+    full = []
+    for scorer, P in cases:
+        obj, totals = scorer._score_many(P)
+        full.append((scorer._penalize(obj, totals), obj, scorer._feasible(totals)))
+
+    def no_energy_half(*args, **kwargs):
+        raise AssertionError("a certified scorer ran the energy half")
+
+    monkeypatch.setattr(_Scoring, "_energy_many", no_energy_half)
+    for (scorer, P), want in zip(cases, full):
+        assert scorer._certified
+        got = (scorer.fitness_many(P), *scorer.objective_and_feasible_many(P))
+        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+            (a.dtype, a.shape, a.tobytes()) for a in want]
+
+
+def test_a_stack_is_certified_only_when_every_member_is():
+    s = desk_scenario(17, uav_count=3, subtasks=6, active=2, budget_j=3000.0)
+    plan = _Plan(s)
+    limited = Evaluator(s, alloc_equal(s), PenaltyConfig(), _plan=plan)
+    unlimited = Evaluator(with_unlimited_energy(s), alloc_equal(s), PenaltyConfig(), _plan=plan)
+    assert not limited._certified and unlimited._certified
+    assert not _Stack([limited, unlimited], [2, 3])._certified
+    assert not _Stack([unlimited, limited], [2, 3])._certified
+    assert _Stack([unlimited, unlimited], [2, 3])._certified
+
+
+def test_binding_and_zero_budgets_never_certify():
+    rng = np.random.default_rng(47)
+    for name, s in _certificate_cases():
+        ev = Evaluator(s, alloc_equal(s))
+        _obj, totals = ev._score_many(_certificate_rows(ev, rng, 200))
+        worst = totals.max(axis=0)
+        v = int(worst.argmax())
+        # one UAV's budget just under a total some decision reaches, the
+        # others unlimited; then every budget 0 J
+        for budgets in ([math.inf] * v + [float(np.nextafter(worst[v], 0.0))]
+                        + [math.inf] * (len(s.uavs) - v - 1), [0.0] * len(s.uavs)):
+            tight = dataclasses.replace(s, uavs=tuple(
+                dataclasses.replace(u, energy_budget_j=b)
+                for u, b in zip(sorted(s.uavs, key=lambda u: u.id), budgets)))
+            assert not Evaluator(tight, alloc_equal(tight))._certified, name
+
+
+def test_an_infinite_bound_never_certifies():
+    s = with_unlimited_energy(_huge_capacitance_scenario())
+    ev = Evaluator(s, alloc_equal(s), PenaltyConfig())
+    assert math.inf in ev._energy_bound()
+    assert not ev._certified

@@ -626,7 +626,10 @@ def test_exhaustive_search_matches_the_reference(v_count, m, budget):
     s = desk_scenario(v_count + m, uav_count=v_count, subtasks=m)
     if budget != "loose":
         s = _with_budget(s, 0.0 if budget == "none" else _binding_budget(s))
-    error = _agrees_with_reference(Evaluator(s, alloc_equal(s)))
+    ev = Evaluator(s, alloc_equal(s))
+    # both branches of the search: loose budgets certify, the others not
+    assert ev._certified is (budget == "loose")
+    error = _agrees_with_reference(ev)
     none_left = budget == "none" or (budget == "binding" and v_count == 1)
     assert error is (NoFeasibleDecisionError if none_left else None)
 
@@ -711,11 +714,24 @@ def _counted_passes(monkeypatch):
 def test_exhaustive_energy_half_runs_only_on_blocks_that_can_improve(monkeypatch):
     scored, finished, built = _counted_passes(monkeypatch)
     s = desk_scenario(5, uav_count=3, subtasks=8)
-    exhaustive_solve(s, alloc_equal(s))
+    # a budget twice the optimum's largest total binds nowhere near the
+    # optimum, but is too tight to certify: blocks are finished as needed
+    ev = Evaluator(s, alloc_equal(s))
+    _, totals = ev._score_many([oracles.exhaustive_reference(ev)[0]])
+    tight = _with_budget(s, 2.0 * float(totals.max()))
+    assert not Evaluator(tight, alloc_equal(tight))._certified
+    del scored[:], finished[:], built[:]
+    exhaustive_solve(tight, alloc_equal(tight))
     # 3**8 decisions in 9 blocks of 3**6, one scratch for all of them
     assert scored == [729] * 9
     assert built == [729]
     assert 0 < len(finished) < len(scored)
+    # under the certified loose budget no energy half runs at all
+    del scored[:], finished[:], built[:]
+    assert Evaluator(s, alloc_equal(s))._certified
+    exhaustive_solve(s, alloc_equal(s))
+    assert scored == [729] * 9
+    assert finished == []
     # with nothing feasible, every block may hold the first feasible row
     del scored[:], finished[:], built[:]
     with pytest.raises(NoFeasibleDecisionError):
